@@ -24,17 +24,56 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BudgetExceeded, DomainError
-from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding, _fraction_det
+from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, hash_uniform
 from .walk_ensembles import (
     BridgeSpec,
     PathEnsembleSample,
     enumerate_trajectories,
+    exact_det,
     sample_bridge,
     sample_bridges_lockstep,
 )
 
-DISTRIBUTIONS = ("rademacher", "gaussian", "shifted_exponential")
+
+# Site values take (seed array, *coordinates) and hash them statelessly; the
+# log moment generating functions give the matching cumulant.
+
+
+def _rademacher(seed, *coords):
+    h = hash_mix(seed, *coords)
+    return np.where((h & np.uint64(1)).astype(bool), 1.0, -1.0)
+
+
+def _gaussian(seed, *coords):
+    u1 = hash_uniform(seed, *coords)
+    u2 = hash_uniform(seed + 1, *coords)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _shifted_exponential(seed, *coords):
+    # Exp(1) - 1
+    return -np.log(hash_uniform(seed, *coords)) - 1.0
+
+
+def _shifted_exponential_lmgf(b: float) -> float:
+    if b >= 1.0:
+        raise DomainError("exponential moment diverges at beta >= 1")
+    return -b - math.log1p(-b)
+
+
+_DISTRIBUTIONS: dict[str, tuple[Callable, Callable[[float], float]]] = {
+    "rademacher": (_rademacher, lambda b: float(np.log(np.cosh(b)))),
+    "gaussian": (_gaussian, lambda b: 0.5 * b * b),
+    "shifted_exponential": (_shifted_exponential, _shifted_exponential_lmgf),
+}
+DISTRIBUTIONS = tuple(_DISTRIBUTIONS)
+
+
+def _distribution(name: str) -> tuple[Callable, Callable[[float], float]]:
+    if name not in _DISTRIBUTIONS:
+        raise DomainError(f"unknown distribution {name!r}")
+    return _DISTRIBUTIONS[name]
 
 
 @dataclass(frozen=True)
@@ -49,23 +88,13 @@ class DisorderField:
     seed: int = 0
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise DomainError(f"unknown distribution {self.distribution!r}")
+        _distribution(self.distribution)
 
     def values(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=np.int64)
         x = np.asarray(x, dtype=np.int64)
         seed = np.full(n.shape, self.seed, dtype=np.int64)
-        if self.distribution == "rademacher":
-            h = hash_mix(seed, n, x)
-            return np.where((h & np.uint64(1)).astype(bool), 1.0, -1.0)
-        if self.distribution == "gaussian":
-            u1 = hash_uniform(seed, n, x)
-            u2 = hash_uniform(seed + 1, n, x)
-            return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        # shifted exponential: Exp(1) - 1
-        u = hash_uniform(seed, n, x)
-        return -np.log(u) - 1.0
+        return _DISTRIBUTIONS[self.distribution][0](seed, n, x)
 
     def value(self, n: int, x: int) -> float:
         return float(self.values(np.array([n]), np.array([x]))[0])
@@ -98,17 +127,7 @@ class CumulantSpec:
 
     @classmethod
     def for_distribution(cls, name: str) -> "CumulantSpec":
-        if name == "rademacher":
-            return cls(lambda b: float(np.log(np.cosh(b))))
-        if name == "gaussian":
-            return cls(lambda b: 0.5 * b * b)
-        if name == "shifted_exponential":
-            def lam(b: float) -> float:
-                if b >= 1.0:
-                    raise DomainError("exponential moment diverges at beta >= 1")
-                return -b - math.log1p(-b)
-            return cls(lam)
-        raise DomainError(f"unknown distribution {name!r}")
+        return cls(_distribution(name)[1])
 
     @classmethod
     def numeric(cls, density: Callable[[float], float], lo: float, hi: float) -> "CumulantSpec":
@@ -218,6 +237,8 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,
     as are sites whose centered factor vanishes.  Must reproduce the direct
     enumeration average of multiplicative weights.
     """
+    if mode not in ("exact", "float"):
+        raise DomainError(f"unknown mode {mode!r}")
     sites = reachable_sites(spec)
     live = [s for s in sites if field.value(*s) != 1]
     if len(live) > site_budget:
@@ -247,7 +268,7 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,
             mat = [
                 [table.entry(a, b) for b in chosen_sites] for a in chosen_sites
             ]
-            return _fraction_det(mat)
+            return exact_det(mat)
         arr = np.array(
             [[table.entry(a, b) for b in chosen_sites] for a in chosen_sites]
         )
@@ -362,16 +383,7 @@ def _field_values_batch(
 ) -> np.ndarray:
     """Per-replica iid site values, stateless in (key, replica, n, x)."""
     key_arr = np.full(np.shape(rep), key, dtype=np.int64)
-    if distribution == "rademacher":
-        h = hash_mix(key_arr, rep, n, x)
-        return np.where((h & np.uint64(1)).astype(bool), 1.0, -1.0)
-    if distribution == "gaussian":
-        u1 = hash_uniform(key_arr, rep, n, x)
-        u2 = hash_uniform(key_arr + 1, rep, n, x)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    if distribution == "shifted_exponential":
-        return -np.log(hash_uniform(key_arr, rep, n, x)) - 1.0
-    raise DomainError(f"unknown distribution {distribution!r}")
+    return _distribution(distribution)[0](key_arr, rep, n, x)
 
 
 def smc_partition_estimates(
@@ -491,13 +503,3 @@ def intermediate_disorder_run(
         seed=rng,
         levels=levels,
     )
-
-
-def _draw_disorder(gen: np.random.Generator, distribution: str, count: int) -> np.ndarray:
-    if distribution == "rademacher":
-        return gen.integers(0, 2, size=count) * 2.0 - 1.0
-    if distribution == "gaussian":
-        return gen.standard_normal(count)
-    if distribution == "shifted_exponential":
-        return gen.standard_exponential(count) - 1.0
-    raise DomainError(f"unknown distribution {distribution!r}")

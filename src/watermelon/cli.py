@@ -55,7 +55,6 @@ class ExperimentConfig:
     criteria: list[int] | None = None
     out_dir: str = "out"
     workers: int = 0  # 0: use available parallelism
-    enumeration_budget: int = 10**6
     step_budget: int = 24
 
     def resolved_out_dir(self) -> Path:
@@ -93,6 +92,7 @@ class RunManifest:
     started: float
     wall_clock: float = 0.0
     assertions: dict = field(default_factory=dict)
+    criteria: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
     def write(self, out_dir: Path) -> None:
@@ -103,6 +103,7 @@ class RunManifest:
             "numpy": np.__version__,
             "wall_clock_seconds": self.wall_clock,
             "assertions": self.assertions,
+            "criteria": self.criteria,
             "outputs": self.outputs,
         }
         (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, default=str))
@@ -257,23 +258,47 @@ def cmd_overlap(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
+def resolve_workers(requested: int, jobs: int) -> int:
+    """Worker processes for `jobs` tasks; 0 means one per available CPU."""
+    if requested < 0:
+        raise WatermelonError(f"--workers must be >= 0, got {requested}")
+    if requested == 0:
+        requested = len(os.sched_getaffinity(0))
+    return max(1, min(requested, jobs))
+
+
 def cmd_verify(cfg: ExperimentConfig) -> int:
     out, manifest = _start(cfg)
-    ids = cfg.criteria or [cid for cid, _, _, _ in acceptance.CRITERIA]
-    workers = cfg.workers if cfg.workers > 0 else 1
+    known = [cid for cid, _, _, _ in acceptance.CRITERIA]
+    unknown = set(cfg.criteria or ()) - set(known)
+    if unknown:
+        raise WatermelonError(f"no criteria {sorted(unknown)}")
+    # suite order, each id once, whether run serially or in a pool
+    ids = [cid for cid in known if cid in (cfg.criteria or known)]
+    workers = resolve_workers(cfg.workers, len(ids))
     if workers > 1:
         # criteria are independent and internally seeded, so the outcome is
-        # identical regardless of scheduling; only wall clock changes
+        # identical regardless of scheduling; only wall clock changes.  Spawned
+        # workers import afresh instead of forking a process that may hold
+        # BLAS threads.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             results = list(pool.map(acceptance.run_criterion, ids))
         for res in results:
             print(res.line(), flush=True)
     else:
         results = acceptance.run_all(ids=ids)
     for res in results:
-        manifest.assertions[f"criterion_{res.crit_id:02d}_{res.name}"] = res.passed
+        key = f"criterion_{res.crit_id:02d}_{res.name}"
+        manifest.assertions[key] = res.passed
+        manifest.criteria[key] = {
+            "seconds": res.seconds,
+            "limit_seconds": res.limit_seconds,
+            "detail": res.detail,
+        }
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
     failed = [r for r in results if not r.passed]

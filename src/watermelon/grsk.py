@@ -2,7 +2,7 @@
 
 tau_{m,d}(n) sums products of vertex weights over d-tuples of vertex-disjoint
 up-right lattice paths; ratios of consecutive tau's define the array entries.
-Two evaluation routes are kept: exhaustive enumeration (the oracle) and the
+tau is evaluated by exhaustive enumeration (the oracle) and by the
 determinant of single-path sums, which the enumeration tests validate for
 this vertex-weight geometry.
 """
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .rng import SeedRecord
+from .walk_ensembles import exact_det, signed_logdet
 
 
 @dataclass(frozen=True)
@@ -172,37 +173,10 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
     starts, ends = _path_endpoints(d, n, m)
     mat = [[single_path_sum(w, s, e) for e in ends] for s in starts]
     if any(isinstance(v, Fraction) for row in mat for v in row):
-        return _det_fraction(mat)
-    return _det_scaled(np.array(mat, dtype=np.float64))
-
-
-def _det_fraction(mat) -> Fraction:
-    k = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _det_scaled(mat: np.ndarray) -> float:
-    """Determinant with per-row maximum extraction, positive entries assumed."""
-    scale = np.abs(mat).max(axis=1)
-    if np.any(scale == 0.0):
-        return 0.0
-    det = float(np.linalg.det(mat / scale[:, None]))
-    return det * float(np.prod(scale))
+        return exact_det([[Fraction(v) for v in row] for row in mat])
+    with np.errstate(divide="ignore"):
+        sign, logdet = signed_logdet(np.log(np.array(mat, dtype=np.float64)))
+    return sign * math.exp(logdet)
 
 
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
@@ -242,11 +216,10 @@ def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
             cur = nxt
         for b, (i1, j1) in enumerate(ends):
             logmat[a, b] = cur[j1 - j0] if 0 <= j1 - j0 < width else -np.inf
-    row_max = logmat.max(axis=1)
-    sign, logdet = np.linalg.slogdet(np.exp(logmat - row_max[:, None]))
+    sign, logdet = signed_logdet(logmat)
     if sign <= 0:
         raise DomainError("nonpositive path-sum determinant")
-    return float(row_max.sum() + logdet)
+    return logdet
 
 
 def grsk_array(w: WeightMatrix, d_max: int, n: int, m: int) -> list[dict]:

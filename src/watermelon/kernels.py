@@ -27,7 +27,7 @@ from .special_polys import (
     hahn_exact,
     hermite_normalized,
 )
-from .walk_ensembles import BridgeSpec, _binom, log_binom
+from .walk_ensembles import BridgeSpec, _binom, exact_det, log_binom
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,11 @@ class CorrelationQuery:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class AlphaFactor:
-    """The argument rescaling sqrt(t_star / (2 t (t_star - t)))."""
-
-    t: float
-    value: float
-
-    @classmethod
-    def at(cls, t_star: float, t: float) -> "AlphaFactor":
-        if not 0.0 < t < t_star:
-            raise DomainError(f"t={t} outside (0, {t_star})")
-        return cls(t=t, value=math.sqrt(t_star / (2.0 * t * (t_star - t))))
-
-
 def alpha_factor(t_star: float, t: float) -> float:
-    return AlphaFactor.at(t_star, t).value
+    """The argument rescaling sqrt(t_star / (2 t (t_star - t)))."""
+    if not 0.0 < t < t_star:
+        raise DomainError(f"t={t} outside (0, {t_star})")
+    return math.sqrt(t_star / (2.0 * t * (t_star - t)))
 
 
 _ROUND_EPS = 1e-9
@@ -354,6 +343,8 @@ def discrete_kernel(
     mode: str = "float",
 ) -> float | Fraction:
     """Discrete bridge kernel K((n,x); (n',x')) at lattice points."""
+    if mode not in ("exact", "float"):
+        raise DomainError(f"unknown mode {mode!r}")
     table = DiscreteKernelTable(spec, exact=(mode == "exact"))
     return table.entry(a, b)
 
@@ -367,45 +358,27 @@ def discrete_psi_prob(
     """Joint occupation probability of distinct lattice sites, via the kernel.
 
     This is the determinant det[K(s_i; s_j)]; multiplied by (sqrt(N)/2)^k it
-    becomes the rescaled k-point function.  Duplicate sites give 0.
+    becomes the rescaled k-point function.  Duplicate sites give 0.  A
+    given `table` must be exact exactly when `mode` is ``exact``.
     """
+    if mode not in ("exact", "float"):
+        raise DomainError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
+    if table is not None and table.exact != exact:
+        raise DomainError(f"mode {mode!r} with a table of exact={table.exact}")
     if len(set(sites)) != len(sites):
-        return Fraction(0) if mode == "exact" else 0.0
+        return Fraction(0) if exact else 0.0
     if table is None:
-        table = DiscreteKernelTable(spec, exact=(mode == "exact"))
+        table = DiscreteKernelTable(spec, exact=exact)
     k = len(sites)
-    if mode == "exact":
+    if exact:
         mat = [[table.entry(sites[i], sites[j]) for j in range(k)] for i in range(k)]
-        return _fraction_det(mat)
+        return exact_det(mat)
     arr = np.empty((k, k))
     for i in range(k):
         for j in range(k):
             arr[i, j] = table.entry(sites[i], sites[j])
     return float(np.linalg.det(arr))
-
-
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [vr - factor * vc for vr, vc in zip(a[r], a[col])]
-    return det
 
 
 def rescaled_psi_k(

@@ -34,10 +34,6 @@ class SeedRecord:
         return {"seed": self.seed, "stream": self.stream}
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return SeedRecord(seed, stream).generator()
-
-
 # SplitMix64-style stateless site hashing: used by lazy disorder fields so a
 # site's value depends only on (seed, coordinates), never on read order.
 

@@ -1,9 +1,10 @@
 """Exact laws, samplers, and enumeration oracles for non-intersecting walks.
 
 The state space is the period-2 Weyl chamber: strictly increasing integer
-vectors whose coordinates all share one parity.  Two arithmetic backends run
-side by side: exact rationals (the oracle, always available) and double
-precision with row scaling inside the determinants (for large instances).
+vectors whose coordinates all share one parity.  Every determinant in the
+toolkit goes through one of two helpers here: :func:`exact_det` (the oracle,
+exact rationals) and :func:`signed_logdet` (row-scaled doubles, for large
+instances).
 """
 
 from __future__ import annotations
@@ -118,10 +119,22 @@ def vandermonde(positions: Sequence[int]) -> int:
     return h
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(mat)
-    a = [row[:] for row in mat]
+def exact_det(mat) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix goes through Bareiss fraction-free elimination, and the
+    row scales are divided back out.
+    """
+    a = []
+    scale = 1
+    for row in mat:
+        m = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -132,12 +145,26 @@ def _int_det(mat: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+def signed_logdet(logm: np.ndarray) -> tuple[float, float]:
+    """(sign, log|det|) of the matrix whose entries are exp(logm).
+
+    Each row is rescaled by its maximum before the determinant, so entries
+    far outside the double range are fine.  A row that is all -inf (a zero
+    row) gives (0.0, -inf).
+    """
+    row_max = logm.max(axis=1)
+    if np.any(row_max == -np.inf):
+        return 0.0, -math.inf
+    sign, logdet = np.linalg.slogdet(np.exp(logm - row_max[:, None]))
+    return float(sign), float(row_max.sum() + logdet)
 
 
 def _binom(n: int, k) -> int:
@@ -163,6 +190,8 @@ def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "auto"):
     ``exact`` (Fraction), ``float`` (row-scaled doubles), ``auto`` (exact when
     d*n <= EXACT_THRESHOLD, float otherwise).  Out-of-reach targets return 0.
     """
+    if mode not in ("auto", "exact", "float"):
+        raise DomainError(f"unknown mode {mode!r}")
     if n < 0:
         raise DomainError("need n >= 0")
     if frm.d != to.d:
@@ -180,8 +209,7 @@ def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "auto"):
             [_binom(n, Fraction(n + xi - yj, 2)) for yj in to.positions]
             for xi in frm.positions
         ]
-        det = _int_det(mat)
-        q = Fraction(det, 2 ** (n * d))
+        q = exact_det(mat) / 2 ** (n * d)
         if q < 0:
             raise DomainError(f"negative exact determinant {q}; invalid configurations")
         return q
@@ -192,18 +220,13 @@ def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "auto"):
             for xi in frm.positions
         ]
     )
-    row_max = logm.max(axis=1)
-    if np.any(row_max == -math.inf):
-        return 0.0
-    scaled = np.exp(logm - row_max[:, None])
-    det = float(np.linalg.det(scaled))
-    scale = float(np.exp(row_max.sum() - n * d * math.log(2.0)))
-    value = det * scale
-    if value < 0:
-        if abs(det) < _NEG_DET_TOL:
+    sign, logdet = signed_logdet(logm)
+    if sign < 0:
+        # roundoff around a singular matrix leaves a tiny row-scaled determinant
+        if logdet - logm.max(axis=1).sum() < math.log(_NEG_DET_TOL):
             return 0.0
-        raise DomainError(f"determinant {value} negative beyond roundoff tolerance")
-    return value
+        raise DomainError(f"negative determinant (log|det| = {logdet}) beyond roundoff")
+    return sign * math.exp(logdet - n * d * math.log(2.0))
 
 
 def bridge_transition(

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from watermelon.chaos_polymer import (
+    DISTRIBUTIONS,
     CumulantSpec,
     DisorderField,
     TableField,
@@ -40,15 +41,17 @@ class TestDisorderField:
         b = [f.value(n, x) for n, x in ((5, -3), (1, 1), (2, 0))]
         assert a == [b[1], b[2], b[0]]
 
-    @pytest.mark.parametrize("dist", ["rademacher", "gaussian", "shifted_exponential"])
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
     def test_mean_zero_unit_variance(self, dist):
         f = DisorderField(dist, 7)
         ns = np.repeat(np.arange(1, 401), 50)
         xs = np.tile(np.arange(-25, 25), 400)
-        vals = f.values(ns, xs)
-        n = len(vals)
-        assert abs(vals.mean()) < 4 / math.sqrt(n)
-        assert abs(vals.var() - 1.0) < 5 * math.sqrt(max(vals.var() ** 2 * 2, 9) / n)
+        reps = np.arange(len(ns)) % 5
+        # the SMC's per-replica field must have the same law as DisorderField
+        for vals in (f.values(ns, xs), _field_values_batch(dist, 7, reps, ns, xs)):
+            n = len(vals)
+            assert abs(vals.mean()) < 4 / math.sqrt(n)
+            assert abs(vals.var() - 1.0) < 5 * math.sqrt(max(vals.var() ** 2 * 2, 9) / n)
 
 
 class TestCumulant:

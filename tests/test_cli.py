@@ -1,10 +1,14 @@
 """Command-line behavior: config handling, manifests, determinism."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
-from watermelon.cli import main
+from watermelon import acceptance
+from watermelon.cli import main, resolve_workers
+from watermelon.errors import WatermelonError
 
 
 def run(args):
@@ -138,3 +142,66 @@ class TestVerifyCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert all(v for k, v in manifest["assertions"].items())
+        criteria = manifest["criteria"]
+        assert criteria.keys() == manifest["assertions"].keys()
+        for rec in criteria.values():
+            assert rec.keys() == {"seconds", "limit_seconds", "detail"}
+            assert rec["seconds"] >= 0 and isinstance(rec["detail"], str)
+        assert criteria["criterion_07_discrete_tanaka"]["limit_seconds"] == 5.0
+
+
+class FakePool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    def test_zero_resolves_to_available_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert resolve_workers(0, 16) == 16
+        assert resolve_workers(0, 3) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert resolve_workers(0, 16) == 2
+        assert resolve_workers(5, 16) == 5
+        assert resolve_workers(1, 16) == 1
+
+    def test_negative_rejected(self, tmp_path):
+        with pytest.raises(WatermelonError):
+            resolve_workers(-1, 4)
+        code = run(["verify", "--criteria", "7", "--workers", "-1",
+                    "--out-dir", str(tmp_path / "v")])
+        assert code == 2
+
+    def test_verify_uses_resolved_pool(self, tmp_path, monkeypatch):
+        def fake_criterion(cid):
+            return acceptance.CheckResult(cid, "stub", True, "ok", 0.0, None)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(acceptance, "run_criterion", fake_criterion)
+        FakePool.sizes.clear()
+        out = tmp_path / "v"
+        code = run(["verify", "--criteria", "8", "1", "3", "1", "--workers", "0",
+                    "--out-dir", str(out)])
+        assert code == 0
+        assert FakePool.sizes == [3]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["criteria"]) == [
+            "criterion_01_stub", "criterion_03_stub", "criterion_08_stub"]
+
+    def test_unknown_criterion_rejected(self, tmp_path):
+        code = run(["verify", "--criteria", "7", "99", "--out-dir", str(tmp_path / "v")])
+        assert code == 2

@@ -202,6 +202,14 @@ class TestDiscreteKernel:
         spec = BridgeSpec(2, 6, 0)
         assert discrete_psi_prob(spec, [(2, 0), (2, 0)]) == 0.0
 
+    def test_table_must_match_mode(self):
+        spec = BridgeSpec(2, 6, 0)
+        assert discrete_psi_prob(spec, [(3, 1)], "exact") == Fraction(18, 35)
+        with pytest.raises(DomainError):
+            discrete_psi_prob(spec, [(3, 1)], "exact", DiscreteKernelTable(spec, exact=False))
+        with pytest.raises(DomainError):
+            discrete_psi_prob(spec, [(3, 1)], "float", DiscreteKernelTable(spec, exact=True))
+
     def test_rank_deficiency_beyond_d(self):
         # more than d sites at one time level: exactly singular minor
         spec = BridgeSpec(2, 8, 0)

@@ -1,5 +1,6 @@
 """Walk laws and samplers against enumeration and closed-form oracles."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from watermelon.walk_ensembles import (
     drift_bound,
     enumerate_bridges,
     enumerate_trajectories,
+    exact_det,
     free_step_law,
     km_weight,
     macmahon_count,
@@ -39,6 +41,7 @@ from watermelon.walk_ensembles import (
     sample_envelope,
     sample_from_csv,
     sample_to_csv,
+    signed_logdet,
     vandermonde,
 )
 
@@ -319,3 +322,98 @@ class TestSerialization:
         assert restored.spec == s.spec
         assert restored.seed_record == s.seed_record
         restored.validate()
+
+
+def leibniz_det(mat):
+    """Determinant by the permutation expansion: the independent oracle."""
+    n = len(mat)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+_entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=7)
+)
+
+
+@st.composite
+def square_matrices(draw, min_size=0, max_size=5):
+    n = draw(st.integers(min_size, max_size))
+    return [[draw(_entries) for _ in range(n)] for _ in range(n)]
+
+
+class TestExactDet:
+    @given(square_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_leibniz(self, mat):
+        det = exact_det(mat)
+        assert isinstance(det, Fraction)
+        assert det == leibniz_det(mat)
+
+    @given(square_matrices(min_size=2), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_singular(self, mat, c):
+        mat[-1] = [c * v for v in mat[0]]
+        assert exact_det(mat) == 0
+
+    @given(square_matrices(min_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_leading_pivot(self, mat):
+        mat[0][0] = 0
+        assert exact_det(mat) == leibniz_det(mat)
+
+    def test_row_swap_sign(self):
+        assert exact_det([[0, 1], [1, 0]]) == -1
+        mat = [[0, Fraction(1, 2), 3], [0, 2, Fraction(-1, 3)], [5, 1, 1]]
+        assert exact_det(mat) == leibniz_det(mat)
+
+    def test_empty_and_int_matrices(self):
+        assert exact_det([]) == 1
+        assert exact_det([[7]]) == 7
+        assert exact_det([[2, 1], [1, 3]]) == 5
+
+
+class TestSignedLogdet:
+    @staticmethod
+    def _check(logm):
+        sign, logdet = signed_logdet(logm)
+        want = np.linalg.det(np.exp(logm))
+        assert sign == np.sign(want)
+        assert math.exp(logdet) == pytest.approx(abs(want), rel=1e-9)
+        return sign
+
+    def test_mixed_sign_determinants(self):
+        gen = SeedRecord(4, 0).generator()
+        signs = {
+            self._check(gen.normal(0.0, 2.0, size=(k, k)))
+            for k in range(1, 6)
+            for _ in range(20)
+        }
+        assert signs == {-1.0, 1.0}
+
+    def test_zero_entries(self):
+        gen = SeedRecord(5, 0).generator()
+        for k in range(2, 6):
+            for _ in range(20):
+                logm = gen.normal(0.0, 2.0, size=(k, k))
+                logm[gen.random((k, k)) < 0.3] = -np.inf
+                logm[np.arange(k), gen.integers(0, k, size=k)] = 0.0  # no zero rows
+                self._check(logm)
+
+    def test_zero_row(self):
+        logm = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        assert signed_logdet(logm) == (0.0, -math.inf)
+
+    def test_entries_beyond_double_range(self):
+        gen = SeedRecord(6, 0).generator()
+        logm = gen.normal(0.0, 2.0, size=(3, 3))
+        sign, logdet = signed_logdet(logm)
+        shifted = signed_logdet(logm + np.array([[900.0], [-900.0], [2000.0]]))
+        assert shifted[0] == sign
+        assert shifted[1] == pytest.approx(logdet + 2000.0, rel=1e-12)
