@@ -167,12 +167,14 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
 
     Vertex weights need no inclusion-exclusion correction in this geometry;
     the enumeration equivalence test asserts it rather than assuming it.
+    Exact (a Fraction) when every path sum is an int or a Fraction; other
+    weights go through the float log-determinant.
     """
     if d > min(n, m):
         raise DomainError("need d <= min(n, m)")
     starts, ends = _path_endpoints(d, n, m)
     mat = [[single_path_sum(w, s, e) for e in ends] for s in starts]
-    if any(isinstance(v, Fraction) for row in mat for v in row):
+    if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
         return exact_det([[Fraction(v) for v in row] for row in mat])
     with np.errstate(divide="ignore"):
         sign, logdet = signed_logdet(np.log(np.array(mat, dtype=np.float64)))

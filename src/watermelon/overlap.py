@@ -28,6 +28,7 @@ from .walk_ensembles import (
     conditional_drift,
     delta_config,
     drift_bound,
+    free_step_weights,
     km_weight,
     sample_bridges_lockstep,
     sample_free_walks_lockstep,
@@ -634,13 +635,5 @@ def drift_bound_sweep(
 
 def _vector_drift(configs: np.ndarray, k: int) -> np.ndarray:
     """Conditional drift of walker k for a batch of configurations."""
-    count, d = configs.shape
-    signs = np.array([[(m >> i) & 1 for i in range(d)] for m in range(1 << d)]) * 2 - 1
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    cand = configs[:, None, :] + signs[None, :, :]
-    h = np.ones((count, 1 << d))
-    for i, j in pairs:
-        h *= cand[:, :, j] - cand[:, :, i]
-    h = np.maximum(h, 0.0)
-    w = h / h.sum(axis=1, keepdims=True)
-    return (w * signs[None, :, k - 1]).sum(axis=1)
+    cand, w = free_step_weights(configs)
+    return (w * (cand[:, :, k - 1] - configs[:, None, k - 1])).sum(axis=1)

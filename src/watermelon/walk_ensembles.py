@@ -291,12 +291,26 @@ def sample_bridge(spec: BridgeSpec, rng: SeedRecord, mode: str = "auto") -> Path
     return PathEnsembleSample(spec=spec, trajectory=traj, seed_record=rng)
 
 
+def _step_signs(d: int) -> np.ndarray:
+    """The 2^d one-step displacement vectors; row `mask` moves walker i up
+    exactly when bit i of `mask` is set (the order of :func:`_step_candidates`)."""
+    return np.array([[(m >> i) & 1 for i in range(d)] for m in range(1 << d)]) * 2 - 1
+
+
 class BridgeStepper:
     """Vectorized one-step mover for batches of bridge walkers.
 
-    Candidate weights reduce to non-intersection probabilities toward the
-    endpoint, evaluated through a shared log-factorial table; a Gumbel-max
-    draw picks each path's move.
+    A candidate move y is weighted by the non-intersection probability
+    q_m(y, delta(x*)) of the m = n_star - n - 1 remaining steps.  By the
+    h-transform structure of the bridge (Koenig, O'Connell and Roch, EJP
+    2002; the product form of :func:`radon_nikodym`) it factorises as
+
+        q_m(y, delta(x*)) = C(m, d, x*) * V(y) * prod_i binom(m+d-1, (m+y_i-x*)/2)
+
+    with V the Vandermonde.  The constant C does not depend on y, so it
+    cancels in the Gumbel-max draw that picks each path's move, and the
+    log-weight is sum_{i<j} log(y_j - y_i) plus log-binomials read from a
+    shared log-factorial table: no determinant is evaluated.
     """
 
     def __init__(self, spec: BridgeSpec):
@@ -305,10 +319,7 @@ class BridgeStepper:
         self.lg = np.concatenate(
             ([0.0], np.cumsum(np.log(np.arange(1, n_star + 2 * d + 2))))
         )
-        self.targets = np.array(spec.end.positions)
-        self.signs = (
-            np.array([[(m >> i) & 1 for i in range(d)] for m in range(1 << d)]) * 2 - 1
-        )
+        self.signs = _step_signs(d)
 
     def _logb(self, n: int, k: np.ndarray) -> np.ndarray:
         ok = (k >= 0) & (k <= n)
@@ -316,33 +327,59 @@ class BridgeStepper:
         val = self.lg[n] - self.lg[kc] - self.lg[n - kc]
         return np.where(ok, val, -np.inf)
 
-    def step(self, paths: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-        """Advance every row of `paths` from time n to n + 1."""
-        m = self.spec.n_star - n - 1
+    def log_weights(self, paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate moves of each row of `paths` at time n, and their log-weights.
+
+        Returns `cand` of shape (P, 2^d, d) and `logw` of shape (P, 2^d):
+        log V(y) + sum_i log binom(m+d-1, (m+y_i-x*)/2), which is log q_m up
+        to a constant per call, and -inf for moves that leave the chamber or
+        cannot reach the endpoint.
+        """
+        spec = self.spec
+        d, m = spec.d, spec.n_star - n - 1
         cand = paths[:, None, :] + self.signs[None, :, :]
-        if m == 0:
-            choice = np.argmax(
-                np.all(cand == self.targets[None, None, :], axis=2), axis=1
+        # walker i's binomial takes one of two values per row: k for the move
+        # down to x_i - 1, k + 1 for the move up
+        twice_k = m - 1 + paths - spec.x_star
+        even = twice_k % 2 == 0
+        down = np.where(even, self._logb(m + d - 1, twice_k // 2), -np.inf)
+        up = np.where(even, self._logb(m + d - 1, twice_k // 2 + 1), -np.inf)
+        logw = np.zeros(cand.shape[:2])
+        valid = np.ones(cand.shape[:2], dtype=bool)
+        for i in range(d):
+            logw += np.where(self.signs[:, i] > 0, up[:, i, None], down[:, i, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(d):
+                for j in range(i + 1, d):
+                    gap = cand[:, :, j] - cand[:, :, i]
+                    if j == i + 1:
+                        valid &= gap >= 2
+                    logw += np.log(gap)
+        return cand, np.where(valid, logw, -np.inf)
+
+    def step(self, paths: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+        """Advance every row of `paths` from time n to n + 1.
+
+        The last step (n = n_star - 1) is forced, since the endpoint is the
+        only candidate of finite weight, and draws nothing from `gen`; every
+        other step draws one uniform per candidate.  Raises UnreachableState
+        when some row has no move that can still reach the endpoint.
+        """
+        cand, logw = self.log_weights(paths, n)
+        rows = np.arange(len(paths))
+        if n == self.spec.n_star - 1:
+            choice = np.argmax(logw, axis=1)
+        else:
+            gumb = -np.log(-np.log(gen.random(logw.shape)))
+            choice = np.argmax(logw + gumb, axis=1)
+        stuck = logw[rows, choice] == -np.inf
+        if stuck.any():
+            bad = int(np.argmax(stuck))
+            raise UnreachableState(
+                f"bridge cannot reach {self.spec.end.positions} from "
+                f"{tuple(int(v) for v in paths[bad])} at time {n}"
             )
-            return cand[np.arange(len(paths)), choice]
-        valid = np.all(np.diff(cand, axis=2) >= 2, axis=2)
-        diff = cand[:, :, :, None] - self.targets[None, None, None, :]
-        karg = (m + diff) // 2
-        entries = np.where((m + diff) % 2 == 0, self._logb(m, karg), -np.inf)
-        row_max = entries.max(axis=3)
-        finite = row_max > -np.inf
-        scaled = np.exp(entries - np.where(finite, row_max, 0.0)[..., None])
-        dets = np.linalg.det(scaled)
-        logw = np.where(
-            finite.all(axis=2) & (dets > 0.0),
-            np.where(finite, row_max, 0.0).sum(axis=2)
-            + np.log(np.maximum(dets, 1e-300)),
-            -np.inf,
-        )
-        logw = np.where(valid, logw, -np.inf)
-        gumb = -np.log(-np.log(gen.random(logw.shape)))
-        choice = np.argmax(logw + gumb, axis=1)
-        return cand[np.arange(len(paths)), choice]
+        return cand[rows, choice]
 
 
 def sample_bridges_lockstep(
@@ -541,24 +578,33 @@ def sample_free_walk(x0: WeylConfig, steps: int, rng: SeedRecord) -> np.ndarray:
     return traj
 
 
+def free_step_weights(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Free-walk one-step law for a batch of configurations, shape (count, d).
+
+    Returns the 2^d candidate moves of each row, shape (count, 2^d, d), and
+    their probabilities V(y) / sum V, shape (count, 2^d); moves that leave
+    the chamber get probability zero.
+    """
+    d = configs.shape[1]
+    cand = configs[:, None, :] + _step_signs(d)[None, :, :]
+    h = np.ones(cand.shape[:2], dtype=np.float64)
+    for i in range(d):
+        for j in range(i + 1, d):
+            h *= cand[:, :, j] - cand[:, :, i]
+    h = np.maximum(h, 0.0)  # collisions weight zero
+    return cand, h / h.sum(axis=1, keepdims=True)
+
+
 def sample_free_walks_lockstep(
     x0: WeylConfig, steps: int, count: int, rng: SeedRecord
 ) -> np.ndarray:
     """Vectorized free-walk sampler, shape (count, steps+1, d)."""
-    d = x0.d
     gen = rng.generator()
-    signs = np.array([[(m >> i) & 1 for i in range(d)] for m in range(1 << d)]) * 2 - 1
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     paths = np.tile(np.array(x0.positions), (count, 1))
-    out = np.empty((count, steps + 1, d), dtype=np.int64)
+    out = np.empty((count, steps + 1, x0.d), dtype=np.int64)
     out[:, 0] = paths
     for n in range(steps):
-        cand = paths[:, None, :] + signs[None, :, :]
-        h = np.ones(cand.shape[:2], dtype=np.float64)
-        for i, j in pairs:
-            h *= cand[:, :, j] - cand[:, :, i]
-        h = np.maximum(h, 0.0)  # collisions weight zero
-        w = h / h.sum(axis=1, keepdims=True)
+        cand, w = free_step_weights(paths)
         u = gen.random((count, 1))
         choice = (np.cumsum(w, axis=1) < u).sum(axis=1)
         paths = cand[np.arange(count), choice]

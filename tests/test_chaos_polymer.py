@@ -1,5 +1,6 @@
 """Partition functions, chaos expansions, and the disorder-scaling pipeline."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -219,6 +220,16 @@ class TestSmcEstimator:
         )
         se = ests.std(ddof=1) / math.sqrt(len(ests))
         assert abs(ests.mean() - z_exact) <= 3 * se
+
+    def test_replay_is_pinned(self):
+        # (seed, stream) replay contract; printed at 10 significant digits so
+        # that last-bit differences between exp/log builds do not count, while
+        # any changed draw moves the estimates far more than that
+        z = smc_partition_estimates(BridgeSpec(2, 40, 0), 0.3, 6, 32, SeedRecord(7, 1), block=8)
+        text = " ".join(f"{v:.10e}" for v in z)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c006fc127e55b2232169668e30717a58f7e3ad796ed789b08ac415819f24a865"
+        )
 
 
 class TestIntermediateDisorder:

@@ -94,6 +94,11 @@ class TestTau:
         det = counts[0][0] * counts[1][1] - counts[0][1] * counts[1][0]
         assert tau_lgv(w, 2, n, m) == det
 
+    def test_integer_weights_are_exact(self):
+        tau = tau_lgv(WeightMatrix.constant(4, 4), 2, 4, 4)
+        assert isinstance(tau, Fraction) and tau == macmahon_count(2, 2) == 20
+        assert isinstance(tau_lgv(WeightMatrix.constant(4, 4, 1.0), 2, 4, 4), float)
+
     def test_log_dp_matches_direct(self):
         gen = SeedRecord(3, 0).generator()
         logw = np.log(gen.uniform(0.5, 2.0, size=(6, 6)))

@@ -1,5 +1,6 @@
 """Walk laws and samplers against enumeration and closed-form oracles."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from watermelon.errors import (
 from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
+    BridgeStepper,
     WeylConfig,
     bridge_transition,
     conditional_drift,
@@ -309,6 +311,49 @@ class TestSamplers:
         expected = 1500 / len(trajs)
         chi2 = float(((scalar - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(1 - 0.001, df=len(trajs) - 1)
+
+
+class TestBridgeStepper:
+    @pytest.mark.parametrize(
+        "d,n_star,x_star",
+        [(1, 8, 0), (1, 8, 4), (2, 8, 0), (2, 8, -2), (2, 7, 1), (3, 8, 0), (3, 8, 2), (3, 7, -1)],
+    )
+    def test_weights_equal_exact_one_step_law(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
+        stepper = BridgeStepper(spec)
+        trajs = enumerate_trajectories(spec)
+        for n in range(n_star):
+            states = np.unique(trajs[:, n], axis=0)
+            cand, logw = stepper.log_weights(states, n)
+            w = np.exp(logw - logw.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            for row, x in enumerate(states):
+                x = WeylConfig(tuple(int(v) for v in x))
+                law = {y.positions: float(p) for y, p in one_step_bridge_law(spec, n, x, "exact")}
+                for c in range(1 << d):
+                    p = law.get(tuple(int(v) for v in cand[row, c]), 0.0)
+                    assert (w[row, c] == 0) == (p == 0)
+                    assert abs(w[row, c] - p) <= 1e-12
+
+    def test_unreachable_row_raises(self):
+        spec = BridgeSpec(2, 6, 0)
+        stepper = BridgeStepper(spec)
+        gen = SeedRecord(1, 0).generator()
+        # (4, 6) at time 4 cannot reach (0, 2) in the two steps left
+        with pytest.raises(UnreachableState):
+            stepper.step(np.array([[0, 2], [4, 6]]), 4, gen)
+        # forced last step with no move onto the endpoint
+        with pytest.raises(UnreachableState):
+            stepper.step(np.array([[3, 5]]), 5, gen)
+        assert stepper.step(np.array([[1, 3]]), 5, gen).tolist() == [[0, 2]]
+
+    def test_replay_is_pinned(self):
+        # (seed, stream) replay contract: these trajectories must never change
+        traj = sample_bridges_lockstep(BridgeSpec(3, 12, 2), 500, SeedRecord(2024, 3))
+        assert traj.dtype == np.int64 and traj.shape == (500, 13, 3)
+        assert hashlib.sha256(traj.tobytes()).hexdigest() == (
+            "a964994838174fbb5447852ff0b13b30767eab2fc2533433464866e7f1eff413"
+        )
 
 
 class TestSerialization:
