@@ -219,7 +219,7 @@ def crit_7_tanaka() -> tuple[bool, str]:
 
 
 def crit_8_chaos_equality() -> tuple[bool, str]:
-    """Chaos sum with kernel coefficients equals enumeration average, exact."""
+    """Chaos sum with kernel coefficients equals the exact bridge average, exact."""
     gen = SeedRecord(99, 0).generator()
     cases = []
     for d, n_star, x_star in ((1, 4, 0), (1, 6, 2), (2, 4, 0), (2, 6, 0), (2, 6, 2)):

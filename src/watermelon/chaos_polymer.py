@@ -26,14 +26,9 @@ from scipy.integrate import quad
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, hash_uniform
-from .walk_ensembles import (
-    BridgeSpec,
-    PathEnsembleSample,
-    enumerate_trajectories,
-    exact_det,
-    sample_bridge,
-    sample_bridges_lockstep,
-)
+from .walk_ensembles import BridgeSpec, PathEnsembleSample, chamber_path_sums, exact_det
+# unused here; bound so that perfbench/spans.py can patch them on this module
+from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
 
 # Site values take (seed array, *coordinates) and hash them statelessly; the
@@ -166,36 +161,6 @@ def energy(sample: PathEnsembleSample, field) -> float:
     return float(np.sum(field.values(ns, xs)))
 
 
-def partition_exact(spec: BridgeSpec, field, beta: float, budget: int = 24) -> float:
-    """Average of exp(beta * energy) over every bridge trajectory."""
-    trajs = enumerate_trajectories(spec, budget)
-    if len(trajs) == 0:
-        raise DomainError(f"empty bridge for {spec}")
-    return float(np.mean(_path_boltzmann(trajs, spec, field, beta)))
-
-
-def _path_boltzmann(trajs: np.ndarray, spec: BridgeSpec, field, beta: float) -> np.ndarray:
-    count = trajs.shape[0]
-    n_star = spec.n_star
-    ns = np.broadcast_to(
-        np.arange(1, n_star)[None, :, None], (count, n_star - 1, spec.d)
-    )
-    xs = trajs[:, 1:n_star, :]
-    h = field.values(ns.reshape(-1), xs.reshape(-1)).reshape(count, -1).sum(axis=1)
-    return np.exp(beta * h)
-
-
-def partition_mc(
-    spec: BridgeSpec, field, beta: float, replicas: int, rng: SeedRecord
-) -> tuple[float, float]:
-    """Unbiased path-sampling estimate of the partition function, with SE."""
-    if replicas < 2:
-        raise DomainError("need at least 2 replicas for a standard error")
-    trajs = sample_bridges_lockstep(spec, replicas, rng)
-    vals = _path_boltzmann(trajs, spec, field, beta)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
-
-
 def reachable_sites(spec: BridgeSpec) -> list[tuple[int, int]]:
     """Interior lattice sites any walker can occupy, grouped by time order."""
     d, n_star, x_star = spec.d, spec.n_star, spec.x_star
@@ -209,22 +174,40 @@ def reachable_sites(spec: BridgeSpec) -> list[tuple[int, int]]:
     return sorted(set(sites))
 
 
-def partition_product_exact(spec: BridgeSpec, field, budget: int = 24):
-    """Enumeration oracle: E[prod over visited sites of the field value]."""
-    trajs = enumerate_trajectories(spec, budget)
-    total = Fraction(0)
-    exact = True
-    vals = []
-    for traj in trajs:
-        prod = 1
-        for n in range(1, spec.n_star):
-            for x in traj[n]:
-                v = field.value(n, int(x))
-                prod = prod * v
-        vals.append(prod)
-    if all(isinstance(v, (int, Fraction)) for v in vals):
-        return Fraction(sum(Fraction(v) for v in vals), len(vals))
-    return float(np.mean([float(v) for v in vals]))
+def _site_values(spec: BridgeSpec, field) -> dict[tuple[int, int], object]:
+    """The field at every reachable interior site, read once."""
+    sites = reachable_sites(spec)
+    if isinstance(field, DisorderField):
+        ns, xs = np.array(sites, dtype=np.int64).reshape(-1, 2).T
+        return dict(zip(sites, field.values(ns, xs).tolist()))
+    return {s: field.value(*s) for s in sites}
+
+
+def _bridge_average(spec: BridgeSpec, site_weight: Callable):
+    """Mean over all bridge trajectories of the product of site weights over
+    every walker at every interior time: a transfer sum over the chamber
+    divided by the path count.  Exact (a Fraction) when the weights are."""
+    end = spec.end.positions
+    total = chamber_path_sums(spec.start, spec.n_star, spec.end, site_weight)[-1][end]
+    count = chamber_path_sums(spec.start, spec.n_star, spec.end)[-1][end]
+    if isinstance(total, (int, Fraction)):
+        return Fraction(total, count)
+    return float(total) / count
+
+
+def partition_exact(spec: BridgeSpec, field, beta: float) -> float:
+    """Average of exp(beta * energy) over every bridge trajectory."""
+    boltzmann = {s: math.exp(beta * v) for s, v in _site_values(spec, field).items()}
+    return float(_bridge_average(spec, lambda n, x: boltzmann[n, x]))
+
+
+def partition_product_exact(spec: BridgeSpec, field):
+    """E[prod over visited sites of the field value] under the bridge measure.
+
+    A Fraction when every field value is an int or a Fraction, else a float.
+    """
+    values = _site_values(spec, field)
+    return _bridge_average(spec, lambda n, x: values[n, x])
 
 
 def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .walk_ensembles import (
     BridgeSpec,
     PathEnsembleSample,
     WeylConfig,
+    chamber_path_sums,
     conditional_drift,
     delta_config,
     drift_bound,
@@ -32,6 +34,7 @@ from .walk_ensembles import (
     km_weight,
     sample_bridges_lockstep,
     sample_free_walks_lockstep,
+    vandermonde,
 )
 
 
@@ -171,9 +174,9 @@ def expected_inverse_gap_check(
 ) -> InverseGapReport:
     """Table of E[sqrt(n) / gap(n)] for the free ensemble, per (n, start).
 
-    Exact one-step-law dynamic programming when the reachable state count
-    stays within budget, Monte Carlo otherwise.  Asserts only finiteness and
-    reports the empirical ceiling.
+    Exact (the free-walk law from one chamber path-count sweep) when the
+    reachable state count stays within budget, Monte Carlo otherwise.
+    Asserts only finiteness and reports the empirical ceiling.
     """
     if d < 2:
         raise DomainError("need at least two walkers for a gap")
@@ -210,19 +213,13 @@ def _reachable_count_estimate(d: int, n: int) -> int:
 
 
 def _exact_inverse_gap(x0: WeylConfig, n: int, a_idx: int, b_idx: int) -> float:
-    from .walk_ensembles import free_step_law
-
-    dist: dict[tuple[int, ...], Fraction] = {x0.positions: Fraction(1)}
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for pos, p in dist.items():
-            for y, w in free_step_law(WeylConfig(pos)):
-                key = y.positions
-                nxt[key] = nxt.get(key, Fraction(0)) + p * w
-        dist = nxt
-    total = Fraction(0)
-    for pos, p in dist.items():
-        total += p * Fraction(1, pos[b_idx - 1] - pos[a_idx - 1])
+    # the free walk is the Vandermonde h-transform of the killed walk, so its
+    # n-step law is count(x0 -> y) V(y) / (V(x0) 2^{dn})
+    total = sum(
+        Fraction(c * vandermonde(y), y[b_idx - 1] - y[a_idx - 1])
+        for y, c in chamber_path_sums(x0, n)[n].items()
+    )
+    total /= vandermonde(x0.positions) * 2 ** (x0.d * n)
     return float(total) * math.sqrt(n)
 
 
@@ -337,70 +334,34 @@ def overlap_moment_diagnostics(
 # --- squared-correlation cell sums vs overlap moments -------------------------
 
 
-def _bridge_forward_backward(spec: BridgeSpec):
-    """Exact occupation law machinery: forward/backward path counts per time."""
-    from .walk_ensembles import _step_candidates
-
-    # reachability pruning: configs that can still meet the endpoint
-    states: list[set[tuple[int, ...]]] = [{spec.start.positions}]
-    for n in range(spec.n_star):
-        rem = spec.n_star - n - 1
-        nxt = set()
-        for pos in states[-1]:
-            for y in _step_candidates(WeylConfig(pos)):
-                if all(
-                    abs(p - t) <= rem for p, t in zip(y.positions, spec.end.positions)
-                ):
-                    nxt.add(y.positions)
-        states.append(nxt)
-    # forward counts f_n(x) = number of non-intersecting prefixes reaching x
-    fwd: list[dict[tuple[int, ...], Fraction]] = [
-        {spec.start.positions: Fraction(1)}
-    ]
-    for n in range(spec.n_star):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for pos, cnt in fwd[-1].items():
-            for y in _step_candidates(WeylConfig(pos)):
-                if y.positions in states[n + 1]:
-                    nxt[y.positions] = nxt.get(y.positions, Fraction(0)) + cnt
-        fwd.append(nxt)
-    bwd: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(spec.n_star + 1)]
-    bwd[spec.n_star] = {spec.end.positions: Fraction(1)}
-    for n in range(spec.n_star - 1, -1, -1):
-        nxt = {}
-        for pos, cnt in bwd[n + 1].items():
-            # predecessors of pos are exactly the one-step candidates of pos
-            for y in _step_candidates(WeylConfig(pos)):
-                if y.positions in states[n]:
-                    nxt[y.positions] = nxt.get(y.positions, Fraction(0)) + cnt
-        bwd[n] = nxt
-    total = fwd[spec.n_star].get(spec.end.positions, Fraction(0))
-    return fwd, bwd, total
-
-
 class ExactBridgeLaw:
-    """Exact one- and two-time occupation probabilities of the bridge."""
+    """Exact one- and two-time occupation probabilities of the bridge.
+
+    fwd[n] counts the chamber paths delta(0) -> x of n steps and bwd[n] the
+    paths x -> delta(x*) of n_star - n steps; the moves are symmetric, so
+    bwd is the same sweep run from the endpoint back to the start.
+    """
 
     def __init__(self, spec: BridgeSpec):
         self.spec = spec
-        self.fwd, self.bwd, self.total = _bridge_forward_backward(spec)
-        if self.total == 0:
-            raise DomainError(f"empty bridge for {spec}")
+        self.fwd = chamber_path_sums(spec.start, spec.n_star, spec.end)
+        self.bwd = chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
+        self.total = self.fwd[spec.n_star][spec.end.positions]
 
     def site_prob(self, n: int, x: int) -> Fraction:
         """P(x occupied at time n)."""
-        out = Fraction(0)
+        out = 0
         for pos, cf in self.fwd[n].items():
             if x in pos:
-                out += cf * self.bwd[n].get(pos, Fraction(0))
-        return out / self.total
+                out += cf * self.bwd[n].get(pos, 0)
+        return Fraction(out, self.total)
 
     def config_dist(self, n: int) -> dict[tuple[int, ...], Fraction]:
         out = {}
         for pos, cf in self.fwd[n].items():
-            cb = self.bwd[n].get(pos, Fraction(0))
+            cb = self.bwd[n].get(pos, 0)
             if cb != 0:
-                out[pos] = cf * cb / self.total
+                out[pos] = Fraction(cf * cb, self.total)
         return out
 
     def pair_site_table(self, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
@@ -413,7 +374,7 @@ class ExactBridgeLaw:
             (pos2, cb) for pos2, cb in self.bwd[n2].items() if cb != 0
         ]
         for pos1, cf in self.fwd[n1].items():
-            cb1 = self.bwd[n1].get(pos1, Fraction(0))
+            cb1 = self.bwd[n1].get(pos1, 0)
             if cb1 == 0:
                 continue
             for pos2, cb in bwd2:
@@ -426,10 +387,6 @@ class ExactBridgeLaw:
                         key = (x1, x2)
                         out[key] = out.get(key, Fraction(0)) + wgt
         return out
-
-    def pair_prob(self, n1: int, x1: int, n2: int, x2: int) -> Fraction:
-        """P(x1 occupied at n1 and x2 occupied at n2), n1 < n2."""
-        return self.pair_site_table(n1, n2).get((x1, x2), Fraction(0))
 
 
 @dataclass
@@ -487,24 +444,11 @@ def overlap_l2_bound_check(
     law = ExactBridgeLaw(spec)
     # integral = sum psi_k^2 * vol^k with psi_k = (sqrt(N)/2)^k P and
     # vol = 2 N^{-3/2}, i.e. 2^{-k} N^{-k/2} times the sum of P^2
-    lo_i = max(n_lo, 1)
-    hi_i = min(n_hi, spec.n_star - 1)
-    times = list(range(lo_i, hi_i + 1))
+    same, cross = _squared_occupation_sums(law, n_lo, n_hi, k)
     if k == 1:
-        acc = Fraction(0)
-        for n in times:
-            sites = sorted({x for pos in law.fwd[n] for x in pos})
-            for x in sites:
-                p = law.site_prob(n, x)
-                acc += p * p
-        lhs = float(acc) / (2.0 * math.sqrt(N))
+        lhs = float(same) / (2.0 * math.sqrt(N))
     else:
-        acc = Fraction(0)
-        for i, n1 in enumerate(times):
-            for n2 in times[i + 1 :]:
-                for p in law.pair_site_table(n1, n2).values():
-                    acc += p * p
-        lhs = float(acc) / (4.0 * N)
+        lhs = float(cross) / (4.0 * N)
     # Monte Carlo RHS
     p1 = sample_bridges_lockstep(spec, replicas, rng.child(0))
     p2 = sample_bridges_lockstep(spec, replicas, rng.child(1))
@@ -519,7 +463,10 @@ def overlap_l2_bound_check(
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
     exact_rhs = None
     if rhs_exact:
-        exact_rhs = float(_exact_overlap_moment(law, n_lo, n_hi, k) / N ** (k / 2) / (2**k * math.factorial(k)))
+        # E[O^k] for two independent bridges: the squared k-site
+        # probabilities, with each pair of distinct times counted in both orders
+        moment = same if k == 1 else same + 2 * cross
+        exact_rhs = float(moment / N ** (k / 2) / (2**k * math.factorial(k)))
     holds = lhs <= rhs + 3 * se
     return L2BoundReport(
         k=k, window=(n_lo, n_hi), lhs_cell_sum=lhs, rhs_mc=rhs, rhs_se=se,
@@ -527,38 +474,29 @@ def overlap_l2_bound_check(
     )
 
 
-def _exact_overlap_moment(law: ExactBridgeLaw, n_lo: int, n_hi: int, k: int) -> Fraction:
-    """E[(O[n_lo, n_hi])^k] for two independent bridges, k <= 2, exact."""
-    spec = law.spec
-    times = list(range(n_lo, n_hi + 1))
+def _squared_occupation_sums(
+    law: ExactBridgeLaw, n_lo: int, n_hi: int, k: int
+) -> tuple[Fraction, Fraction]:
+    """(same-time, cross-time) sums of squared occupation probabilities, k <= 2.
 
-    def sites_at(n):
-        return sorted({x for pos in law.fwd[n] if law.bwd[n].get(pos, 0) != 0 for x in pos})
-
-    if k == 1:
-        out = Fraction(0)
-        for n in times:
-            for x in sites_at(n):
-                p = law.site_prob(n, x)
-                out += p * p
-        return out
-    if k != 2:
-        raise DomainError("exact moments support k <= 2")
-    out = Fraction(0)
-    for i, n1 in enumerate(times):
-        # same-time contributions: pairs (x1, x2) including x1 == x2
-        dist = law.config_dist(n1)
-        joint_same: dict[tuple[int, int], Fraction] = {}
-        for pos, p in dist.items():
-            for x1 in pos:
-                for x2 in pos:
-                    joint_same[(x1, x2)] = joint_same.get((x1, x2), Fraction(0)) + p
-        for p in joint_same.values():
-            out += p * p
-        for n2 in times[i + 1 :]:
-            for p in law.pair_site_table(n1, n2).values():
-                out += 2 * p * p
-    return out
+    Same-time: over each n in [n_lo, n_hi], the squared P(x_1, .., x_k occupied
+    at n) over all k-tuples of sites (x1 == x2 included).  Cross-time, k = 2
+    only: the squared P(x1 occupied at n1, x2 occupied at n2) over
+    n_lo <= n1 < n2 <= n_hi.
+    """
+    same = Fraction(0)
+    for n in range(n_lo, n_hi + 1):
+        joint: dict[tuple[int, ...], Fraction] = {}
+        for pos, p in law.config_dist(n).items():
+            for key in product(pos, repeat=k):
+                joint[key] = joint.get(key, 0) + p
+        same += sum(p * p for p in joint.values())
+    cross = Fraction(0)
+    if k == 2:
+        for n1 in range(n_lo, n_hi + 1):
+            for n2 in range(n1 + 1, n_hi + 1):
+                cross += sum(p * p for p in law.pair_site_table(n1, n2).values())
+    return same, cross
 
 
 @dataclass

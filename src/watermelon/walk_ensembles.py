@@ -4,7 +4,8 @@ The state space is the period-2 Weyl chamber: strictly increasing integer
 vectors whose coordinates all share one parity.  Every determinant in the
 toolkit goes through one of two helpers here: :func:`exact_det` (the oracle,
 exact rationals) and :func:`signed_logdet` (row-scaled doubles, for large
-instances).
+instances).  Every exact path sum over the chamber goes through one sweep,
+:func:`chamber_path_sums`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,6 +258,51 @@ def _step_candidates(x: WeylConfig) -> Iterator[WeylConfig]:
         new = tuple(pos[i] + (1 if mask >> i & 1 else -1) for i in range(d))
         if all(b > a for a, b in zip(new, new[1:])):
             yield WeylConfig(new)
+
+
+def chamber_path_sums(
+    start: WeylConfig,
+    steps: int,
+    end: WeylConfig | None = None,
+    site_weight: Callable | None = None,
+) -> list[dict[tuple[int, ...], object]]:
+    """Sums over non-intersecting paths from `start`, one dict per time 0..steps.
+
+    Entry n maps the positions of each configuration x to the sum, over the
+    n-step chamber paths start -> x, of the product of site_weight(m, y_i)
+    over every walker i at every time 1 <= m <= min(n, steps - 1); without
+    `site_weight` it is the path count.  With `end`, only configurations
+    that can still reach `end` in the remaining steps are kept, and a
+    DomainError is raised when no path arrives.  The sweep only adds and
+    multiplies, so ints count exactly and Fractions and floats pass through.
+    """
+    signs = [tuple(s) for s in _step_signs(start.d).tolist()]
+    layers = [{start.positions: 1}]
+    for n in range(1, steps + 1):
+        rem = steps - n
+        nxt: dict[tuple[int, ...], object] = {}
+        for pos, w in layers[-1].items():
+            for s in signs:
+                y = tuple(p + q for p, q in zip(pos, s))
+                if any(b - a < 2 for a, b in zip(y, y[1:])):
+                    continue
+                if end is not None and any(
+                    abs(p - t) > rem for p, t in zip(y, end.positions)
+                ):
+                    continue
+                nxt[y] = nxt.get(y, 0) + w
+        if site_weight is not None and n < steps:
+            for y, w in nxt.items():
+                for x in y:
+                    w = w * site_weight(n, x)
+                nxt[y] = w
+        layers.append(nxt)
+    if end is not None and not layers[-1]:
+        raise DomainError(
+            f"no non-intersecting path from {start.positions} to {end.positions} "
+            f"in {steps} steps"
+        )
+    return layers
 
 
 def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig, mode: str = "auto"):
@@ -561,21 +607,6 @@ def drift_asymptote(x: WeylConfig, k: int) -> Fraction:
         (Fraction(1, xs[k - 1] - xs[i]) for i in range(x.d) if i != k - 1),
         Fraction(0),
     )
-
-
-def sample_free_walk(x0: WeylConfig, steps: int, rng: SeedRecord) -> np.ndarray:
-    """Trajectory of the free non-intersecting walk, shape (steps+1, d)."""
-    gen = rng.generator()
-    traj = np.empty((steps + 1, x0.d), dtype=np.int64)
-    traj[0] = x0.positions
-    x = x0
-    for n in range(steps):
-        law = free_step_law(x)
-        probs = np.array([float(w) for _, w in law])
-        idx = int(gen.choice(len(law), p=probs / probs.sum()))
-        x = law[idx][0]
-        traj[n + 1] = x.positions
-    return traj
 
 
 def free_step_weights(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ from watermelon.chaos_polymer import (
     energy,
     intermediate_disorder_run,
     partition_exact,
-    partition_mc,
     partition_product_exact,
     reachable_sites,
     smc_partition_estimates,
@@ -28,7 +27,7 @@ from watermelon.chaos_polymer import (
 from watermelon.errors import BudgetExceeded, DomainError
 from watermelon.kernels import ContinuumEndpoint
 from watermelon.rng import SeedRecord
-from watermelon.walk_ensembles import BridgeSpec, sample_bridge
+from watermelon.walk_ensembles import BridgeSpec, enumerate_trajectories, sample_bridge
 
 
 class TestDisorderField:
@@ -132,23 +131,34 @@ class TestEnergyAndPartition:
         z = partition_exact(spec, TableField({}, default=0.7), 0.9)
         assert z == pytest.approx(math.exp(0.9 * 0.7 * 2 * 4))
 
-    def test_mc_agrees_with_exact(self):
-        spec = BridgeSpec(2, 8, 0)
-        f = DisorderField("gaussian", 21)
-        z = partition_exact(spec, f, 0.3)
-        est, se = partition_mc(spec, f, 0.3, 4000, SeedRecord(4, 0))
-        assert abs(est - z) <= 3 * se
+    @pytest.mark.parametrize("spec", [BridgeSpec(1, 6, 2), BridgeSpec(2, 6, 0), BridgeSpec(3, 7, 1)])
+    def test_transfer_sums_match_enumeration(self, spec):
+        # the path average, trajectory by trajectory, is the oracle
+        trajs = enumerate_trajectories(spec)
+        gauss = DisorderField("gaussian", 12)
+        gen = SeedRecord(44, spec.d).generator()
+        frac = TableField(
+            {s: Fraction(int(gen.integers(-3, 4)), int(gen.integers(1, 4)))
+             for s in reachable_sites(spec)},
+            default=Fraction(1),
+        )
+        boltzmann, product = [], []
+        for t in trajs:
+            visits = [(n, int(x)) for n in range(1, spec.n_star) for x in t[n]]
+            boltzmann.append(math.exp(0.6 * sum(gauss.value(*v) for v in visits)))
+            product.append(math.prod(frac.value(*v) for v in visits))
+        assert partition_exact(spec, gauss, 0.6) == pytest.approx(np.mean(boltzmann), rel=1e-13)
+        exact = partition_product_exact(spec, frac)
+        assert type(exact) is Fraction
+        assert exact == Fraction(sum(product), len(trajs))
 
-    def test_mc_beta_zero_exact(self):
-        est, se = partition_mc(BridgeSpec(1, 4, 0), DisorderField("gaussian", 1), 0.0, 10, SeedRecord(5, 0))
-        assert est == 1.0 and se == 0.0
-
-    def test_mc_deterministic(self):
-        spec = BridgeSpec(2, 6, 0)
-        f = DisorderField("rademacher", 8)
-        a = partition_mc(spec, f, 0.4, 500, SeedRecord(6, 3))
-        b = partition_mc(spec, f, 0.4, 500, SeedRecord(6, 3))
-        assert a == b
+    def test_empty_bridge_raises(self):
+        spec = BridgeSpec(1, 2, 4)
+        field = TableField({}, default=Fraction(2))
+        with pytest.raises(DomainError):
+            partition_product_exact(spec, field)
+        with pytest.raises(DomainError):
+            partition_exact(spec, field, 0.5)
 
 
 class TestChaosExpansion:

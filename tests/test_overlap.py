@@ -1,6 +1,7 @@
 """Overlap counts, the occupation-time identity, and moment diagnostics."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watermelon.chaos_polymer import reachable_sites
 from watermelon.errors import DomainError, ParityError, SpecMismatch
 from watermelon.kernels import ContinuumEndpoint
 from watermelon.overlap import (
@@ -24,9 +26,13 @@ from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
     WeylConfig,
+    chamber_path_sums,
     delta_config,
+    enumerate_trajectories,
+    free_step_law,
     sample_bridge,
     sample_free_walks_lockstep,
+    vandermonde,
 )
 
 
@@ -163,6 +169,29 @@ class TestExpectedInverseGap:
         with pytest.raises(DomainError):
             expected_inverse_gap_check(1, 1, 1, [4], [delta_config(1, 0)], SeedRecord(0, 0))
 
+    @pytest.mark.parametrize("x0", [(0, 2), (-3, 1), (0, 2, 4), (0, 4, 10)])
+    def test_free_law_is_h_transformed_count(self, x0):
+        # iterating the one-step law against count(x0 -> y) V(y) / (V(x0) 2^{dn})
+        x0 = WeylConfig(x0)
+        d = x0.d
+        counts = chamber_path_sums(x0, 6)
+        dist = {x0.positions: Fraction(1)}
+        for n in range(1, 7):
+            nxt = {}
+            for pos, p in dist.items():
+                for y, w in free_step_law(WeylConfig(pos)):
+                    nxt[y.positions] = nxt.get(y.positions, 0) + p * w
+            dist = nxt
+            law = {
+                y: Fraction(c * vandermonde(y), vandermonde(x0.positions) * 2 ** (d * n))
+                for y, c in counts[n].items()
+            }
+            assert law == dist
+            assert sum(law.values()) == 1
+            want = sum(p * Fraction(1, y[1] - y[0]) for y, p in dist.items())
+            row = expected_inverse_gap_check(d, 1, 2, [n], [x0], SeedRecord(0, 0)).rows[0]
+            assert row["exact"] and row["value"] == float(want) * math.sqrt(n)
+
 
 class TestExactBridgeLaw:
     def test_site_probs_count_particles(self):
@@ -175,14 +204,23 @@ class TestExactBridgeLaw:
         law = ExactBridgeLaw(BridgeSpec(2, 8, 0))
         assert sum(law.pair_site_table(2, 5).values()) == 4
 
-    def test_matches_enumeration(self):
-        from watermelon.walk_ensembles import enumerate_trajectories
-
-        spec = BridgeSpec(2, 6, 0)
+    @pytest.mark.parametrize(
+        "d,n_star,x_star", [(2, 6, 0), (1, 6, 0), (2, 6, 2), (2, 8, 0), (3, 8, -2), (2, 7, 1)]
+    )
+    def test_matches_enumeration(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
         law = ExactBridgeLaw(spec)
         trajs = enumerate_trajectories(spec)
-        hits = sum(1 for t in trajs if 0 in t[3])
-        assert law.site_prob(3, 0) == Fraction(hits, len(trajs))
+        count = len(trajs)
+        hits = Counter((n, int(x)) for t in trajs for n in range(1, n_star) for x in t[n])
+        for site in reachable_sites(spec):
+            p = law.site_prob(*site)
+            assert type(p) is Fraction and p == Fraction(hits[site], count)
+        n1, n2 = 2, n_star - 2
+        pairs = Counter((int(a), int(b)) for t in trajs for a in t[n1] for b in t[n2])
+        table = law.pair_site_table(n1, n2)
+        assert all(type(p) is Fraction for p in table.values())
+        assert table == {key: Fraction(c, count) for key, c in pairs.items()}
 
 
 class TestL2Bound:

@@ -25,6 +25,7 @@ from watermelon.walk_ensembles import (
     BridgeStepper,
     WeylConfig,
     bridge_transition,
+    chamber_path_sums,
     conditional_drift,
     delta_config,
     drift_asymptote,
@@ -170,6 +171,32 @@ class TestEnumeration:
     def test_all_samples_valid(self):
         for s in enumerate_bridges(BridgeSpec(2, 4, 0)):
             s.validate()
+
+
+class TestChamberPathSums:
+    @pytest.mark.parametrize(
+        "d,n_star,x_star", [(1, 7, 3), (2, 6, 2), (2, 8, 0), (3, 8, -2), (3, 7, 1)]
+    )
+    def test_count_matches_enumeration_and_km(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
+        layers = chamber_path_sums(spec.start, n_star, spec.end)
+        assert list(layers[-1]) == [spec.end.positions]
+        count = layers[-1][spec.end.positions]
+        assert type(count) is int and count == len(enumerate_trajectories(spec))
+        assert Fraction(count, 2 ** (d * n_star)) == km_weight(n_star, spec.start, spec.end, "exact")
+
+    def test_site_weights_at_interior_times_only(self):
+        spec = BridgeSpec(2, 6, 0)
+        count = len(enumerate_trajectories(spec))
+        end = spec.end.positions
+        for w in (3, Fraction(1, 3), 0.5):
+            total = chamber_path_sums(spec.start, 6, spec.end, lambda n, x: w)[-1][end]
+            assert type(total) is type(w) and total == count * w ** (2 * 5)
+
+    def test_empty_bridge_raises(self):
+        spec = BridgeSpec(1, 2, 4)
+        with pytest.raises(DomainError):
+            chamber_path_sums(spec.start, 2, spec.end)
 
 
 class TestMacmahon:
