@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -200,17 +201,21 @@ def cmd_polymer(cfg: ExperimentConfig) -> int:
 def cmd_grsk(cfg: ExperimentConfig) -> int:
     out, manifest = _start(cfg)
     gen = cfg.rng().generator()
-    # oracle cross-checks at desk scale
-    lgv_ok = True
+    # oracle cross-checks at desk scale, including log_tau_lgv, which the
+    # scaling run below uses
+    lgv_ok = dp_ok = True
     for _ in range(5):
         n = int(gen.integers(2, 7))
         m = int(gen.integers(2, 7))
         d = int(gen.integers(1, min(3, n, m) + 1))
-        w = grsk.WeightMatrix.from_array(gen.uniform(0.5, 2.0, size=(n, m)))
+        arr = gen.uniform(0.5, 2.0, size=(n, m))
+        w = grsk.WeightMatrix.from_array(arr)
         te = grsk.tau_enumerate(w, d, n, m)
         tl = grsk.tau_lgv(w, d, n, m)
         lgv_ok &= bool(abs(tl - te) <= 1e-9 * abs(te))
+        dp_ok &= bool(abs(grsk.log_tau_lgv(np.log(arr), d) - math.log(tl)) <= 1e-9)
     manifest.assertions["lgv_equals_enumeration"] = lgv_ok
+    manifest.assertions["log_dp_matches_lgv"] = dp_ok
     ones = grsk.WeightMatrix.constant(cfg.d + 2, cfg.d + 2, 1.0)
     mm_ok = abs(
         grsk.tau_lgv(ones, cfg.d, cfg.d + 2, cfg.d + 2) - we.macmahon_count(2, cfg.d)
@@ -223,7 +228,7 @@ def cmd_grsk(cfg: ExperimentConfig) -> int:
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
     print(f"grsk run written to {out}")
-    return 0 if (lgv_ok and mm_ok) else 1
+    return 0 if (lgv_ok and dp_ok and mm_ok) else 1
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> int:

@@ -182,42 +182,35 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
 
 
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
-    """log tau for an n x m matrix of log-weights, square-window case.
+    """log tau for an n x m matrix of finite log-weights.
 
-    Per-entry DP runs in log space with running row rescaling; the final
-    determinant extracts row maxima before a sign-logdet evaluation.
+    The single-path sums run in log space as an anti-diagonal wavefront:
+    cell (i, j) needs only (i-1, j) and (i, j-1), both on the previous
+    diagonal, so each diagonal is one ``logaddexp`` over a (d, n) array that
+    holds every start at once (-inf where a start has not begun or a cell
+    lies outside the matrix).  The ends lie on the last row of the last d
+    diagonals; their d x d log path sums go to :func:`signed_logdet`.
     """
     n, m = log_w.shape
     if d > min(n, m):
         raise DomainError("need d <= min(n, m)")
-    starts, ends = _path_endpoints(d, n, m)
+    if not np.all(np.isfinite(log_w)):
+        raise DomainError("log-weights must be finite (weights must be positive)")
+    rows = np.arange(n)
+    cols = np.arange(n + m - 1)[:, None] - rows
+    inside = (cols >= 0) & (cols < m)
+    # skewed[k, i] = log_w[i, k - i] on diagonal k, -inf off the matrix
+    skewed = np.where(inside, log_w[rows, np.clip(cols, 0, m - 1)], -np.inf)
+    # column 0 stays -inf: the missing upper neighbour of row 0
+    front = np.full((d, n + 1), -np.inf)
     logmat = np.empty((d, d))
-    for a, (i0, j0) in enumerate(starts):
-        # one DP per start, sweeping rows; store log S(i, j)
-        width = m - j0 + 1
-        cur = np.full(width, -np.inf)
-        for i in range(i0, n + 1):
-            nxt = np.empty(width)
-            for idx in range(width):
-                j = j0 + idx
-                if i == i0 and idx == 0:
-                    nxt[idx] = log_w[i - 1, j - 1]
-                    continue
-                terms = []
-                if i > i0:
-                    terms.append(cur[idx])
-                if idx > 0:
-                    terms.append(nxt[idx - 1])
-                mx = max(terms)
-                if mx == -np.inf:
-                    nxt[idx] = -np.inf
-                else:
-                    nxt[idx] = log_w[i - 1, j - 1] + mx + math.log(
-                        sum(math.exp(t - mx) for t in terms)
-                    )
-            cur = nxt
-        for b, (i1, j1) in enumerate(ends):
-            logmat[a, b] = cur[j1 - j0] if 0 <= j1 - j0 < width else -np.inf
+    first_end = n + m - 1 - d
+    for k in range(n + m - 1):
+        front[:, 1:] = skewed[k] + np.logaddexp(front[:, :-1], front[:, 1:])
+        if k < d:
+            front[k, 1] = skewed[k, 0]  # start k enters at (1, k+1)
+        if k >= first_end:
+            logmat[:, k - first_end] = front[:, n]
     sign, logdet = signed_logdet(logmat)
     if sign <= 0:
         raise DomainError("nonpositive path-sum determinant")
@@ -339,13 +332,15 @@ def rescaled_tau_run(
     normalization divides by the exact mean to the power d(2N+d), by
     2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.
     """
-    levels = []
-    for li, N in enumerate(N_list):
+    for N in N_list:  # every level is checked before any is drawn
         theta = math.sqrt(N) / beta
         if theta <= 2:
             raise DomainError(f"theta = {theta} <= 2 at N = {N}; variance undefined")
         if N > 400:
             raise BudgetExceeded("N above 400 is out of the determinant budget")
+    levels = []
+    for li, N in enumerate(N_list):
+        theta = math.sqrt(N) / beta
         mean, var = inverse_gamma_moments(theta)
         gen = rng.child(li).generator()
         size = N + d

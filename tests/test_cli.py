@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from watermelon import acceptance
+from watermelon import acceptance, grsk
 from watermelon.cli import main, resolve_workers
 from watermelon.errors import WatermelonError
 
@@ -121,7 +121,19 @@ class TestGrskCommand:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions"]["lgv_equals_enumeration"] is True
+        assert manifest["assertions"]["log_dp_matches_lgv"] is True
         assert manifest["assertions"]["all_ones_count_matches"] is True
+
+    def test_wrong_log_dp_fails(self, tmp_path, monkeypatch):
+        real = grsk.log_tau_lgv
+        monkeypatch.setattr(grsk, "log_tau_lgv", lambda log_w, d: real(log_w, d) + 1e-6)
+        out = tmp_path / "g"
+        code = run(["grsk", "--seed", "5", "--beta", "1.0", "--d", "2",
+                    "--N-list", "16", "--replicas", "10", "--out-dir", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["assertions"]["log_dp_matches_lgv"] is False
+        assert manifest["assertions"]["lgv_equals_enumeration"] is True
 
 
 class TestOverlapCommand:

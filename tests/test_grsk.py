@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from watermelon import grsk
 from watermelon.errors import BudgetExceeded, DomainError
 from watermelon.grsk import (
     TauReport,
@@ -104,6 +105,33 @@ class TestTau:
         logw = np.log(gen.uniform(0.5, 2.0, size=(6, 6)))
         direct = tau_lgv(WeightMatrix.from_array(np.exp(logw)), 2, 6, 6)
         assert log_tau_lgv(logw, 2) == pytest.approx(math.log(direct), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, m, d",
+        [(6, 6, 2), (1, 1, 1), (1, 7, 1), (7, 1, 1), (2, 9, 2), (9, 2, 2),
+         (5, 5, 3), (4, 8, 3), (8, 4, 4), (6, 11, 4), (12, 12, 4)]
+        + [(7, 7, d) for d in range(1, 5)],
+    )
+    def test_log_dp_matches_exact(self, n, m, d):
+        # determinant cancellation at d = 4, n = 12 costs ~4e-10 in log tau
+        w = SeedRecord(n * 100 + m * 10 + d, 0).generator().uniform(0.5, 2.0, size=(n, m))
+        exact = tau_lgv(
+            WeightMatrix(tuple(tuple(Fraction(float(v)) for v in row) for row in w)), d, n, m
+        )
+        assert isinstance(exact, Fraction)
+        assert abs(log_tau_lgv(np.log(w), d) - math.log(exact)) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_log_dp_rejects_nonfinite(self, bad, d):
+        logw = np.zeros((5, 5))
+        logw[2, 2] = bad
+        with pytest.raises(DomainError):
+            log_tau_lgv(logw, d)
+
+    def test_log_dp_d_too_large(self):
+        with pytest.raises(DomainError):
+            log_tau_lgv(np.zeros((3, 5)), 4)
 
 
 class TestArray:
@@ -217,6 +245,35 @@ class TestRescaledRun:
     def test_theta_guard(self):
         with pytest.raises(DomainError):
             rescaled_tau_run(3.0, [16], 5, SeedRecord(0, 0), d=1)
+
+    @pytest.mark.parametrize(
+        "N_list, error", [([64, 401], BudgetExceeded), ([64, 4], DomainError)]
+    )
+    def test_bad_level_fails_before_any_draw(self, monkeypatch, N_list, error):
+        calls = []
+        monkeypatch.setattr(grsk, "log_tau_lgv", lambda *a: calls.append(a) or 0.0)
+        with pytest.raises(error):
+            rescaled_tau_run(1.0, N_list, 30, SeedRecord(0, 0))
+        assert calls == []
+
+    def test_pinned_levels(self):
+        # replay contract of the scaling run: figures of the per-cell loop DP
+        # that preceded the wavefront; the two agree to ~1e-11 relative
+        pinned = {
+            16: (0.00381967238589074, 0.008148464882864415,
+                 [9.476031375118904e-07, 2.8840086958282306e-05, 0.00018022416962682093,
+                  0.0013495008474278796, 0.018764030327191105]),
+            25: (0.004866906698802619, 0.009428730600746841,
+                 [3.792744104520739e-06, 3.551791304283443e-05, 0.00024293271221197094,
+                  0.0037920348294782046, 0.027108793678582606]),
+        }
+        rep = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        for lv in rep.levels:
+            mean, std, quantiles = pinned[lv.N]
+            assert lv.mean == pytest.approx(mean, rel=1e-9)
+            assert lv.std == pytest.approx(std, rel=1e-9)
+            assert list(lv.quantiles.values()) == pytest.approx(quantiles, rel=1e-9)
+        assert rep.ks_stats == [0.1]
 
     def test_deterministic_weights_reduce_to_count(self):
         # constant weights: tau / c^{vertices} equals the tuple count
