@@ -40,19 +40,23 @@ class CheckResult:
 
 
 def _enumeration_occupancy(spec: we.BridgeSpec, budget: int = 30):
-    """Site list plus exact joint occupation counts from full enumeration."""
+    """Sorted interior sites (n, x) and their exact joint visit counts over all
+    trajectories: one scatter fills the 0/1 trajectory-by-site matrix, whose Gram
+    matrix is summed in float32 blocks of 2^16 rows (exact: every count < 2^24)."""
     trajs = we.enumerate_trajectories(spec, budget=budget)
     count = len(trajs)
-    sites = sorted(
-        {(int(n), int(x)) for tr in trajs for n in range(1, spec.n_star) for x in tr[n]}
-    )
-    sidx = {s: i for i, s in enumerate(sites)}
-    occ = np.zeros((count, len(sites)), dtype=np.float64)
-    for ti, tr in enumerate(trajs):
-        for n in range(1, spec.n_star):
-            for x in tr[n]:
-                occ[ti, sidx[(n, int(x))]] = 1.0
-    joint = (occ.T @ occ).round().astype(np.int64)
+    lo = int(trajs.min(initial=0))
+    width = int(trajs.max(initial=0)) - lo + 1
+    keys = np.subtract(trajs[:, 1 : spec.n_star], lo, dtype=np.int32)
+    keys += width * np.arange(1, spec.n_star, dtype=np.int32)[:, None]
+    site_keys = np.unique(keys)
+    sites = [(int(k) // width, int(k) % width + lo) for k in site_keys]
+    occ = np.zeros((count, len(sites)), dtype=np.uint8)
+    occ[np.arange(count)[:, None, None], np.searchsorted(site_keys, keys)] = 1
+    joint = np.zeros((len(sites), len(sites)), dtype=np.int64)
+    for first in range(0, count, 1 << 16):
+        block = occ[first : first + (1 << 16)].astype(np.float32)
+        joint += (block.T @ block).astype(np.int64)
     return sites, joint, count
 
 

@@ -132,8 +132,8 @@ def tau_enumerate(w: WeightMatrix, d: int, n: int, m: int, budget: int = 14):
     """Exhaustive sum over vertex-disjoint path tuples (the oracle route)."""
     if n + m > budget or d > 3:
         raise BudgetExceeded(f"n+m = {n + m} (budget {budget}) or d = {d} > 3")
-    if d > min(n, m):
-        raise DomainError("need d <= min(n, m)")
+    if not 1 <= d <= min(n, m):
+        raise DomainError("need 1 <= d <= min(n, m)")
     starts, ends = _path_endpoints(d, n, m)
     per_route = [_enumerate_paths(s, e) for s, e in zip(starts, ends)]
 
@@ -170,8 +170,8 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
     Exact (a Fraction) when every path sum is an int or a Fraction; other
     weights go through the float log-determinant.
     """
-    if d > min(n, m):
-        raise DomainError("need d <= min(n, m)")
+    if not 1 <= d <= min(n, m):
+        raise DomainError("need 1 <= d <= min(n, m)")
     starts, ends = _path_endpoints(d, n, m)
     mat = [[single_path_sum(w, s, e) for e in ends] for s in starts]
     if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
@@ -192,8 +192,8 @@ def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
     diagonals; their d x d log path sums go to :func:`signed_logdet`.
     """
     n, m = log_w.shape
-    if d > min(n, m):
-        raise DomainError("need d <= min(n, m)")
+    if not 1 <= d <= min(n, m):
+        raise DomainError("need 1 <= d <= min(n, m)")
     if not np.all(np.isfinite(log_w)):
         raise DomainError("log-weights must be finite (weights must be positive)")
     rows = np.arange(n)

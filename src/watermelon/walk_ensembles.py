@@ -461,47 +461,37 @@ def enumerate_bridges(spec: BridgeSpec, budget: int = 24) -> list[PathEnsembleSa
 def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     """All bridge trajectories as one array of shape (count, n_star+1, d).
 
-    Depth-first over simultaneous walker moves with reachability pruning.
+    Level by level: each partial trajectory tries the 2^d rows of
+    :func:`_step_signs` (bit i of a row's index moves walker i up), keeping
+    moves with every neighbour gap >= 2 and every walker within reach of
+    delta(x*).  Survivors are gathered parent-major, so the rows come out in
+    lexicographic order of their per-step sign indices.
     """
     if spec.d * spec.n_star > budget:
         raise BudgetExceeded(
             f"d*n_star = {spec.d * spec.n_star} exceeds budget {budget}"
         )
     d, n_star = spec.d, spec.n_star
-    targets = spec.end.positions
-    signs = [
-        tuple((1 if m >> i & 1 else -1) for i in range(d)) for m in range(1 << d)
-    ]
-    found: list[list[tuple[int, ...]]] = []
-    prefix: list[tuple[int, ...]] = [spec.start.positions]
-
-    def reachable(pos: tuple[int, ...], remaining: int) -> bool:
-        return all(abs(p - t) <= remaining for p, t in zip(pos, targets))
-
-    def walk(pos: tuple[int, ...], n: int) -> None:
-        if n == n_star:
-            if pos == targets:
-                found.append(prefix.copy())
-            return
-        rem = n_star - n - 1
-        for s in signs:
-            new = tuple(p + q for p, q in zip(pos, s))
-            ok = True
-            for i in range(d - 1):
-                if new[i + 1] - new[i] < 2:
-                    ok = False
-                    break
-            if not ok or not reachable(new, rem):
-                continue
-            prefix.append(new)
-            walk(new, n + 1)
-            prefix.pop()
-
-    if reachable(spec.start.positions, n_star):
-        walk(spec.start.positions, 0)
-    if not found:
-        return np.empty((0, n_star + 1, d), dtype=np.int64)
-    return np.array(found, dtype=np.int64)
+    # positions and the target stay within n_star + |x*| of 0 .. 2(d-1)
+    small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
+    signs = _step_signs(d).astype(small)
+    target = np.array(spec.end.positions, dtype=small)
+    levels = [np.array([spec.start.positions], dtype=small)]
+    parents = []
+    for n in range(n_star):
+        cand = levels[-1][:, None, :] + signs
+        keep = np.all(np.diff(cand, axis=2) >= 2, axis=2)
+        keep &= np.all(np.abs(cand - target) <= n_star - n - 1, axis=2)
+        parent, move = np.nonzero(keep)
+        levels.append(cand[parent, move])
+        parents.append(parent)
+    out = np.empty((len(levels[-1]), n_star + 1, d), dtype=np.int64)
+    rows = np.arange(len(out))
+    for n in range(n_star, 0, -1):
+        out[:, n] = levels[n][rows]
+        rows = parents[n - 1][rows]
+    out[:, 0] = spec.start.positions
+    return out
 
 
 def macmahon_count(N: int, d: int) -> int:

@@ -133,6 +133,20 @@ class TestTau:
         with pytest.raises(DomainError):
             log_tau_lgv(np.zeros((3, 5)), 4)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda d: tau_lgv(WeightMatrix.constant(3, 3), d, 3, 3),
+            lambda d: log_tau_lgv(np.zeros((3, 3)), d),
+            lambda d: tau_enumerate(WeightMatrix.constant(3, 3), d, 3, 3),
+        ],
+        ids=["tau_lgv", "log_tau_lgv", "tau_enumerate"],
+    )
+    def test_needs_at_least_one_path(self, route, d):
+        with pytest.raises(DomainError):
+            route(d)
+
 
 class TestArray:
     def test_reconstruction(self):

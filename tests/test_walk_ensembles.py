@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from watermelon.acceptance import _enumeration_occupancy
 from watermelon.errors import (
     BudgetExceeded,
     DomainError,
@@ -171,6 +172,64 @@ class TestEnumeration:
     def test_all_samples_valid(self):
         for s in enumerate_bridges(BridgeSpec(2, 4, 0)):
             s.validate()
+
+    @staticmethod
+    def brute_force(spec):
+        """Every sign sequence, in itertools.product order, kept when it stays
+        in the chamber and ends at delta(x_star)."""
+        d = spec.d
+        rows = []
+        for seq in itertools.product(range(1 << d), repeat=spec.n_star):
+            traj = [spec.start.positions]
+            for mask in seq:
+                step = [1 if mask >> i & 1 else -1 for i in range(d)]
+                traj.append(tuple(p + s for p, s in zip(traj[-1], step)))
+            in_chamber = all(b - a >= 2 for pos in traj for a, b in zip(pos, pos[1:]))
+            if in_chamber and traj[-1] == spec.end.positions:
+                rows.append(traj)
+        return np.array(rows, dtype=np.int64).reshape(-1, spec.n_star + 1, d)
+
+    @pytest.mark.parametrize(
+        "d,n_star,x_star", [(1, 6, 0), (1, 5, 1), (2, 6, 2), (2, 5, -1), (3, 4, 0), (3, 5, 1)]
+    )
+    def test_matches_sign_sequence_filter(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
+        got = enumerate_trajectories(spec, budget=d * n_star)
+        want = self.brute_force(spec)
+        assert len(want) > 0
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        with pytest.raises(BudgetExceeded):
+            enumerate_trajectories(spec, budget=d * n_star - 1)
+
+    @pytest.mark.parametrize("x_star", [4, 40000])
+    def test_unreachable_is_empty(self, x_star):
+        # 40000 lies beyond int16, the enumeration's working type for small specs
+        got = enumerate_trajectories(BridgeSpec(1, 2, x_star))
+        assert got.shape == (0, 3, 1) and got.dtype == np.int64
+
+    def test_pinned_rows(self):
+        # sha256 of the (3, 8, -2) array as the depth-first enumeration built it
+        got = enumerate_trajectories(BridgeSpec(3, 8, -2), 30)
+        assert got.shape == (14112, 9, 3) and got.dtype == np.int64
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "99898f38924ffb57a051bcfd60007fb2df34bedcc58bde4aa8e82eaa52f9d908"
+        )
+
+    @pytest.mark.parametrize("d,n_star,x_star", [(2, 6, 2), (3, 6, 0), (2, 7, 1)])
+    def test_occupancy_matches_per_trajectory_loop(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
+        trajs = enumerate_trajectories(spec, budget=30)
+        visits = [[(n, int(x)) for n in range(1, n_star) for x in tr[n]] for tr in trajs]
+        want_sites = sorted({s for v in visits for s in v})
+        col = {s: i for i, s in enumerate(want_sites)}
+        want = np.zeros((len(want_sites), len(want_sites)), dtype=np.int64)
+        for v in visits:
+            for a in v:
+                for b in v:
+                    want[col[a], col[b]] += 1
+        sites, joint, count = _enumeration_occupancy(spec)
+        assert sites == want_sites and count == len(trajs)
+        assert joint.dtype == np.int64 and np.array_equal(joint, want)
 
 
 class TestChamberPathSums:
