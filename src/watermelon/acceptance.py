@@ -9,6 +9,7 @@ acceptance module both run this registry.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,11 @@ class CheckResult:
     detail: str
     seconds: float
     limit_seconds: float | None = None
+    # CPU seconds of the process that ran the criterion, and the host's 1-,
+    # 5- and 15-minute load averages when it finished: wall time well above
+    # CPU time under a high load points at contention, not at the code
+    cpu_seconds: float | None = None
+    load_avg: tuple[float, float, float] | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -213,8 +219,8 @@ def crit_7_tanaka() -> tuple[bool, str]:
     gen = SeedRecord(1234, 0).generator()
     for trial in range(10_000):
         n = int(gen.integers(0, 101))
-        alpha = (gen.integers(0, 2, size=n + 1) * 2 - 1).tolist()
-        beta = (gen.integers(0, 2, size=n + 1) * 2 - 1).tolist()
+        alpha = gen.integers(0, 2, size=n + 1) * 2 - 1
+        beta = gen.integers(0, 2, size=n + 1) * 2 - 1
         a0 = int(gen.integers(-30, 31))
         b0 = a0 + 2 * int(gen.integers(-15, 16))
         if ov.tanaka_check(alpha, beta, a0, b0, n) != 0:
@@ -455,13 +461,17 @@ CRITERIA: list[tuple[int, str, float | None, Callable[[], tuple[bool, str]]]] = 
 def run_criterion(crit_id: int) -> CheckResult:
     for cid, name, limit, fn in CRITERIA:
         if cid == crit_id:
-            t0 = time.time()
+            t0, c0 = time.time(), time.process_time()
             passed, detail = fn()
-            elapsed = time.time() - t0
+            elapsed, cpu = time.time() - t0, time.process_time() - c0
+            load = os.getloadavg()
             if passed and limit is not None and elapsed > limit:
                 passed = False
-                detail += f"; runtime {elapsed:.0f}s exceeded {limit:.0f}s budget"
-            return CheckResult(cid, name, passed, detail, elapsed, limit)
+                detail += (
+                    f"; runtime {elapsed:.0f}s exceeded {limit:.0f}s budget"
+                    f" (cpu {cpu:.1f}s, load {load[0]:.2f})"
+                )
+            return CheckResult(cid, name, passed, detail, elapsed, limit, cpu, load)
     raise KeyError(f"no criterion {crit_id}")
 
 

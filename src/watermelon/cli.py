@@ -301,6 +301,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         manifest.assertions[key] = res.passed
         manifest.criteria[key] = {
             "seconds": res.seconds,
+            "cpu_seconds": res.cpu_seconds,
+            "load_avg": res.load_avg,
             "limit_seconds": res.limit_seconds,
             "detail": res.detail,
         }

@@ -100,31 +100,26 @@ def tanaka_decomposition(
     """
     if (a0 + b0) % 2 != 0:
         raise ParityError("a0 + b0 must be even")
+    if n < 0:
+        raise DomainError("need n >= 0")
     if len(alpha) < n + 1 or len(beta) < n + 1:
         raise DomainError("need n+1 steps in each driving sequence")
-    if any(v not in (-1, 1) for v in alpha[: n + 1]) or any(
-        v not in (-1, 1) for v in beta[: n + 1]
-    ):
+    steps = np.array([alpha[: n + 1], beta[: n + 1]])
+    if steps.dtype.kind not in "biuf" or not (np.abs(steps) == 1).all():
         raise DomainError("driving sequences must be +-1 valued")
-
-    def sgn(v: int) -> int:
-        return (v > 0) - (v < 0)
-
-    a_path = [a0]
-    b_path = [b0]
-    for i in range(n + 1):
-        a_path.append(a_path[-1] + alpha[i])
-        b_path.append(b_path[-1] + beta[i])
-
+    steps = steps.astype(np.int64)
+    # gap[i] = A(i) - B(i) for i = 0..n+1; only a0 - b0 enters
+    gap = np.empty(n + 2, dtype=np.int64)
+    gap[0] = a0 - b0
+    np.cumsum(steps[0] - steps[1], out=gap[1:])
+    gap[1:] += a0 - b0
+    before = gap[:-1]
+    # np.sign is sgn with sgn(0) = 0; A(i+1) - B(i) = gap[i] + alpha[i]
     return TanakaDecomposition(
-        lhs=sum(1 for i in range(n + 1) if a_path[i] == b_path[i]),
-        gap_increment=abs(a_path[n + 1] - b_path[n + 1]) - abs(a0 - b0),
-        signed_sum_first=sum(
-            sgn(a_path[i] - b_path[i]) * alpha[i] for i in range(n + 1)
-        ),
-        signed_sum_second=sum(
-            sgn(a_path[i + 1] - b_path[i]) * beta[i] for i in range(n + 1)
-        ),
+        lhs=int(np.count_nonzero(before == 0)),
+        gap_increment=abs(int(gap[-1])) - abs(a0 - b0),
+        signed_sum_first=int(np.sign(before) @ steps[0]),
+        signed_sum_second=int(np.sign(before + steps[0]) @ steps[1]),
     )
 
 

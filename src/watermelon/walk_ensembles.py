@@ -355,8 +355,10 @@ class BridgeStepper:
 
     with V the Vandermonde.  The constant C does not depend on y, so it
     cancels in the Gumbel-max draw that picks each path's move, and the
-    log-weight is sum_{i<j} log(y_j - y_i) plus log-binomials read from a
-    shared log-factorial table: no determinant is evaluated.
+    log-weight is sum_{i<j} log(y_j - y_i) plus log-binomials.  Both terms
+    are table lookups: a per-step table of each walker's down and up
+    log-binomial indexed by its position, and one table of log(gap) over
+    the integer gaps.  No determinant is evaluated.
     """
 
     def __init__(self, spec: BridgeSpec):
@@ -366,42 +368,74 @@ class BridgeStepper:
             ([0.0], np.cumsum(np.log(np.arange(1, n_star + 2 * d + 2))))
         )
         self.signs = _step_signs(d)
+        # log(y_j - y_i) at index gap0 + y_j - y_i, for every candidate gap of
+        # two walkers inside the widest log-binomial table (step 0); -inf
+        # below the least gap, 2
+        gap0 = 2 * (n_star + d)
+        self._log_gap = np.full(2 * gap0 + 1, -np.inf)
+        self._log_gap[gap0 + 2 :] = np.log(np.arange(2, gap0 + 1))
+        # per pair i < j: gap0 + the change of y_j - y_i under each move, laid
+        # out over the move axes (bit d-1, ..., bit 0) of the log-weights
+        bits = (self.signs + 1) // 2
+        self._gap_shift = [
+            (i, j, (gap0 + 2 * (bits[:, j] - bits[:, i])).reshape((2,) * d + (1,)))
+            for i in range(d)
+            for j in range(i + 1, d)
+        ]
 
-    def _logb(self, n: int, k: np.ndarray) -> np.ndarray:
-        ok = (k >= 0) & (k <= n)
-        kc = np.clip(k, 0, n if n >= 0 else 0)
-        val = self.lg[n] - self.lg[kc] - self.lg[n - kc]
-        return np.where(ok, val, -np.inf)
+    def _binomials(self, n: int) -> tuple[int, np.ndarray]:
+        """Log-binomial table of step n and the position of its column 0.
 
-    def log_weights(self, paths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate moves of each row of `paths` at time n, and their log-weights.
-
-        Returns `cand` of shape (P, 2^d, d) and `logw` of shape (P, 2^d):
-        log V(y) + sum_i log binom(m+d-1, (m+y_i-x*)/2), which is log q_m up
-        to a constant per call, and -inf for moves that leave the chamber or
-        cannot reach the endpoint.
+        Row 0 (row 1) holds log binom(m+d-1, k) of a walker that moves down
+        (up) from that position, -inf where the move cannot reach delta(x*);
+        every position outside the table is unreachable as well.
         """
         spec = self.spec
-        d, m = spec.d, spec.n_star - n - 1
-        cand = paths[:, None, :] + self.signs[None, :, :]
-        # walker i's binomial takes one of two values per row: k for the move
-        # down to x_i - 1, k + 1 for the move up
-        twice_k = m - 1 + paths - spec.x_star
-        even = twice_k % 2 == 0
-        down = np.where(even, self._logb(m + d - 1, twice_k // 2), -np.inf)
-        up = np.where(even, self._logb(m + d - 1, twice_k // 2 + 1), -np.inf)
-        logw = np.zeros(cand.shape[:2])
-        valid = np.ones(cand.shape[:2], dtype=bool)
+        if not 0 <= n < spec.n_star:
+            raise DomainError(f"step {n} outside 0..{spec.n_star - 1}")
+        m = spec.n_star - n - 1
+        top = m + spec.d - 1
+        k = np.arange(top + 1)
+        logb = self.lg[top] - self.lg[k] - self.lg[top - k]
+        table = np.full((2, 2 * top + 3), -np.inf)
+        table[0, 2::2] = logb
+        table[1, :-2:2] = logb
+        return spec.x_star - m - 1, table
+
+    def _unreachable(self, stuck: np.ndarray, paths: np.ndarray, n: int):
+        bad = int(np.argmax(stuck))
+        raise UnreachableState(
+            f"bridge cannot reach {self.spec.end.positions} from "
+            f"{tuple(int(v) for v in paths[bad])} at time {n}"
+        )
+
+    def _move_log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
+        """Log-weights of shape (2^d, P): move-major, move c as in `signs`."""
+        d = self.spec.d
+        lo, table = self._binomials(n)
+        idx = paths.T - lo
+        if idx.min() < 0 or idx.max() >= table.shape[1]:
+            self._unreachable(((idx < 0) | (idx >= table.shape[1])).any(axis=0), paths, n)
+        # summation order of the bit-identical contract: walker terms for
+        # i = 0..d-1, then log gaps for i < j
+        logw = 0.0
         for i in range(d):
-            logw += np.where(self.signs[:, i] > 0, up[:, i, None], down[:, i, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(d):
-                for j in range(i + 1, d):
-                    gap = cand[:, :, j] - cand[:, :, i]
-                    if j == i + 1:
-                        valid &= gap >= 2
-                    logw += np.log(gap)
-        return cand, np.where(valid, logw, -np.inf)
+            term = table.take(idx[i], axis=1)
+            logw = logw + term.reshape((1,) * (d - 1 - i) + (2,) + (1,) * i + (-1,))
+        logw = np.broadcast_to(logw, (2,) * d + (len(paths),))
+        for i, j, shift in self._gap_shift:
+            logw = logw + self._log_gap.take(paths[:, j] - paths[:, i] + shift)
+        return logw.reshape(1 << d, len(paths))
+
+    def log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
+        """Log-weights of the 2^d moves of each row of `paths` at time n.
+
+        Shape (P, 2^d); column c is the move by row c of `signs`.  The value
+        is log V(y) + sum_i log binom(m+d-1, (m+y_i-x*)/2), which is log q_m
+        up to a constant per call, and -inf for moves that leave the chamber
+        or cannot reach the endpoint.
+        """
+        return self._move_log_weights(paths, n).T
 
     def step(self, paths: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
         """Advance every row of `paths` from time n to n + 1.
@@ -411,21 +445,29 @@ class BridgeStepper:
         other step draws one uniform per candidate.  Raises UnreachableState
         when some row has no move that can still reach the endpoint.
         """
-        cand, logw = self.log_weights(paths, n)
-        rows = np.arange(len(paths))
+        logw = self._move_log_weights(paths, n)
         if n == self.spec.n_star - 1:
-            choice = np.argmax(logw, axis=1)
+            score = logw
         else:
-            gumb = -np.log(-np.log(gen.random(logw.shape)))
-            choice = np.argmax(logw + gumb, axis=1)
-        stuck = logw[rows, choice] == -np.inf
-        if stuck.any():
-            bad = int(np.argmax(stuck))
-            raise UnreachableState(
-                f"bridge cannot reach {self.spec.end.positions} from "
-                f"{tuple(int(v) for v in paths[bad])} at time {n}"
-            )
-        return cand[rows, choice]
+            # Gumbel-max: logw - log(-log u), computed in place on the draw
+            u = gen.random((len(paths), len(logw)))
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+            score = np.subtract(logw, u.T, order="C")
+        # first maximum over the moves, as np.argmax would pick it
+        choice = np.zeros(len(paths), dtype=np.intp)
+        best = score[0].copy()
+        for c in range(1, len(score)):
+            np.copyto(choice, c, where=score[c] > best)
+            np.maximum(best, score[c], out=best)
+        # best is -inf exactly when the chosen move has weight -inf, unless a
+        # draw u = 0 sent a finite move to -inf: decide on logw itself
+        if best.min() == -np.inf:
+            stuck = logw[choice, np.arange(len(paths))] == -np.inf
+            if stuck.any():
+                self._unreachable(stuck, paths, n)
+        return paths + self.signs.take(choice, axis=0)
 
 
 def sample_bridges_lockstep(

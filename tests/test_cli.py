@@ -157,8 +157,10 @@ class TestVerifyCommand:
         criteria = manifest["criteria"]
         assert criteria.keys() == manifest["assertions"].keys()
         for rec in criteria.values():
-            assert rec.keys() == {"seconds", "limit_seconds", "detail"}
+            assert rec.keys() == {"seconds", "cpu_seconds", "load_avg", "limit_seconds", "detail"}
             assert rec["seconds"] >= 0 and isinstance(rec["detail"], str)
+            assert rec["cpu_seconds"] >= 0
+            assert len(rec["load_avg"]) == 3 and all(v >= 0 for v in rec["load_avg"])
         assert criteria["criterion_07_discrete_tanaka"]["limit_seconds"] == 5.0
 
 

@@ -21,6 +21,7 @@ from watermelon.overlap import (
     overlap_moment_diagnostics,
     overlap_time,
     tanaka_check,
+    tanaka_decomposition,
 )
 from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
@@ -94,6 +95,51 @@ class TestTanaka:
     def test_bad_steps(self):
         with pytest.raises(DomainError):
             tanaka_check([2], [1], 0, 0, 0)
+        for alpha in ([0, 1], [1, 1.5], np.array([1, -3]), [1, 2], ["1", "1"]):
+            with pytest.raises(DomainError):
+                tanaka_check(alpha, [1, 1], 0, 0, 1)
+            with pytest.raises(DomainError):
+                tanaka_check([1, 1], alpha, 0, 0, 1)
+        with pytest.raises(DomainError):
+            tanaka_check([1], [1], 0, 0, 1)
+        with pytest.raises(DomainError):
+            tanaka_check([1], [1], 0, 0, -1)
+
+    @given(
+        st.integers(0, 100),
+        st.integers(0, 3),
+        st.integers(-20, 20),
+        st.integers(-10, 10),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_per_index_loop(self, n, extra, a0, half_gap, as_array, rnd):
+        b0 = a0 + 2 * half_gap
+        # driving sequences may be longer than the n + 1 steps that are read
+        alpha = [rnd.choice((-1, 1)) for _ in range(n + 1 + extra)]
+        beta = [rnd.choice((-1, 1)) for _ in range(n + 1 + extra)]
+        a_path, b_path = [a0], [b0]
+        for i in range(n + 1):
+            a_path.append(a_path[-1] + alpha[i])
+            b_path.append(b_path[-1] + beta[i])
+
+        def sgn(v):
+            return (v > 0) - (v < 0)
+
+        want = (
+            sum(1 for i in range(n + 1) if a_path[i] == b_path[i]),
+            abs(a_path[n + 1] - b_path[n + 1]) - abs(a0 - b0),
+            sum(sgn(a_path[i] - b_path[i]) * alpha[i] for i in range(n + 1)),
+            sum(sgn(a_path[i + 1] - b_path[i]) * beta[i] for i in range(n + 1)),
+        )
+        if as_array:
+            alpha, beta = np.array(alpha), np.array(beta)
+        got = tanaka_decomposition(alpha, beta, a0, b0, n)
+        pieces = (got.lhs, got.gap_increment, got.signed_sum_first, got.signed_sum_second)
+        assert pieces == want
+        assert all(type(v) is int for v in pieces)
+        assert got.residual == 0
 
     @given(
         st.integers(0, 100),

@@ -410,7 +410,8 @@ class TestBridgeStepper:
         trajs = enumerate_trajectories(spec)
         for n in range(n_star):
             states = np.unique(trajs[:, n], axis=0)
-            cand, logw = stepper.log_weights(states, n)
+            cand = states[:, None, :] + stepper.signs[None, :, :]
+            logw = stepper.log_weights(states, n)
             w = np.exp(logw - logw.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             for row, x in enumerate(states):
@@ -432,6 +433,27 @@ class TestBridgeStepper:
         with pytest.raises(UnreachableState):
             stepper.step(np.array([[3, 5]]), 5, gen)
         assert stepper.step(np.array([[1, 3]]), 5, gen).tolist() == [[0, 2]]
+        # rows far outside the light cone, alone or next to a good row
+        for row in ([-500, 500], [-(10**12), 10**12], [600, 602], [-602, -600]):
+            with pytest.raises(UnreachableState):
+                stepper.step(np.array([row]), 1, gen)
+            with pytest.raises(UnreachableState):
+                stepper.step(np.array([[-1, 1], row]), 1, gen)
+        # at time 4 the walkers can stand on -2 .. 4 only: the edges each
+        # force one move, one site beyond either edge is unreachable
+        assert stepper.step(np.array([[-2, 0]]), 4, gen).tolist() == [[-1, 1]]
+        assert stepper.step(np.array([[2, 4]]), 4, gen).tolist() == [[1, 3]]
+        for row in ([-4, 0], [2, 6], [-3, -1], [3, 5], [-1, 1]):
+            with pytest.raises(UnreachableState):
+                stepper.step(np.array([row]), 4, gen)
+
+    def test_step_outside_window_raises(self):
+        spec = BridgeSpec(2, 6, 0)
+        stepper = BridgeStepper(spec)
+        gen = SeedRecord(1, 0).generator()
+        for n in (-1, 6, 7):
+            with pytest.raises(DomainError):
+                stepper.step(np.array([[0, 2]]), n, gen)
 
     def test_replay_is_pinned(self):
         # (seed, stream) replay contract: these trajectories must never change
@@ -440,6 +462,24 @@ class TestBridgeStepper:
         assert hashlib.sha256(traj.tobytes()).hexdigest() == (
             "a964994838174fbb5447852ff0b13b30767eab2fc2533433464866e7f1eff413"
         )
+
+    @pytest.mark.parametrize(
+        "spec,count,rng,digest",
+        [
+            # the README overlap spec at its largest N
+            (BridgeSpec(2, 48, 0), 2000, SeedRecord(5, 7),
+             "1c04497cf768d83b7d5d23be9f52ac4dcce0d58b2b8afbb0110c5a9a713bfd48"),
+            (BridgeSpec(1, 30, 4), 1000, SeedRecord(11, 0),
+             "80dae86a8958b828c5dce2708355a4cb2ea966323e144801c7cb823a808a58b4"),
+            (BridgeSpec(4, 12, -2), 1000, SeedRecord(12, 1),
+             "dbc48affebe33c1c81e3e8702099c059db9889a4c4be6677f55aa68b2d42b11c"),
+        ],
+        ids=["2-48-0", "1-30-4", "4-12--2"],
+    )
+    def test_replay_is_pinned_per_shape(self, spec, count, rng, digest):
+        traj = sample_bridges_lockstep(spec, count, rng)
+        assert traj.dtype == np.int64 and traj.shape == (count, spec.n_star + 1, spec.d)
+        assert hashlib.sha256(traj.tobytes()).hexdigest() == digest
 
 
 class TestSerialization:
