@@ -10,6 +10,7 @@ outcomes; exact paths reproduce bit-for-bit from the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -86,6 +87,53 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def git_revision(path: Path) -> str | None:
+    """Commit checked out in the git work tree that holds `path`, or None.
+
+    Reads the files under `.git` (a worktree's `.git` file names its git
+    dir with `gitdir:`) and follows HEAD to a loose or packed ref; starts no
+    process.
+    """
+    for top in (path, *path.parents):
+        dot = top / ".git"
+        if dot.is_dir():
+            gitdir = dot
+        elif dot.is_file():
+            text = dot.read_text().strip()
+            if not text.startswith("gitdir:"):
+                return None
+            gitdir = top / text[len("gitdir:"):].strip()
+        else:
+            continue
+        head = (gitdir / "HEAD").read_text().strip()
+        if not head.startswith("ref:"):
+            return head or None  # detached HEAD holds the commit itself
+        ref = head[len("ref:"):].strip()
+        # a linked worktree keeps its branch refs in the common git dir
+        common = gitdir / "commondir"
+        dirs = [gitdir] + ([gitdir / common.read_text().strip()] if common.is_file() else [])
+        for d in dirs:
+            if (d / ref).is_file():
+                return (d / ref).read_text().strip()
+        for d in dirs:
+            if (d / "packed-refs").is_file():
+                for line in (d / "packed-refs").read_text().splitlines():
+                    sha, _, name = line.partition(" ")
+                    if name == ref:
+                        return sha
+        return None  # a branch with no commit yet
+    return None
+
+
+@functools.cache
+def _source_revision() -> str | None:
+    """Revision of this package's checkout, read once per process."""
+    try:
+        return git_revision(Path(__file__).resolve().parent)
+    except OSError:  # an unreadable git dir: record no revision
+        return None
+
+
 @dataclass
 class RunManifest:
     config: dict
@@ -102,6 +150,7 @@ class RunManifest:
             "package_version": self.version,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "git_revision": _source_revision(),
             "wall_clock_seconds": self.wall_clock,
             "assertions": self.assertions,
             "criteria": self.criteria,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from .walk_ensembles import (
     BridgeSpec,
     PathEnsembleSample,
     WeylConfig,
+    _step_signs,
     chamber_path_sums,
     conditional_drift,
     delta_config,
     drift_bound,
     free_step_weights,
-    km_weight,
+    km_weight,  # unused here; perfbench's tracer patches overlap.km_weight by name
     sample_bridges_lockstep,
     sample_free_walks_lockstep,
     vandermonde,
@@ -265,6 +266,8 @@ def overlap_moment_diagnostics(
     versions of uniform boundedness in N and decay as t -> 0; the tail ratio
     of successive moment terms is reported, not asserted.
     """
+    if k_max < 1:
+        raise DomainError(f"need k_max >= 1, got {k_max}")
     if k_max > 6:
         raise DomainError("k_max above 6 is out of budget")
     rows = []
@@ -334,7 +337,8 @@ class ExactBridgeLaw:
 
     fwd[n] counts the chamber paths delta(0) -> x of n steps and bwd[n] the
     paths x -> delta(x*) of n_star - n steps; the moves are symmetric, so
-    bwd is the same sweep run from the endpoint back to the start.
+    bwd is the same sweep run from the endpoint back to the start.  A time
+    outside 0 <= n <= n_star raises DomainError.
     """
 
     def __init__(self, spec: BridgeSpec):
@@ -343,8 +347,13 @@ class ExactBridgeLaw:
         self.bwd = chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
         self.total = self.fwd[spec.n_star][spec.end.positions]
 
+    def _check_time(self, n: int) -> None:
+        if not 0 <= n <= self.spec.n_star:
+            raise DomainError(f"time {n} outside 0..{self.spec.n_star}")
+
     def site_prob(self, n: int, x: int) -> Fraction:
         """P(x occupied at time n)."""
+        self._check_time(n)
         out = 0
         for pos, cf in self.fwd[n].items():
             if x in pos:
@@ -352,6 +361,7 @@ class ExactBridgeLaw:
         return Fraction(out, self.total)
 
     def config_dist(self, n: int) -> dict[tuple[int, ...], Fraction]:
+        self._check_time(n)
         out = {}
         for pos, cf in self.fwd[n].items():
             cb = self.bwd[n].get(pos, 0)
@@ -360,28 +370,50 @@ class ExactBridgeLaw:
         return out
 
     def pair_site_table(self, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
-        """All P(x1 occupied at n1, x2 occupied at n2) with one config sweep."""
+        """All P(x1 occupied at n1, x2 occupied at n2): the pair sweep from n1,
+        stopped at n2."""
         if not n1 < n2:
             raise DomainError("need n1 < n2")
-        out: dict[tuple[int, int], Fraction] = {}
-        scale = 2 ** ((n2 - n1) * self.spec.d)
-        bwd2 = [
-            (pos2, cb) for pos2, cb in self.bwd[n2].items() if cb != 0
-        ]
-        for pos1, cf in self.fwd[n1].items():
-            cb1 = self.bwd[n1].get(pos1, 0)
-            if cb1 == 0:
-                continue
-            for pos2, cb in bwd2:
-                mid = km_weight(n2 - n1, WeylConfig(pos1), WeylConfig(pos2), "exact")
-                if mid == 0:
-                    continue
-                wgt = cf * (mid * scale) * cb / self.total
-                for x1 in pos1:
-                    for x2 in pos2:
-                        key = (x1, x2)
-                        out[key] = out.get(key, Fraction(0)) + wgt
-        return out
+        self._check_time(n1)
+        self._check_time(n2)
+        for counts in self._pair_counts(n1, n2):
+            pass
+        return {key: Fraction(c, self.total) for key, c in counts.items()}
+
+    def _pair_counts(self, n1: int, n_last: int) -> Iterator[dict[tuple[int, int], int]]:
+        """Bridge path counts with x1 occupied at n1 and x2 at n2, as one
+        {(x1, x2): count} dict per n2 = n1 + 1 .. n_last.
+
+        One chamber transfer from time n1: for each site x1, the weight fwd[n1]
+        of every configuration holding x1 is moved by the 2^d steps, keeping
+        only configurations in bwd[n] (every path that still reaches the end
+        passes through them), and at each n2 it is contracted against bwd[n2]
+        over each x2 of the configuration.  The counts are Python ints, so
+        dividing by `total` gives the exact pair probabilities with no
+        Karlin-McGregor determinant.
+        """
+        signs = [tuple(s) for s in _step_signs(self.spec.d).tolist()]
+        marked: dict[int, dict[tuple[int, ...], int]] = {}
+        for pos, cf in self.fwd[n1].items():
+            if pos in self.bwd[n1]:
+                for x1 in pos:
+                    marked.setdefault(x1, {})[pos] = cf
+        for n2 in range(n1 + 1, n_last + 1):
+            keep = self.bwd[n2]
+            counts: dict[tuple[int, int], int] = {}
+            for x1, layer in marked.items():
+                nxt: dict[tuple[int, ...], int] = {}
+                for pos, w in layer.items():
+                    for s in signs:
+                        y = tuple(p + q for p, q in zip(pos, s))
+                        if y in keep:
+                            nxt[y] = nxt.get(y, 0) + w
+                marked[x1] = nxt
+                for pos, w in nxt.items():
+                    w *= keep[pos]
+                    for x2 in pos:
+                        counts[x1, x2] = counts.get((x1, x2), 0) + w
+            yield counts
 
 
 @dataclass
@@ -426,8 +458,8 @@ def overlap_l2_bound_check(
     which makes k = 1 an exact equality and k >= 2 an inequality whose slack
     is exactly the discarded equal-time diagonal.
     """
-    if k > 2:
-        raise DomainError("exact cell sums support k <= 2")
+    if not 1 <= k <= 2:
+        raise DomainError(f"exact cell sums support 1 <= k <= 2, got {k}")
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
     if window[1] <= window[0]:
@@ -486,12 +518,13 @@ def _squared_occupation_sums(
             for key in product(pos, repeat=k):
                 joint[key] = joint.get(key, 0) + p
         same += sum(p * p for p in joint.values())
-    cross = Fraction(0)
+    # one pair sweep per n1 serves every n2 <= n_hi
+    cross = 0
     if k == 2:
         for n1 in range(n_lo, n_hi + 1):
-            for n2 in range(n1 + 1, n_hi + 1):
-                cross += sum(p * p for p in law.pair_site_table(n1, n2).values())
-    return same, cross
+            for counts in law._pair_counts(n1, n_hi):
+                cross += sum(c * c for c in counts.values())
+    return same, Fraction(cross, law.total**2)
 
 
 @dataclass

@@ -3,11 +3,12 @@
 import concurrent.futures
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from watermelon import acceptance, grsk
-from watermelon.cli import main, resolve_workers
+from watermelon import acceptance, cli, grsk
+from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
 
 
@@ -144,6 +145,71 @@ class TestOverlapCommand:
         assert code == 0
         payload = json.loads((out / "overlap_summary.json").read_text())
         assert payload["l2_bound"]["holds"] is True
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one_rejected(self, tmp_path, k_max):
+        code = run(["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "16",
+                    "--replicas", "100", "--k-max", k_max, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+class TestGitRevision:
+    def _enum_manifest(self, tmp_path):
+        out = tmp_path / "enum"
+        assert run(["sample", "--d", "1", "--n-star", "2", "--enumerate-all",
+                    "--out-dir", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_manifest_records_checkout_revision(self, tmp_path):
+        want = git_revision(Path(cli.__file__).resolve().parent)
+        if (Path(cli.__file__).resolve().parents[2] / ".git").exists():
+            assert want is not None and len(want) == 40
+        assert self._enum_manifest(tmp_path)["git_revision"] == want
+
+    def test_manifest_outside_checkout_is_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_source_revision", lambda: git_revision(tmp_path))
+        manifest = self._enum_manifest(tmp_path)
+        assert "git_revision" in manifest and manifest["git_revision"] is None
+
+    def test_loose_ref(self, tmp_path):
+        (tmp_path / ".git" / "refs" / "heads").mkdir(parents=True)
+        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (tmp_path / ".git" / "refs" / "heads" / "main").write_text(SHA + "\n")
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        assert git_revision(tmp_path / "src" / "pkg") == SHA
+
+    def test_packed_ref_and_detached_head(self, tmp_path):
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/dev\n")
+        (tmp_path / ".git" / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/main\n{SHA} refs/heads/dev\n^{'e' * 40}\n"
+        )
+        assert git_revision(tmp_path) == SHA
+        (tmp_path / ".git" / "HEAD").write_text(SHA + "\n")
+        assert git_revision(tmp_path) == SHA
+
+    def test_worktree_gitdir_file(self, tmp_path):
+        common = tmp_path / "main" / ".git"
+        linked = common / "worktrees" / "wt"
+        (common / "refs" / "heads").mkdir(parents=True)
+        linked.mkdir(parents=True)
+        (common / "refs" / "heads" / "topic").write_text(SHA + "\n")
+        (linked / "HEAD").write_text("ref: refs/heads/topic\n")
+        (linked / "commondir").write_text("../..\n")
+        (tmp_path / "wt").mkdir()
+        (tmp_path / "wt" / ".git").write_text(f"gitdir: {linked}\n")
+        assert git_revision(tmp_path / "wt") == SHA
+
+    def test_unborn_branch_and_no_checkout(self, tmp_path):
+        assert git_revision(tmp_path) is None
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        assert git_revision(tmp_path) is None
 
 
 class TestVerifyCommand:

@@ -14,6 +14,7 @@ from watermelon.errors import DomainError, ParityError, SpecMismatch
 from watermelon.kernels import ContinuumEndpoint
 from watermelon.overlap import (
     ExactBridgeLaw,
+    _squared_occupation_sums,
     drift_bound_sweep,
     expected_inverse_gap_check,
     inverse_gap_sum,
@@ -31,6 +32,7 @@ from watermelon.walk_ensembles import (
     delta_config,
     enumerate_trajectories,
     free_step_law,
+    km_weight,
     sample_bridge,
     sample_free_walks_lockstep,
     vandermonde,
@@ -269,7 +271,77 @@ class TestExactBridgeLaw:
         assert table == {key: Fraction(c, count) for key, c in pairs.items()}
 
 
+def _determinant_pair_table(law, n1, n2):
+    """P(x1 at n1, x2 at n2) from one exact Karlin-McGregor determinant per
+    pair of configurations: the reference for the transfer sweep."""
+    out = {}
+    scale = 2 ** ((n2 - n1) * law.spec.d)
+    for pos1, cf in law.fwd[n1].items():
+        cb1 = law.bwd[n1].get(pos1, 0)
+        if cb1 == 0:
+            continue
+        for pos2, cb in law.bwd[n2].items():
+            mid = km_weight(n2 - n1, WeylConfig(pos1), WeylConfig(pos2), "exact")
+            if mid == 0:
+                continue
+            wgt = cf * (mid * scale) * cb / law.total
+            for x1 in pos1:
+                for x2 in pos2:
+                    out[x1, x2] = out.get((x1, x2), Fraction(0)) + wgt
+    return out
+
+
+class TestPairSweep:
+    @pytest.mark.parametrize("d,n_star,x_star", [(1, 6, 0), (2, 8, 0), (2, 7, 1), (3, 8, -2)])
+    def test_equals_determinant_reference(self, d, n_star, x_star):
+        law = ExactBridgeLaw(BridgeSpec(d, n_star, x_star))
+        for n1 in range(n_star + 1):
+            for n2 in range(n1 + 1, n_star + 1):
+                table = law.pair_site_table(n1, n2)
+                assert all(type(p) is Fraction for p in table.values())
+                assert table == _determinant_pair_table(law, n1, n2)
+
+    @pytest.mark.parametrize(
+        "n_lo,n_hi,same,cross",
+        [
+            # criterion 13's k = 2 windows (0, 1) and (0.25, 0.75) at N = 12,
+            # taken from the determinant implementation
+            (1, 11, Fraction(2688628669, 178151688), Fraction(1742014987, 32391216)),
+            (3, 9, Fraction(1437690013, 178151688), Fraction(5830806913, 356303376)),
+        ],
+    )
+    def test_squared_sums_pinned(self, n_lo, n_hi, same, cross):
+        law = ExactBridgeLaw(BridgeSpec(2, 12, 0))
+        assert _squared_occupation_sums(law, n_lo, n_hi, 2) == (same, cross)
+
+    @pytest.mark.parametrize(
+        "method,args",
+        [
+            ("site_prob", (-1, 0)),
+            ("site_prob", (9, 0)),
+            ("config_dist", (-2,)),
+            ("config_dist", (9,)),
+            ("pair_site_table", (-3, 2)),
+            ("pair_site_table", (7, 9)),
+            ("pair_site_table", (4, 4)),
+        ],
+    )
+    def test_time_outside_window_raises(self, method, args):
+        law = ExactBridgeLaw(BridgeSpec(2, 8, 0))
+        with pytest.raises(DomainError):
+            getattr(law, method)(*args)
+
+
 class TestL2Bound:
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_k_outside_range_raises(self, k):
+        for window in ((0.0, 1.0), (0.5, 0.5)):
+            with pytest.raises(DomainError):
+                overlap_l2_bound_check(
+                    ContinuumEndpoint(1.0, 0.0), 2, 8, window, k, SeedRecord(13, 0),
+                    replicas=100,
+                )
+
     def test_k1_interior_equality(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 2, 8, (0.25, 0.75), 1, SeedRecord(10, 0),
@@ -310,6 +382,13 @@ class TestL2Bound:
 
 
 class TestMomentDiagnostics:
+    @pytest.mark.parametrize("k_max", [0, -1, 7])
+    def test_k_max_outside_range_raises(self, k_max):
+        with pytest.raises(DomainError):
+            overlap_moment_diagnostics(
+                ContinuumEndpoint(1.0, 0.0), 2, [16], [0.5], k_max, 100, SeedRecord(14, 0)
+            )
+
     def test_zero_window(self):
         rep = overlap_moment_diagnostics(
             ContinuumEndpoint(1.0, 0.0), 2, [16], [0.0], 3, 500, SeedRecord(14, 0)
