@@ -29,7 +29,7 @@ from . import grsk
 from . import kernels as kr
 from . import overlap as ov
 from . import walk_ensembles as we
-from .errors import BudgetExceeded, WatermelonError
+from .errors import WatermelonError
 from .rng import SeedRecord
 
 ENV_OUTPUT_ROOT = "WATERMELON_OUTPUT_ROOT"
@@ -172,10 +172,6 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         raise WatermelonError("sample needs --n-star")
     spec = we.BridgeSpec(cfg.d, cfg.n_star, cfg.x_star)
     if cfg.enumerate_all:
-        if cfg.d * cfg.n_star > cfg.step_budget:
-            raise BudgetExceeded(
-                f"d*n_star = {cfg.d * cfg.n_star} over step budget {cfg.step_budget}"
-            )
         samples = we.enumerate_bridges(spec, budget=cfg.step_budget)
         manifest.assertions["enumeration_count"] = len(samples)
     else:

@@ -241,64 +241,40 @@ class DiscreteKernelTable:
         if not 0 < n < self.spec.n_star:
             raise DomainError(f"time {n} outside (0, {self.spec.n_star})")
 
-    def _forward(self, n: int, x: int) -> list:
-        # P_j(n, x) * binom(n + d - 1, (n + x)/2), all degrees.
-        # Float entries are (sign, log magnitude) pairs.
+    def _factor(self, cache: dict, params, n: int, x: int, top: int, twice_k: int) -> list:
+        """hahn(params(j, ...)) * binom(top, twice_k / 2) at (n, x), all degrees j.
+
+        Cached per (n, x).  Float entries are (sign, log magnitude) pairs.
+        """
         key = (n, x)
-        if key not in self._fwd:
+        if key not in cache:
             spec = self.spec
+            args = (n, x, spec.d, spec.n_star, spec.x_star)
             if self.exact:
-                b = _binom(spec.d + n - 1, Fraction(n + x, 2))
-                vals = [
-                    hahn_exact(_p_params(j, n, x, spec.d, spec.n_star, spec.x_star))
-                    * b
-                    for j in range(spec.d)
-                ]
+                b = _binom(top, Fraction(twice_k, 2))
+                vals = [hahn_exact(params(j, *args)) * b for j in range(spec.d)]
             else:
-                lb = (
-                    log_binom(spec.d + n - 1, (n + x) // 2)
-                    if 0 <= (n + x) // 2 <= spec.d + n - 1
-                    else -math.inf
-                )
+                lb = log_binom(top, twice_k // 2)
                 vals = []
                 for j in range(spec.d):
-                    q = hahn(_p_params(j, n, x, spec.d, spec.n_star, spec.x_star))
+                    q = hahn(params(j, *args))
                     if q == 0.0 or lb == -math.inf:
                         vals.append((0.0, -math.inf))
                     else:
                         vals.append((math.copysign(1.0, q), math.log(abs(q)) + lb))
-            self._fwd[key] = vals
-        return self._fwd[key]
+            cache[key] = vals
+        return cache[key]
+
+    def _forward(self, n: int, x: int) -> list:
+        # P_j(n, x) * binom(n + d - 1, (n + x)/2)
+        return self._factor(self._fwd, _p_params, n, x, self.spec.d + n - 1, n + x)
 
     def _backward(self, n: int, x: int) -> list:
         # P~_j(n, x) * binom(n_star - n + d - 1, (n_star - n + x - x_star)/2)
-        key = (n, x)
-        if key not in self._bwd:
-            spec = self.spec
-            top = spec.n_star - n + spec.d - 1
-            karg = (spec.n_star - n + x - spec.x_star) // 2
-            if self.exact:
-                b = _binom(top, Fraction(spec.n_star - n + x - spec.x_star, 2))
-                vals = [
-                    hahn_exact(
-                        _p_tilde_params(j, n, x, spec.d, spec.n_star, spec.x_star)
-                    )
-                    * b
-                    for j in range(spec.d)
-                ]
-            else:
-                lb = log_binom(top, karg) if 0 <= karg <= top else -math.inf
-                vals = []
-                for j in range(spec.d):
-                    q = hahn(
-                        _p_tilde_params(j, n, x, spec.d, spec.n_star, spec.x_star)
-                    )
-                    if q == 0.0 or lb == -math.inf:
-                        vals.append((0.0, -math.inf))
-                    else:
-                        vals.append((math.copysign(1.0, q), math.log(abs(q)) + lb))
-            self._bwd[key] = vals
-        return self._bwd[key]
+        s = self.spec
+        return self._factor(
+            self._bwd, _p_tilde_params, n, x, s.n_star - n + s.d - 1, s.n_star - n + x - s.x_star
+        )
 
     def entry(self, a: tuple[int, int], b: tuple[int, int]):
         """Kernel value K((n,x); (n',x')) in the 2^{n-n'} gauge."""

@@ -264,12 +264,15 @@ def overlap_moment_diagnostics(
     For each N, samples independent bridge pairs once and reads the overlap
     on every [0, t] window from prefix counts.  Asserts finite-sample
     versions of uniform boundedness in N and decay as t -> 0; the tail ratio
-    of successive moment terms is reported, not asserted.
+    of successive moment terms is reported, not asserted.  An empty N_list
+    or t_grid raises DomainError.
     """
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
     if k_max > 6:
         raise DomainError("k_max above 6 is out of budget")
+    if not N_list or not t_grid:
+        raise DomainError("need a non-empty N_list and t_grid")
     rows = []
     table: dict[tuple[int, float, int], tuple[float, float]] = {}
     for li, N in enumerate(N_list):
@@ -456,10 +459,13 @@ def overlap_l2_bound_check(
     same interior lattice steps max(1, floor(Ns)) .. min(n_star-1, floor(Ns'))
     (the pinned endpoint configs coincide deterministically and are excluded),
     which makes k = 1 an exact equality and k >= 2 an inequality whose slack
-    is exactly the discarded equal-time diagonal.
+    is exactly the discarded equal-time diagonal.  A window reaching outside
+    [0, t_star] raises DomainError; one with window[1] <= window[0] is empty.
     """
     if not 1 <= k <= 2:
         raise DomainError(f"exact cell sums support 1 <= k <= 2, got {k}")
+    if window[0] < 0 or window[1] > end.t_star:
+        raise DomainError(f"window {tuple(window)} outside [0, {end.t_star}]")
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
     if window[1] <= window[0]:

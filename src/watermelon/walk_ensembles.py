@@ -28,9 +28,6 @@ from .errors import (
 )
 from .rng import SeedRecord
 
-# exact determinants are mandatory at or below this size; see km_weight
-EXACT_THRESHOLD = 64
-
 _NEG_DET_TOL = 1e-13
 
 
@@ -184,14 +181,14 @@ def log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "auto"):
+def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "exact"):
     """Non-intersection probability q_n between two configurations.
 
     Determinant of single-walk binomial transition probabilities.  Modes:
-    ``exact`` (Fraction), ``float`` (row-scaled doubles), ``auto`` (exact when
-    d*n <= EXACT_THRESHOLD, float otherwise).  Out-of-reach targets return 0.
+    ``exact`` (Fraction) and ``float`` (row-scaled doubles).  Out-of-reach
+    targets return 0.
     """
-    if mode not in ("auto", "exact", "float"):
+    if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
     if n < 0:
         raise DomainError("need n >= 0")
@@ -200,11 +197,9 @@ def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "auto"):
     d = frm.d
     if n == 0:
         same = frm.positions == to.positions
-        return Fraction(1 if same else 0) if mode != "float" else float(same)
+        return Fraction(1 if same else 0) if mode == "exact" else float(same)
     if (frm.positions[0] + to.positions[0] + n) % 2 != 0:
-        return Fraction(0) if mode != "float" else 0.0
-    if mode == "auto":
-        mode = "exact" if d * n <= EXACT_THRESHOLD else "float"
+        return Fraction(0) if mode == "exact" else 0.0
     if mode == "exact":
         mat = [
             [_binom(n, Fraction(n + xi - yj, 2)) for yj in to.positions]
@@ -236,7 +231,7 @@ def bridge_transition(
     x: WeylConfig,
     n_prime: int,
     x_prime: WeylConfig,
-    mode: str = "auto",
+    mode: str = "exact",
 ):
     """Conditional law of the bridge: P(X(n') = x' | X(n) = x)."""
     if not 0 <= n < n_prime <= spec.n_star:
@@ -305,7 +300,7 @@ def chamber_path_sums(
     return layers
 
 
-def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig, mode: str = "auto"):
+def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig, mode: str = "exact"):
     """List of (successor, probability) pairs for the bridge at time n."""
     out = []
     for y in _step_candidates(x):
@@ -313,28 +308,6 @@ def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig, mode: str = "au
         if p != 0:
             out.append((y, p))
     return out
-
-
-def sample_bridge(spec: BridgeSpec, rng: SeedRecord, mode: str = "auto") -> PathEnsembleSample:
-    """Draw one trajectory from the uniform bridge measure, sequentially.
-
-    Deterministic given the seed record.  Raises EmptyBridge when no
-    trajectory connects the endpoints.
-    """
-    if km_weight(spec.n_star, spec.start, spec.end) == 0:
-        raise EmptyBridge(f"no trajectory for {spec}")
-    gen = rng.generator()
-    traj = np.empty((spec.n_star + 1, spec.d), dtype=np.int64)
-    x = spec.start
-    traj[0] = x.positions
-    for n in range(spec.n_star):
-        law = one_step_bridge_law(spec, n, x, mode)
-        probs = np.array([float(p) for _, p in law])
-        probs /= probs.sum()
-        idx = int(gen.choice(len(law), p=probs))
-        x = law[idx][0]
-        traj[n + 1] = x.positions
-    return PathEnsembleSample(spec=spec, trajectory=traj, seed_record=rng)
 
 
 def _step_signs(d: int) -> np.ndarray:
@@ -475,11 +448,13 @@ def sample_bridges_lockstep(
 ) -> np.ndarray:
     """Vectorized sampler: `count` independent bridge trajectories at once.
 
-    Returns an int array of shape (count, n_star + 1, d).  Same sequential
-    one-step law as :func:`sample_bridge`; distributional agreement with the
-    scalar sampler is covered by tests.
+    Returns an int array of shape (count, n_star + 1, d).  Each step draws
+    from the exact one-step law of the bridge (:func:`one_step_bridge_law`)
+    through :class:`BridgeStepper`.  Raises EmptyBridge when no trajectory
+    connects the endpoints: since all walkers may take the same steps, that
+    happens exactly when |x*| > n_star.
     """
-    if km_weight(spec.n_star, spec.start, spec.end) == 0:
+    if abs(spec.x_star) > spec.n_star:
         raise EmptyBridge(f"no trajectory for {spec}")
     gen = rng.generator()
     stepper = BridgeStepper(spec)
@@ -490,6 +465,12 @@ def sample_bridges_lockstep(
         paths = stepper.step(paths, n, gen)
         out[:, n + 1] = paths
     return out
+
+
+def sample_bridge(spec: BridgeSpec, rng: SeedRecord) -> PathEnsembleSample:
+    """Draw one trajectory: the one-row case of :func:`sample_bridges_lockstep`."""
+    traj = sample_bridges_lockstep(spec, 1, rng)[0]
+    return PathEnsembleSample(spec=spec, trajectory=traj, seed_record=rng)
 
 
 def enumerate_bridges(spec: BridgeSpec, budget: int = 24) -> list[PathEnsembleSample]:

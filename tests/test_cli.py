@@ -153,6 +153,21 @@ class TestOverlapCommand:
         assert code == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    def test_window_outside_bridge_rejected(self, tmp_path):
+        code = run(["overlap", "--seed", "6", "--d", "2", "--N-list", "12",
+                    "--replicas", "100", "--k-max", "2", "--window", "2", "3",
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_empty_n_list_in_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_list": []}))
+        code = run(["--config", str(cfg), "overlap", "--seed", "6", "--d", "2",
+                    "--replicas", "100", "--k-max", "2", "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 SHA = "0123456789abcdef0123456789abcdef01234567"
 

@@ -27,7 +27,6 @@ from watermelon.walk_ensembles import (
     km_weight,
     one_step_bridge_law,
     radon_nikodym,
-    sample_bridge,
     sample_bridges_lockstep,
 )
 
@@ -172,7 +171,6 @@ _MODE_CALLS = {
         _SPEC, 0, _SPEC.start, 1, WeylConfig((1, 3)), m
     ),
     "one_step_bridge_law": lambda m: one_step_bridge_law(_SPEC, 0, _SPEC.start, m),
-    "sample_bridge": lambda m: sample_bridge(_SPEC, SeedRecord(0, 0), m),
     "discrete_kernel": lambda m: discrete_kernel(_SPEC, (3, 1), (3, 1), m),
     "discrete_psi_prob": lambda m: discrete_psi_prob(_SPEC, [(3, 1)], m),
     "chaos_expansion_exact": lambda m: chaos_expansion_exact(

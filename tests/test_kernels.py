@@ -1,5 +1,6 @@
 """Correlation kernels against enumeration, closed forms, and quadrature."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -209,6 +210,32 @@ class TestDiscreteKernel:
             discrete_psi_prob(spec, [(3, 1)], "exact", DiscreteKernelTable(spec, exact=False))
         with pytest.raises(DomainError):
             discrete_psi_prob(spec, [(3, 1)], "float", DiscreteKernelTable(spec, exact=True))
+
+    @pytest.mark.parametrize(
+        "spec,exact,n_step,digest",
+        [
+            (BridgeSpec(3, 30, -2), False, 4,
+             "6e548e0bf668368cfbd8dc18c8c6aec7435ad68187d5be23cd7522df7314d428"),
+            (BridgeSpec(2, 12, 0), True, 1,
+             "a779101a4983ad1f4a2ac4df1f161829745e421ce96dfb2ce159549fbe698dd4"),
+        ],
+        ids=["float-3-30--2", "exact-2-12-0"],
+    )
+    def test_entries_are_pinned(self, spec, exact, n_step, digest):
+        # value and type of every entry over a grid of sites, 6 sites past
+        # the reachable band on each side
+        sites = [
+            (n, x)
+            for n in range(1, spec.n_star, n_step)
+            for x in range(-n - 6, n + 7)
+            if (n + x) % 2 == 0
+        ]
+        table = DiscreteKernelTable(spec, exact=exact)
+        text = "\n".join(
+            f"{type(v).__name__} {v.hex() if isinstance(v, float) else v}"
+            for v in (table.entry(a, b) for a in sites for b in sites)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rank_deficiency_beyond_d(self):
         # more than d sites at one time level: exactly singular minor

@@ -373,6 +373,13 @@ class TestL2Bound:
         assert rep.lhs_cell_sum < rep.rhs_exact
         assert rep.holds
 
+    @pytest.mark.parametrize("window", [(2.0, 3.0), (-0.25, 0.5), (0.5, 1.5)])
+    def test_window_outside_bridge_raises(self, window):
+        with pytest.raises(DomainError):
+            overlap_l2_bound_check(
+                ContinuumEndpoint(1.0, 0.0), 2, 12, window, 2, SeedRecord(1, 0), replicas=200
+            )
+
     def test_degenerate_window(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 2, 8, (0.5, 0.5), 2, SeedRecord(13, 0),
@@ -387,6 +394,13 @@ class TestMomentDiagnostics:
         with pytest.raises(DomainError):
             overlap_moment_diagnostics(
                 ContinuumEndpoint(1.0, 0.0), 2, [16], [0.5], k_max, 100, SeedRecord(14, 0)
+            )
+
+    @pytest.mark.parametrize("N_list,t_grid", [([], [0.5]), ([16], [])])
+    def test_empty_inputs_raise(self, N_list, t_grid):
+        with pytest.raises(DomainError):
+            overlap_moment_diagnostics(
+                ContinuumEndpoint(1.0, 0.0), 2, N_list, t_grid, 2, 100, SeedRecord(14, 0)
             )
 
     def test_zero_window(self):

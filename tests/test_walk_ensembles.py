@@ -357,8 +357,35 @@ class TestSamplers:
         assert abs(up - 200) < 3.5 * math.sqrt(400 * 0.25)
 
     def test_empty_bridge(self):
-        with pytest.raises(EmptyBridge):
-            sample_bridge(BridgeSpec(1, 2, 4), SeedRecord(0, 0))
+        for spec in (BridgeSpec(1, 2, 4), BridgeSpec(3, 6, 8)):
+            with pytest.raises(EmptyBridge):
+                sample_bridge(spec, SeedRecord(0, 0))
+            with pytest.raises(EmptyBridge):
+                sample_bridges_lockstep(spec, 3, SeedRecord(0, 0))
+
+    def test_emptiness_matches_km_weight(self):
+        # the closed form |x*| > n_star against the exact determinant
+        specs = [
+            BridgeSpec(d, n_star, x_star)
+            for d in range(1, 5)
+            for n_star in range(1, 15)
+            for x_star in range(-n_star - 6, n_star + 7, 2)
+        ]
+        assert len(specs) == 812
+        for spec in specs:
+            if km_weight(spec.n_star, spec.start, spec.end, "exact") == 0:
+                with pytest.raises(EmptyBridge):
+                    sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
+            else:
+                sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
+
+    @pytest.mark.parametrize(
+        "spec", [BridgeSpec(1, 9, 3), BridgeSpec(2, 8, 0), BridgeSpec(4, 12, -2)]
+    )
+    def test_sample_bridge_is_one_lockstep_row(self, spec):
+        s = sample_bridge(spec, SeedRecord(41, 2))
+        assert np.array_equal(s.trajectory, sample_bridges_lockstep(spec, 1, SeedRecord(41, 2))[0])
+        assert s.seed_record == SeedRecord(41, 2)
 
     def test_deterministic_replay(self):
         spec = BridgeSpec(2, 6, 0)
