@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -214,66 +213,33 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,
                           mode: str = "exact"):
     """Multilinear chaos sum with kernel-determinant coefficients.
 
-    Sums det[K(s_i; s_j)] * prod (field(s) - 1) over finite subsets of
-    reachable interior sites.  Subsets carrying more than d sites at one time
-    are skipped (their kernel minors are rank-deficient, hence exactly zero),
-    as are sites whose centered factor vanishes.  Must reproduce the direct
-    enumeration average of multiplicative weights.
+    Sums det[K(s_i; s_j)] * prod (field(s) - 1) over all finite subsets of
+    the live sites (reachable interior sites whose centered factor is
+    nonzero).  That principal-minor expansion is the Fredholm determinant
+    det(I + K F) with K the kernel matrix over the live sites and F the
+    diagonal of centered factors; subsets with more than d sites at one time
+    are impossible configurations, so their minors vanish.  Must reproduce
+    the direct enumeration average of multiplicative weights.
     """
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
-    sites = reachable_sites(spec)
-    live = [s for s in sites if field.value(*s) != 1]
+    exact = mode == "exact"
+    values = _site_values(spec, field)
+    live = [s for s, v in values.items() if v != 1]
     if len(live) > site_budget:
         raise BudgetExceeded(
             f"{len(live)} contributing sites exceed budget {site_budget}"
         )
-    table = DiscreteKernelTable(spec, exact=(mode == "exact"))
-    by_time: dict[int, list[tuple[int, int]]] = {}
-    for s in live:
-        by_time.setdefault(s[0], []).append(s)
-    times = sorted(by_time)
-
-    zero = Fraction(0) if mode == "exact" else 0.0
-    one = Fraction(1) if mode == "exact" else 1.0
-    total = zero
-
-    def factor(s):
-        v = field.value(*s)
-        return (Fraction(v) if mode == "exact" else float(v)) - 1
-
-    chosen: list[tuple[int, int]] = []
-
-    def det_of(chosen_sites):
-        if not chosen_sites:
-            return one
-        if mode == "exact":
-            mat = [
-                [table.entry(a, b) for b in chosen_sites] for a in chosen_sites
-            ]
-            return exact_det(mat)
-        arr = np.array(
-            [[table.entry(a, b) for b in chosen_sites] for a in chosen_sites]
-        )
-        return float(np.linalg.det(arr))
-
-    def rec(ti: int, weight):
-        nonlocal total
-        if ti == len(times):
-            total = total + det_of(chosen) * weight
-            return
-        level = by_time[times[ti]]
-        for size in range(0, min(spec.d, len(level)) + 1):
-            for subset in combinations(level, size):
-                w = weight
-                for s in subset:
-                    w = w * factor(s)
-                chosen.extend(subset)
-                rec(ti + 1, w)
-                del chosen[len(chosen) - size :]
-
-    rec(0, one)
-    return total
+    table = DiscreteKernelTable(spec, exact=exact)
+    f = [(Fraction(values[s]) if exact else float(values[s])) - 1 for s in live]
+    # I + K F: column j of the kernel matrix scaled by f_j, one entry per pair
+    mat = [
+        [table.entry(a, b) * f[j] + int(i == j) for j, b in enumerate(live)]
+        for i, a in enumerate(live)
+    ]
+    if exact:
+        return exact_det(mat)
+    return float(np.linalg.det(np.array(mat, dtype=float).reshape(len(live), len(live))))
 
 
 # --- intermediate disorder pipeline ------------------------------------------

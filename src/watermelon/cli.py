@@ -52,12 +52,19 @@ class ExperimentConfig:
     count: int = 1
     enumerate_all: bool = False
     k_max: int = 3
-    t_grid: list[float] = field(default_factory=lambda: [0.1, 0.25, 0.5, 1.0])
-    window: list[float] = field(default_factory=lambda: [0.0, 1.0])
+    t_grid: list[float] | None = None  # default: [0.1, 0.25, 0.5, 1.0] * t_star
+    window: list[float] | None = None  # default: [0.0, t_star]
     criteria: list[int] | None = None
     out_dir: str = "out"
     workers: int = 0  # 0: use available parallelism
     step_budget: int = 24
+
+    def __post_init__(self):
+        # resolved here so that the manifest records the values used
+        if self.t_grid is None:
+            self.t_grid = [t * self.t_star for t in (0.1, 0.25, 0.5, 1.0)]
+        if self.window is None:
+            self.window = [0.0, float(self.t_star)]
 
     def resolved_out_dir(self) -> Path:
         root = os.environ.get(ENV_OUTPUT_ROOT)
@@ -277,8 +284,11 @@ def cmd_grsk(cfg: ExperimentConfig) -> int:
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
     end = kr.ContinuumEndpoint(cfg.t_star, cfg.z_star)
+    # bad times fail before any sampling and leave no output behind
+    ov.check_t_grid(cfg.t_grid, end.t_star)
+    ov.check_window(cfg.window, end.t_star)
+    out, manifest = _start(cfg)
     report = ov.overlap_moment_diagnostics(
         end, cfg.d, cfg.N_list, cfg.t_grid, cfg.k_max, cfg.replicas, cfg.rng()
     )

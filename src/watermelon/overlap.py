@@ -250,6 +250,21 @@ class OverlapMomentReport:
         }
 
 
+def check_t_grid(t_grid: Sequence[float], t_star: float) -> None:
+    """Raise DomainError unless every overlap time lies in [0, t_star].
+
+    t = 0 is the empty window, with zero overlap."""
+    outside = [t for t in t_grid if not 0 <= t <= t_star]
+    if outside:
+        raise DomainError(f"t_grid values {outside} outside [0, {t_star}]")
+
+
+def check_window(window: Sequence[float], t_star: float) -> None:
+    """Raise DomainError if the window reaches outside [0, t_star]."""
+    if window[0] < 0 or window[1] > t_star:
+        raise DomainError(f"window {tuple(window)} outside [0, {t_star}]")
+
+
 def overlap_moment_diagnostics(
     end: ContinuumEndpoint,
     d: int,
@@ -265,7 +280,7 @@ def overlap_moment_diagnostics(
     on every [0, t] window from prefix counts.  Asserts finite-sample
     versions of uniform boundedness in N and decay as t -> 0; the tail ratio
     of successive moment terms is reported, not asserted.  An empty N_list
-    or t_grid raises DomainError.
+    or t_grid, or a time outside [0, t_star], raises DomainError.
     """
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
@@ -273,6 +288,7 @@ def overlap_moment_diagnostics(
         raise DomainError("k_max above 6 is out of budget")
     if not N_list or not t_grid:
         raise DomainError("need a non-empty N_list and t_grid")
+    check_t_grid(t_grid, end.t_star)
     rows = []
     table: dict[tuple[int, float, int], tuple[float, float]] = {}
     for li, N in enumerate(N_list):
@@ -290,8 +306,7 @@ def overlap_moment_diagnostics(
         coincide[:, spec.n_star] = 0
         prefix = np.cumsum(coincide, axis=1)  # overlap on interior of [0, n]
         for t in t_grid:
-            n_t = int(math.floor(t * N + 1e-9))
-            n_t = min(n_t, spec.n_star)
+            n_t = int(math.floor(t * N + 1e-9))  # <= n_star, as t <= t_star
             o_scaled = prefix[:, n_t] / math.sqrt(N)
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
@@ -464,8 +479,7 @@ def overlap_l2_bound_check(
     """
     if not 1 <= k <= 2:
         raise DomainError(f"exact cell sums support 1 <= k <= 2, got {k}")
-    if window[0] < 0 or window[1] > end.t_star:
-        raise DomainError(f"window {tuple(window)} outside [0, {end.t_star}]")
+    check_window(window, end.t_star)
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
     if window[1] <= window[0]:

@@ -1,13 +1,16 @@
 """Partition functions, chaos expansions, and the disorder-scaling pipeline."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from watermelon import chaos_polymer
 from watermelon.chaos_polymer import (
     DISTRIBUTIONS,
     CumulantSpec,
@@ -25,9 +28,14 @@ from watermelon.chaos_polymer import (
     _field_values_batch,
 )
 from watermelon.errors import BudgetExceeded, DomainError
-from watermelon.kernels import ContinuumEndpoint
+from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
 from watermelon.rng import SeedRecord
-from watermelon.walk_ensembles import BridgeSpec, enumerate_trajectories, sample_bridge
+from watermelon.walk_ensembles import (
+    BridgeSpec,
+    enumerate_trajectories,
+    exact_det,
+    sample_bridge,
+)
 
 
 class TestDisorderField:
@@ -161,6 +169,56 @@ class TestEnergyAndPartition:
             partition_exact(spec, field, 0.5)
 
 
+def _subset_chaos_sum(spec, field):
+    """Reference chaos sum: an explicit recursion over the subsets of live
+    sites with at most d sites per time, one exact determinant each."""
+    entry = functools.cache(DiscreteKernelTable(spec, exact=True).entry)
+    by_time = {}
+    for s in reachable_sites(spec):
+        if field.value(*s) != 1:
+            by_time.setdefault(s[0], []).append(s)
+    levels = [by_time[n] for n in sorted(by_time)]
+
+    def rec(ti, chosen, weight):
+        if ti == len(levels):
+            return exact_det([[entry(a, b) for b in chosen] for a in chosen]) * weight
+        total = Fraction(0)
+        for size in range(min(spec.d, len(levels[ti])) + 1):
+            for subset in combinations(levels[ti], size):
+                w = weight
+                for s in subset:
+                    w *= Fraction(field.value(*s)) - 1
+                total += rec(ti + 1, chosen + list(subset), w)
+        return total
+
+    return rec(0, [], Fraction(1))
+
+
+def _criterion_8_fields():
+    """The five specs and two-valued fields of acceptance criterion 8, drawn
+    in its order."""
+    gen = SeedRecord(99, 0).generator()
+    cases = []
+    for d, n_star, x_star in ((1, 4, 0), (1, 6, 2), (2, 4, 0), (2, 6, 0), (2, 6, 2)):
+        spec = BridgeSpec(d, n_star, x_star)
+        field = TableField(
+            {s: Fraction(int(gen.integers(0, 2)) * 2 - 1) for s in reachable_sites(spec)},
+            default=Fraction(1),
+        )
+        cases.append((spec, field))
+    return cases
+
+
+def _rademacher_d2_field(trial):
+    spec = BridgeSpec(2, 6, 0)
+    gen = SeedRecord(42, trial).generator()
+    field = TableField(
+        {s: Fraction(int(gen.integers(0, 2)) * 2 - 1) for s in reachable_sites(spec)},
+        default=Fraction(1),
+    )
+    return spec, field
+
+
 class TestChaosExpansion:
     def test_all_ones_field(self):
         assert chaos_expansion_exact(BridgeSpec(2, 4, 0), TableField({}, default=Fraction(1))) == 1
@@ -175,13 +233,30 @@ class TestChaosExpansion:
 
     @pytest.mark.parametrize("trial", range(3))
     def test_random_rademacher_d2(self, trial):
-        spec = BridgeSpec(2, 6, 0)
-        gen = SeedRecord(42, trial).generator()
-        field = TableField(
-            {s: Fraction(int(gen.integers(0, 2)) * 2 - 1) for s in reachable_sites(spec)},
-            default=Fraction(1),
-        )
+        spec, field = _rademacher_d2_field(trial)
         assert chaos_expansion_exact(spec, field) == partition_product_exact(spec, field)
+
+    @pytest.mark.parametrize(
+        "case",
+        [*(("criterion_8", i) for i in range(5)), *(("rademacher_d2", t) for t in range(3))],
+        ids=lambda c: f"{c[0]}-{c[1]}",
+    )
+    def test_fredholm_determinant_equals_subset_sum(self, case):
+        kind, i = case
+        spec, field = _criterion_8_fields()[i] if kind == "criterion_8" else _rademacher_d2_field(i)
+        got = chaos_expansion_exact(spec, field)
+        assert type(got) is Fraction
+        assert got == _subset_chaos_sum(spec, field)
+
+    def test_mutated_kernel_weight_breaks_equality(self, monkeypatch):
+        class Mutant(DiscreteKernelTable):
+            def __init__(self, spec, exact=False):
+                super().__init__(spec, exact)
+                self.f[-1] *= Fraction(11, 10)
+
+        monkeypatch.setattr(chaos_polymer, "DiscreteKernelTable", Mutant)
+        for spec, field in _criterion_8_fields():
+            assert chaos_expansion_exact(spec, field) != partition_product_exact(spec, field)
 
     def test_float_path_general_field(self):
         # non-two-valued field exercises the full subset lattice in floats

@@ -154,11 +154,32 @@ class TestOverlapCommand:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_window_outside_bridge_rejected(self, tmp_path):
+        # rejected before any sampling: no moments file is left behind
         code = run(["overlap", "--seed", "6", "--d", "2", "--N-list", "12",
                     "--replicas", "100", "--k-max", "2", "--window", "2", "3",
                     "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_defaults_follow_t_star(self, tmp_path):
+        out = tmp_path / "o"
+        code = run(["overlap", "--seed", "3", "--d", "2", "--N-list", "12",
+                    "--replicas", "100", "--k-max", "2", "--t-star", "0.5",
+                    "--out-dir", str(out)])
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["window"] == [0.0, 0.5]
+        assert config["t_grid"] == [0.05, 0.125, 0.25, 0.5]
+        rows = (out / "overlap_moments.csv").read_text().splitlines()[1:]
+        assert sorted({float(r.split(",")[1]) for r in rows}) == config["t_grid"]
+
+    def test_time_beyond_t_star_rejected(self, tmp_path):
+        code = run(["overlap", "--seed", "3", "--d", "2", "--N-list", "12",
+                    "--replicas", "100", "--k-max", "2", "--t-star", "0.5",
+                    "--window", "0", "0.5", "--t-grid", "0.25", "1.0",
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_empty_n_list_in_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from watermelon.chaos_polymer import reachable_sites
 from watermelon.errors import DomainError, ParityError, SpecMismatch
+from watermelon import overlap
 from watermelon.kernels import ContinuumEndpoint
 from watermelon.overlap import (
     ExactBridgeLaw,
@@ -401,6 +402,18 @@ class TestMomentDiagnostics:
         with pytest.raises(DomainError):
             overlap_moment_diagnostics(
                 ContinuumEndpoint(1.0, 0.0), 2, N_list, t_grid, 2, 100, SeedRecord(14, 0)
+            )
+
+    @pytest.mark.parametrize("t_star,t_grid", [(0.5, [0.25, 1.0]), (1.0, [-0.1, 0.5])])
+    def test_time_outside_bridge_raises_before_sampling(self, monkeypatch, t_star, t_grid):
+        # t = 1.0 at t* = 0.5 used to be clipped to n*, duplicating the t* row
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting t_grid")
+
+        monkeypatch.setattr(overlap, "sample_bridges_lockstep", no_sampling)
+        with pytest.raises(DomainError):
+            overlap_moment_diagnostics(
+                ContinuumEndpoint(t_star, 0.0), 2, [16], t_grid, 2, 100, SeedRecord(14, 0)
             )
 
     def test_zero_window(self):
