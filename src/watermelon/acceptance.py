@@ -76,7 +76,7 @@ def crit_1_karlin_mcgregor() -> tuple[bool, str]:
                     continue
                 spec = we.BridgeSpec(d, n, x_star)
                 trajs = we.enumerate_trajectories(spec, budget=24)
-                q = we.km_weight(n, spec.start, spec.end, "exact")
+                q = we.km_weight(n, spec.start, spec.end)
                 if len(trajs) == 0:
                     if q != 0:
                         return False, f"q != 0 for empty bridge {spec}"

@@ -209,9 +209,8 @@ def partition_product_exact(spec: BridgeSpec, field):
     return _bridge_average(spec, lambda n, x: values[n, x])
 
 
-def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,
-                          mode: str = "exact"):
-    """Multilinear chaos sum with kernel-determinant coefficients.
+def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fraction:
+    """Multilinear chaos sum with kernel-determinant coefficients, exactly.
 
     Sums det[K(s_i; s_j)] * prod (field(s) - 1) over all finite subsets of
     the live sites (reachable interior sites whose centered factor is
@@ -219,27 +218,23 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20,
     det(I + K F) with K the kernel matrix over the live sites and F the
     diagonal of centered factors; subsets with more than d sites at one time
     are impossible configurations, so their minors vanish.  Must reproduce
-    the direct enumeration average of multiplicative weights.
+    the direct enumeration average of multiplicative weights.  Float field
+    values enter as the exact binary fractions they are.
     """
-    if mode not in ("exact", "float"):
-        raise DomainError(f"unknown mode {mode!r}")
-    exact = mode == "exact"
     values = _site_values(spec, field)
     live = [s for s, v in values.items() if v != 1]
     if len(live) > site_budget:
         raise BudgetExceeded(
             f"{len(live)} contributing sites exceed budget {site_budget}"
         )
-    table = DiscreteKernelTable(spec, exact=exact)
-    f = [(Fraction(values[s]) if exact else float(values[s])) - 1 for s in live]
+    table = DiscreteKernelTable(spec, exact=True)
+    f = [Fraction(values[s]) - 1 for s in live]
     # I + K F: column j of the kernel matrix scaled by f_j, one entry per pair
     mat = [
         [table.entry(a, b) * f[j] + int(i == j) for j, b in enumerate(live)]
         for i, a in enumerate(live)
     ]
-    if exact:
-        return exact_det(mat)
-    return float(np.linalg.det(np.array(mat, dtype=float).reshape(len(live), len(live))))
+    return exact_det(mat)
 
 
 # --- intermediate disorder pipeline ------------------------------------------

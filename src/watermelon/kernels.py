@@ -312,19 +312,6 @@ class DiscreteKernelTable:
         return total
 
 
-def discrete_kernel(
-    spec: BridgeSpec,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    mode: str = "float",
-) -> float | Fraction:
-    """Discrete bridge kernel K((n,x); (n',x')) at lattice points."""
-    if mode not in ("exact", "float"):
-        raise DomainError(f"unknown mode {mode!r}")
-    table = DiscreteKernelTable(spec, exact=(mode == "exact"))
-    return table.entry(a, b)
-
-
 def discrete_psi_prob(
     spec: BridgeSpec,
     sites: Sequence[tuple[int, int]],
@@ -362,13 +349,12 @@ def rescaled_psi_k(
     end: ContinuumEndpoint,
     d: int,
     query: CorrelationQuery,
-    mode: str = "float",
 ) -> float:
     """Rescaled k-point correlation of the lattice bridge ensemble.
 
-    (sqrt(N)/2)^k times the joint occupation probability of the rounded
-    cells; piecewise constant on tessellation cells, zero when two query
-    points round to the same cell.
+    (sqrt(N)/2)^k times the float joint occupation probability of the
+    rounded cells; piecewise constant on tessellation cells, zero when two
+    query points round to the same cell.
     """
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
@@ -378,9 +364,8 @@ def rescaled_psi_k(
     for n, x in sites:
         if not 0 < n < spec.n_star:
             raise DomainError(f"query time {n} outside the open bridge window")
-    prob = discrete_psi_prob(spec, sites, mode)
-    k = len(sites)
-    return float(prob) * (math.sqrt(N) / 2.0) ** k
+    prob = discrete_psi_prob(spec, sites, "float")
+    return prob * (math.sqrt(N) / 2.0) ** len(sites)
 
 
 def discrete_kernel_rescaled(

@@ -137,10 +137,13 @@ def inverse_gap_sum(
     """Rescaled running sum of reciprocal gaps between two walkers.
 
     Sums 1/(X_b(i) - X_a(i)) for i = 1..floor(t N) and divides by sqrt(N).
-    Gaps are at least 2 on valid ordered trajectories.
+    Gaps are at least 2 on valid ordered trajectories.  Needs t >= 0 and
+    N >= 1.
     """
     if not 1 <= a_idx < b_idx <= trajectory.shape[1]:
         raise DomainError("need 1 <= a < b <= d")
+    if not (t >= 0 and N >= 1):
+        raise DomainError(f"need t >= 0 and N >= 1, got t={t}, N={N}")
     steps = int(math.floor(t * N + 1e-9))
     if steps >= trajectory.shape[0]:
         raise DomainError("window longer than trajectory")
@@ -178,6 +181,8 @@ def expected_inverse_gap_check(
         raise DomainError("need at least two walkers for a gap")
     if not 1 <= a_idx < b_idx <= d:
         raise DomainError("need 1 <= a < b <= d")
+    if any(n < 0 for n in n_list):
+        raise DomainError(f"need every n >= 0, got {list(n_list)}")
     rows = []
     for si, x0 in enumerate(start_configs):
         if x0.d != d:
@@ -250,6 +255,16 @@ class OverlapMomentReport:
         }
 
 
+def _coincidences(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Per replica and time, the number of walker pairs (k, l) with
+    p1[r, n, k] == p2[r, n, l]: int64 counts of shape p1.shape[:2]."""
+    out = np.zeros(p1.shape[:2], dtype=np.int64)
+    for k in range(p1.shape[2]):
+        for l in range(p2.shape[2]):
+            out += p1[:, :, k] == p2[:, :, l]
+    return out
+
+
 def check_t_grid(t_grid: Sequence[float], t_star: float) -> None:
     """Raise DomainError unless every overlap time lies in [0, t_star].
 
@@ -296,10 +311,7 @@ def overlap_moment_diagnostics(
         spec = rounding.bridge_spec(d)
         p1 = sample_bridges_lockstep(spec, replicas, rng.child(2 * li))
         p2 = sample_bridges_lockstep(spec, replicas, rng.child(2 * li + 1))
-        coincide = np.zeros((replicas, spec.n_star + 1), dtype=np.int64)
-        for k in range(d):
-            for l in range(d):
-                coincide += p1[:, :, k] == p2[:, :, l]
+        coincide = _coincidences(p1, p2)
         # interior times only: the pinned configs at steps 0 and n_star
         # coincide deterministically and carry no information
         coincide[:, 0] = 0
@@ -499,12 +511,8 @@ def overlap_l2_bound_check(
     # Monte Carlo RHS
     p1 = sample_bridges_lockstep(spec, replicas, rng.child(0))
     p2 = sample_bridges_lockstep(spec, replicas, rng.child(1))
-    coincide = np.zeros((replicas,), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            coincide += (p1[:, n_lo : n_hi + 1, a] == p2[:, n_lo : n_hi + 1, b]).sum(
-                axis=1
-            )
+    window_steps = slice(n_lo, n_hi + 1)
+    coincide = _coincidences(p1[:, window_steps], p2[:, window_steps]).sum(axis=1)
     vals = (coincide / math.sqrt(N)) ** k / (2**k * math.factorial(k))
     rhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
@@ -578,8 +586,9 @@ def drift_bound_sweep(
     running sum (1/sqrt(N)) sum_n |E[step | position]| along sampled free
     trajectories is summarized by its first two moments per t.
     """
-    if d > 5:
-        raise DomainError("sweep supports d <= 5")
+    if not 2 <= d <= 5:
+        # one walker has no gap, so its drift bound is 0
+        raise DomainError(f"sweep supports 2 <= d <= 5, got d={d}")
     gen = rng.generator()
     violations = 0
     max_ratio = 0.0

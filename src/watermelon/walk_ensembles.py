@@ -1,11 +1,13 @@
 """Exact laws, samplers, and enumeration oracles for non-intersecting walks.
 
 The state space is the period-2 Weyl chamber: strictly increasing integer
-vectors whose coordinates all share one parity.  Every determinant in the
-toolkit goes through one of two helpers here: :func:`exact_det` (the oracle,
-exact rationals) and :func:`signed_logdet` (row-scaled doubles, for large
-instances).  Every exact path sum over the chamber goes through one sweep,
-:func:`chamber_path_sums`.
+vectors whose coordinates all share one parity.  Two determinant helpers
+live here: :func:`exact_det` (the oracle, exact rationals, behind every
+exact law) and :func:`signed_logdet` (row-scaled doubles, for the large
+positive-entry LGV matrices of `grsk`).  The float kernel determinants of
+`kernels` (`continuum_psi_k`, float `discrete_psi_prob`) have O(1) gauged
+entries and call ``np.linalg.det`` directly.  Every exact path sum over the
+chamber goes through one sweep, :func:`chamber_path_sums`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .errors import (
     UnreachableState,
 )
 from .rng import SeedRecord
-
-_NEG_DET_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -181,66 +181,45 @@ def log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "exact"):
+def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "exact") -> Fraction:
     """Non-intersection probability q_n between two configurations.
 
-    Determinant of single-walk binomial transition probabilities.  Modes:
-    ``exact`` (Fraction) and ``float`` (row-scaled doubles).  Out-of-reach
-    targets return 0.
+    Exact determinant of single-walk binomial transition probabilities, a
+    Fraction; out-of-reach targets return 0.  The only legal `mode` is
+    ``"exact"``: the argument stays because callers (the benchmark harness
+    among them) pass it positionally.  Any other value raises DomainError.
     """
-    if mode not in ("exact", "float"):
-        raise DomainError(f"unknown mode {mode!r}")
+    if mode != "exact":
+        raise DomainError(f"unknown mode {mode!r}; km_weight is exact only")
     if n < 0:
         raise DomainError("need n >= 0")
     if frm.d != to.d:
         raise DomainError("configuration sizes differ")
-    d = frm.d
     if n == 0:
-        same = frm.positions == to.positions
-        return Fraction(1 if same else 0) if mode == "exact" else float(same)
+        return Fraction(int(frm.positions == to.positions))
     if (frm.positions[0] + to.positions[0] + n) % 2 != 0:
-        return Fraction(0) if mode == "exact" else 0.0
-    if mode == "exact":
-        mat = [
-            [_binom(n, Fraction(n + xi - yj, 2)) for yj in to.positions]
-            for xi in frm.positions
-        ]
-        q = exact_det(mat) / 2 ** (n * d)
-        if q < 0:
-            raise DomainError(f"negative exact determinant {q}; invalid configurations")
-        return q
-    logm = np.array(
-        [
-            [log_binom(n, (n + xi - yj) // 2) if (n + xi - yj) % 2 == 0 else -math.inf
-             for yj in to.positions]
-            for xi in frm.positions
-        ]
-    )
-    sign, logdet = signed_logdet(logm)
-    if sign < 0:
-        # roundoff around a singular matrix leaves a tiny row-scaled determinant
-        if logdet - logm.max(axis=1).sum() < math.log(_NEG_DET_TOL):
-            return 0.0
-        raise DomainError(f"negative determinant (log|det| = {logdet}) beyond roundoff")
-    return sign * math.exp(logdet - n * d * math.log(2.0))
+        return Fraction(0)
+    mat = [
+        [_binom(n, Fraction(n + xi - yj, 2)) for yj in to.positions]
+        for xi in frm.positions
+    ]
+    q = exact_det(mat) / 2 ** (n * frm.d)
+    if q < 0:
+        raise DomainError(f"negative exact determinant {q}; invalid configurations")
+    return q
 
 
 def bridge_transition(
-    spec: BridgeSpec,
-    n: int,
-    x: WeylConfig,
-    n_prime: int,
-    x_prime: WeylConfig,
-    mode: str = "exact",
-):
-    """Conditional law of the bridge: P(X(n') = x' | X(n) = x)."""
+    spec: BridgeSpec, n: int, x: WeylConfig, n_prime: int, x_prime: WeylConfig
+) -> Fraction:
+    """Conditional law of the bridge: P(X(n') = x' | X(n) = x), exactly."""
     if not 0 <= n < n_prime <= spec.n_star:
         raise DomainError("need 0 <= n < n' <= n_star")
-    denom = km_weight(spec.n_star - n, x, spec.end, mode)
+    denom = km_weight(spec.n_star - n, x, spec.end)
     if denom == 0:
         raise UnreachableState(f"bridge cannot occupy {x.positions} at time {n}")
-    num = km_weight(n_prime - n, x, x_prime, mode) * km_weight(
-        spec.n_star - n_prime, x_prime, spec.end, mode
+    num = km_weight(n_prime - n, x, x_prime) * km_weight(
+        spec.n_star - n_prime, x_prime, spec.end
     )
     return num / denom
 
@@ -300,11 +279,11 @@ def chamber_path_sums(
     return layers
 
 
-def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig, mode: str = "exact"):
-    """List of (successor, probability) pairs for the bridge at time n."""
+def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig):
+    """List of (successor, exact probability) pairs for the bridge at time n."""
     out = []
     for y in _step_candidates(x):
-        p = bridge_transition(spec, n, x, n + 1, y, mode)
+        p = bridge_transition(spec, n, x, n + 1, y)
         if p != 0:
             out.append((y, p))
     return out
@@ -574,10 +553,10 @@ def radon_nikodym(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:
 
 def radon_nikodym_ratio(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:
     """Oracle for :func:`radon_nikodym`: direct ratio of the two laws."""
-    num = km_weight(spec.n_star - n, x, spec.end, "exact") * vandermonde(
+    num = km_weight(spec.n_star - n, x, spec.end) * vandermonde(
         spec.start.positions
     )
-    den = km_weight(spec.n_star, spec.start, spec.end, "exact") * vandermonde(
+    den = km_weight(spec.n_star, spec.start, spec.end) * vandermonde(
         x.positions
     )
     if den == 0:

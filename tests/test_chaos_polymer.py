@@ -150,10 +150,14 @@ class TestEnergyAndPartition:
              for s in reachable_sites(spec)},
             default=Fraction(1),
         )
-        boltzmann, product = [], []
+        # every interior visit of every trajectory, read in one batch
+        interior = trajs[:, 1 : spec.n_star]
+        times = np.broadcast_to(np.arange(1, spec.n_star)[None, :, None], interior.shape)
+        energy = gauss.values(times, interior).reshape(len(trajs), -1).sum(axis=1)
+        boltzmann = np.exp(0.6 * energy)
+        product = []
         for t in trajs:
             visits = [(n, int(x)) for n in range(1, spec.n_star) for x in t[n]]
-            boltzmann.append(math.exp(0.6 * sum(gauss.value(*v) for v in visits)))
             product.append(math.prod(frac.value(*v) for v in visits))
         assert partition_exact(spec, gauss, 0.6) == pytest.approx(np.mean(boltzmann), rel=1e-13)
         exact = partition_product_exact(spec, frac)
@@ -259,15 +263,17 @@ class TestChaosExpansion:
             assert chaos_expansion_exact(spec, field) != partition_product_exact(spec, field)
 
     def test_float_path_general_field(self):
-        # non-two-valued field exercises the full subset lattice in floats
+        # a non-two-valued float field: its values enter the determinant as
+        # exact binary fractions, against the float transfer sum
         spec = BridgeSpec(2, 4, 0)
         gen = SeedRecord(43, 0).generator()
         field = TableField(
             {s: float(gen.uniform(0.7, 1.4)) for s in reachable_sites(spec)}, default=1.0
         )
         lhs = partition_product_exact(spec, field)
-        rhs = chaos_expansion_exact(spec, field, mode="float")
-        assert rhs == pytest.approx(lhs, rel=1e-10)
+        rhs = chaos_expansion_exact(spec, field)
+        assert type(rhs) is Fraction
+        assert float(rhs) == pytest.approx(lhs, rel=1e-10)
 
     def test_site_budget(self):
         spec = BridgeSpec(2, 10, 0)

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from watermelon.chaos_polymer import TableField, chaos_expansion_exact
 from watermelon.errors import DomainError
 from watermelon.kernels import (
     ContinuumEndpoint,
     CorrelationQuery,
     SpaceTimePoint,
     continuum_psi_k,
-    discrete_kernel,
     discrete_psi_prob,
     rescaled_psi_k,
 )
@@ -23,9 +21,7 @@ from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
     WeylConfig,
-    bridge_transition,
     km_weight,
-    one_step_bridge_law,
     radon_nikodym,
     sample_bridges_lockstep,
 )
@@ -167,15 +163,7 @@ class TestReflectionSymmetry:
 _SPEC = BridgeSpec(2, 6, 0)
 _MODE_CALLS = {
     "km_weight": lambda m: km_weight(2, _SPEC.start, _SPEC.start, m),
-    "bridge_transition": lambda m: bridge_transition(
-        _SPEC, 0, _SPEC.start, 1, WeylConfig((1, 3)), m
-    ),
-    "one_step_bridge_law": lambda m: one_step_bridge_law(_SPEC, 0, _SPEC.start, m),
-    "discrete_kernel": lambda m: discrete_kernel(_SPEC, (3, 1), (3, 1), m),
     "discrete_psi_prob": lambda m: discrete_psi_prob(_SPEC, [(3, 1)], m),
-    "chaos_expansion_exact": lambda m: chaos_expansion_exact(
-        _SPEC, TableField({(3, 1): Fraction(2)}, default=Fraction(1)), mode=m
-    ),
 }
 
 

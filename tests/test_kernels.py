@@ -19,7 +19,6 @@ from watermelon.kernels import (
     continuum_kernel,
     continuum_psi_k,
     convergence_grid,
-    discrete_kernel,
     discrete_psi_prob,
     kernel_convergence_study,
     nearest_parity,
@@ -157,7 +156,7 @@ class TestDiscreteKernel:
     def test_parity_error(self):
         spec = BridgeSpec(2, 6, 0)
         with pytest.raises(ParityError):
-            discrete_kernel(spec, (2, 1), (3, 1))
+            DiscreteKernelTable(spec).entry((2, 1), (3, 1))
 
     def test_single_walker_occupation(self):
         # 1x1 determinant reproduces the binomial bridge law exactly

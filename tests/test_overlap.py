@@ -28,6 +28,7 @@ from watermelon.overlap import (
 from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
+    PathEnsembleSample,
     WeylConfig,
     chamber_path_sums,
     delta_config,
@@ -35,6 +36,7 @@ from watermelon.walk_ensembles import (
     free_step_law,
     km_weight,
     sample_bridge,
+    sample_bridges_lockstep,
     sample_free_walks_lockstep,
     vandermonde,
 )
@@ -177,6 +179,13 @@ class TestInverseGapSum:
         with pytest.raises(DomainError):
             inverse_gap_sum(walks[0], 2, 1, 0.5, 8)
 
+    @pytest.mark.parametrize("t,N", [(-0.05, 100), (0.5, 0), (0.5, -4)])
+    def test_rejects_negative_time_and_scale_below_one(self, t, N):
+        # a negative t would read gaps from the end of the trajectory
+        traj = sample_bridge(BridgeSpec(2, 20, 0), SeedRecord(1, 0)).trajectory
+        with pytest.raises(DomainError):
+            inverse_gap_sum(traj, 1, 2, t, N)
+
     def test_moment_ceiling(self):
         # k-th moment over k! within the square-root profile, constant fitted at k=1
         walks = sample_free_walks_lockstep(delta_config(2, 0), 64, 4000, SeedRecord(7, 0))
@@ -217,6 +226,10 @@ class TestExpectedInverseGap:
     def test_rejects_single_walker(self):
         with pytest.raises(DomainError):
             expected_inverse_gap_check(1, 1, 1, [4], [delta_config(1, 0)], SeedRecord(0, 0))
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(DomainError):
+            expected_inverse_gap_check(2, 1, 2, [4, -1], [delta_config(2, 0)], SeedRecord(0, 0))
 
     @pytest.mark.parametrize("x0", [(0, 2), (-3, 1), (0, 2, 4), (0, 4, 10)])
     def test_free_law_is_h_transformed_count(self, x0):
@@ -390,6 +403,18 @@ class TestL2Bound:
 
 
 class TestMomentDiagnostics:
+    def test_coincidences_match_overlap_time(self):
+        spec = BridgeSpec(3, 10, 2)
+        p1 = sample_bridges_lockstep(spec, 6, SeedRecord(12, 0))
+        p2 = sample_bridges_lockstep(spec, 6, SeedRecord(12, 1))
+        counts = overlap._coincidences(p1, p2)
+        assert counts.dtype == np.int64 and counts.shape == (6, 11)
+        for r in range(6):
+            s1 = PathEnsembleSample(spec, p1[r])
+            s2 = PathEnsembleSample(spec, p2[r])
+            for n in range(11):
+                assert counts[r, n] == overlap_time(s1, s2, n, n).total
+
     @pytest.mark.parametrize("k_max", [0, -1, 7])
     def test_k_max_outside_range_raises(self, k_max):
         with pytest.raises(DomainError):
@@ -465,3 +490,9 @@ class TestDriftSweep:
     def test_d_cap(self):
         with pytest.raises(DomainError):
             drift_bound_sweep(6, (1, 5), SeedRecord(19, 0), configs=1)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_rejects_fewer_than_two_walkers(self, d):
+        # one walker has no gap: its drift bound is 0
+        with pytest.raises(DomainError):
+            drift_bound_sweep(d, (1, 5), SeedRecord(19, 0), configs=1)

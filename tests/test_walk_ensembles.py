@@ -88,12 +88,10 @@ class TestKmWeight:
                 count, 2 ** (d * n)
             )
 
-    def test_float_matches_exact(self):
-        for d, n, xs in ((2, 10, 0), (3, 8, 2), (2, 12, -4)):
-            spec = BridgeSpec(d, n, xs)
-            exact = float(km_weight(n, spec.start, spec.end, "exact"))
-            approx = km_weight(n, spec.start, spec.end, "float")
-            assert approx == pytest.approx(exact, rel=1e-11)
+    def test_float_mode_raises(self):
+        spec = BridgeSpec(2, 10, 0)
+        with pytest.raises(DomainError):
+            km_weight(10, spec.start, spec.end, "float")
 
 
 class TestBridgeTransition:
@@ -116,7 +114,7 @@ class TestBridgeTransition:
 
         counts = Counter(tuple(t[1]) for t in trajs)
         law = dict(
-            (y.positions, p) for y, p in one_step_bridge_law(spec, 0, spec.start, "exact")
+            (y.positions, p) for y, p in one_step_bridge_law(spec, 0, spec.start)
         )
         for pos, c in counts.items():
             assert law[pos] == Fraction(c, len(trajs))
@@ -124,7 +122,7 @@ class TestBridgeTransition:
     def test_rows_sum_to_one(self):
         spec = BridgeSpec(3, 8, 2)
         for n, x in ((0, delta_config(3, 0)), (3, delta_config(3, 1)), (4, delta_config(3, -2))):
-            total = sum(p for _, p in one_step_bridge_law(spec, n, x, "exact"))
+            total = sum(p for _, p in one_step_bridge_law(spec, n, x))
             assert total == 1
 
     def test_chapman_kolmogorov(self):
@@ -137,17 +135,14 @@ class TestBridgeTransition:
             if (a + 4) % 2 == 0 and (b - a) % 2 == 0
         ]
         for x2 in targets:
-            direct = bridge_transition(spec, 0, x, 4, x2, "exact")
+            direct = bridge_transition(spec, 0, x, 4, x2)
             via = Fraction(0)
-            via_float = 0.0
-            for x1, p1 in one_step_bridge_law(spec, 0, x, "exact"):
+            for x1, p1 in one_step_bridge_law(spec, 0, x):
                 try:
-                    via += p1 * bridge_transition(spec, 1, x1, 4, x2, "exact")
-                    via_float += float(p1) * bridge_transition(spec, 1, x1, 4, x2, "float")
+                    via += p1 * bridge_transition(spec, 1, x1, 4, x2)
                 except UnreachableState:
                     pass
             assert via == direct
-            assert abs(via_float - float(direct)) <= 1e-12
 
     def test_unreachable_state(self):
         spec = BridgeSpec(1, 4, 0)
@@ -443,7 +438,7 @@ class TestBridgeStepper:
             w /= w.sum(axis=1, keepdims=True)
             for row, x in enumerate(states):
                 x = WeylConfig(tuple(int(v) for v in x))
-                law = {y.positions: float(p) for y, p in one_step_bridge_law(spec, n, x, "exact")}
+                law = {y.positions: float(p) for y, p in one_step_bridge_law(spec, n, x)}
                 for c in range(1 << d):
                     p = law.get(tuple(int(v) for v in cand[row, c]), 0.0)
                     assert (w[row, c] == 0) == (p == 0)
