@@ -405,8 +405,11 @@ def intermediate_disorder_run(
     function is estimated by :func:`smc_partition_estimates` with
     `inner_paths` particles.  Two centerings are reported: interior-site
     (d(n_star - 1) sites, exactly mean-one for the unbiased estimator) and
-    the asymptotic one (d * n_star sites).
+    the asymptotic one (d * n_star sites).  An empty N_list raises
+    DomainError.
     """
+    if not N_list:
+        raise DomainError("N_list is empty")
     cumulant = CumulantSpec.for_distribution(distribution)
     levels = []
     for li, N in enumerate(N_list):

@@ -17,7 +17,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             continue
         payload[key] = value
     payload.setdefault("command", args.command)
+    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise WatermelonError(f"unknown config keys {unknown}")
     cfg = ExperimentConfig(**payload)
     if cfg.command in MC_COMMANDS and not cfg.enumerate_all and cfg.seed is None:
         raise WatermelonError(f"--seed is mandatory for the {cfg.command} command")
@@ -377,11 +380,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int)
+    def common(p, seed=True, d=True):
+        # only the flags the command reads
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--d", type=int)
-        p.add_argument("--workers", type=int)
+        if seed:
+            p.add_argument("--seed", type=int)
+        if d:
+            p.add_argument("--d", type=int)
 
     p = sub.add_parser("sample", help="sample or enumerate bridge trajectories")
     common(p)
@@ -393,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("kernels", help="lattice-to-continuum kernel convergence study")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--t-star", dest="t_star", type=float)
     p.add_argument("--z-star", dest="z_star", type=float)
     p.add_argument("--N-list", dest="N_list", type=int, nargs="+")
@@ -429,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
+    common(p, seed=False, d=False)
+    p.add_argument("--workers", type=int)
     p.add_argument("--criteria", type=int, nargs="+", help="criterion ids to run (default: all)")
     p.set_defaults(func=cmd_verify)
 

@@ -28,7 +28,6 @@ class WeightMatrix:
     """Finite window of strictly positive weights, 1-indexed as entries[i-1][j-1]."""
 
     entries: tuple[tuple[float, ...], ...]
-    generator: dict | None = None  # distribution spec + seed when random
 
     def __post_init__(self):
         for row in self.entries:
@@ -54,8 +53,8 @@ class WeightMatrix:
         return cls(tuple(tuple(value for _ in range(m)) for _ in range(n)))
 
     @classmethod
-    def from_array(cls, arr, generator: dict | None = None) -> "WeightMatrix":
-        return cls(tuple(tuple(row) for row in arr), generator)
+    def from_array(cls, arr) -> "WeightMatrix":
+        return cls(tuple(tuple(row) for row in arr))
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -330,8 +329,11 @@ def rescaled_tau_run(
 
     Weights are inverse-Gamma with parameter beta^{-1} sqrt(N); the
     normalization divides by the exact mean to the power d(2N+d), by
-    2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.
+    2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.  An empty
+    N_list raises DomainError.
     """
+    if not N_list:
+        raise DomainError("N_list is empty")
     for N in N_list:  # every level is checked before any is drawn
         theta = math.sqrt(N) / beta
         if theta <= 2:

@@ -61,11 +61,13 @@ class CorrelationQuery:
         return len(self.points)
 
 
-def alpha_factor(t_star: float, t: float) -> float:
-    """The argument rescaling sqrt(t_star / (2 t (t_star - t)))."""
-    if not 0.0 < t < t_star:
-        raise DomainError(f"t={t} outside (0, {t_star})")
-    return math.sqrt(t_star / (2.0 * t * (t_star - t)))
+def alpha_factor(t_star: float, t):
+    """The argument rescaling sqrt(t_star / (2 t (t_star - t))), elementwise."""
+    t = np.asarray(t, dtype=float)
+    inside = (0.0 < t) & (t < t_star)
+    if not inside.all():
+        raise DomainError(f"t={t[~inside]} outside (0, {t_star})")
+    return np.sqrt(t_star / (2.0 * t * (t_star - t)))
 
 
 _ROUND_EPS = 1e-9
@@ -122,60 +124,38 @@ class LatticeRounding:
         return round_point2(self.N * p.t, math.sqrt(self.N) * p.z)
 
 
-def _rho(t: float, z: float) -> float:
-    return math.exp(-z * z / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+def _kernel(end: ContinuumEndpoint, d: int, t, z, tp, zp) -> np.ndarray:
+    """The continuum kernel K(t, z; t', z') on broadcast arrays of coordinates.
+
+    Nonzero terminal offset enters the Hermite arguments through a shift
+    along the line from (0,0) to (t_star, z_star); the heat term is the plain
+    unshifted Gaussian, present only when t < t'.  This gauge is the one the
+    rescaled lattice kernel converges to pointwise.
+    """
+    ts, zs = end.t_star, end.z_star
+    at = alpha_factor(ts, t)
+    atp = alpha_factor(ts, tp)
+    yc = (z - zs * t / ts) * at
+    ypc = (zp - zs * tp / ts) * atp
+    ratio = (t * (ts - tp)) / ((ts - t) * tp)
+    s = sum(
+        ratio ** (j / 2.0) * hermite_normalized(j, yc) * hermite_normalized(j, ypc)
+        for j in range(d)
+    )
+    front = np.sqrt(ts / (2.0 * tp * (ts - t)))
+    decay = np.exp(-((z - zs) ** 2) / (2.0 * (ts - t))) * np.exp(-zp * zp / (2.0 * tp))
+    val = math.exp(zs * zs / (2.0 * ts)) * front * s * decay
+    fwd = t < tp
+    dt = np.where(fwd, tp - t, 1.0)
+    heat = np.exp(-((zp - z) ** 2) / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    return val - np.where(fwd, heat, 0.0)
 
 
 def continuum_kernel(
-    end: ContinuumEndpoint,
-    d: int,
-    a: SpaceTimePoint,
-    b: SpaceTimePoint,
-    gauge: str = "shift",
+    end: ContinuumEndpoint, d: int, a: SpaceTimePoint, b: SpaceTimePoint
 ) -> float:
-    """Correlation kernel of d non-intersecting Brownian bridges.
-
-    Nonzero terminal offset enters through a coordinate shift along the line
-    from (0,0) to (t_star, z_star).  Two equivalent gauges are provided (all
-    k x k determinants agree):
-
-    * ``shift``: the shifted-and-exponentially-gauged form, with the heat
-      term written in shifted coordinates;
-    * ``heat``: the gauge whose heat term is the plain unshifted Gaussian.
-      This is the form the rescaled lattice kernel converges to pointwise,
-      so the convergence study compares in this gauge.
-    """
-    ts, zs = end.t_star, end.z_star
-    t, z = a.t, a.z
-    tp, zp = b.t, b.z
-    for u in (t, tp):
-        if not 0.0 < u < ts:
-            raise DomainError(f"time {u} outside (0, {ts})")
-    zc = z - zs * t / ts
-    zpc = zp - zs * tp / ts
-    at = alpha_factor(ts, t)
-    atp = alpha_factor(ts, tp)
-    front = math.sqrt(ts / (2.0 * tp * (ts - t)))
-    ratio = (t * (ts - tp)) / ((ts - t) * tp)
-    s = 0.0
-    for j in range(d):
-        s += ratio ** (j / 2.0) * hermite_normalized(j, zc * at) * hermite_normalized(
-            j, zpc * atp
-        )
-    if gauge == "shift":
-        val = -_rho(tp - t, zpc - zc) if t < tp else 0.0
-        decay = math.exp(-zc * zc / (2.0 * (ts - t))) * math.exp(-zpc * zpc / (2.0 * tp))
-        val += front * s * decay
-        gfac = math.exp((zs / ts) * zpc) / math.exp((zs / ts) * zc)
-        return val * gfac
-    if gauge == "heat":
-        val = -_rho(tp - t, zp - z) if t < tp else 0.0
-        decay = math.exp(-((z - zs) ** 2) / (2.0 * (ts - t))) * math.exp(
-            -zp * zp / (2.0 * tp)
-        )
-        const = math.exp(zs * zs / (2.0 * ts))
-        return val + const * front * s * decay
-    raise DomainError(f"unknown gauge {gauge!r}")
+    """Correlation kernel K(a; b) of d non-intersecting Brownian bridges."""
+    return float(_kernel(end, d, a.t, a.z, b.t, b.z))
 
 
 def continuum_psi_k(end: ContinuumEndpoint, d: int, query: CorrelationQuery) -> float:
@@ -183,11 +163,9 @@ def continuum_psi_k(end: ContinuumEndpoint, d: int, query: CorrelationQuery) -> 
     pts = query.points
     if len(set(pts)) != len(pts):
         return 0.0
-    k = len(pts)
-    mat = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            mat[i, j] = continuum_kernel(end, d, pts[i], pts[j])
+    t = np.array([p.t for p in pts])
+    z = np.array([p.z for p in pts])
+    mat = _kernel(end, d, t[:, None], z[:, None], t[None, :], z[None, :])
     return float(np.linalg.det(mat))
 
 
@@ -368,18 +346,6 @@ def rescaled_psi_k(
     return prob * (math.sqrt(N) / 2.0) ** len(sites)
 
 
-def discrete_kernel_rescaled(
-    N: int, end: ContinuumEndpoint, d: int, a: SpaceTimePoint, b: SpaceTimePoint
-) -> float:
-    """(sqrt(N)/2) K_lattice at the rounded coordinates of two continuum points."""
-    rounding = LatticeRounding.of(N, end)
-    spec = rounding.bridge_spec(d)
-    table = DiscreteKernelTable(spec)
-    sa = rounding.round_query_point(a)
-    sb = rounding.round_query_point(b)
-    return math.sqrt(N) / 2.0 * table.entry(sa, sb)
-
-
 @dataclass
 class ConvergenceRow:
     N: int
@@ -425,16 +391,24 @@ def kernel_convergence_study(
 ) -> ConvergenceReport:
     """Sup-errors |K^(N) - K| over a fixed grid of point pairs, per N.
 
-    Flags a violation when the sup-error fails to decrease monotonically from
-    the smallest to the largest N.
+    K^(N) is (sqrt(N)/2) times the lattice kernel at the rounded coordinates
+    of each pair, from one kernel table per N.  Flags a violation when the
+    sup-error fails to decrease monotonically from the smallest to the
+    largest N; fewer than two distinct N raise DomainError.
     """
+    if len(set(N_list)) < 2:
+        raise DomainError(f"the convergence study needs two or more N, got {list(N_list)}")
+    coords = np.array([(a.t, a.z, b.t, b.z) for a, b in grid]).T
+    limits = _kernel(end, d, *coords).tolist()
     rows = []
     sup: dict[int, float] = {}
-    limits = [continuum_kernel(end, d, a, b, gauge="heat") for a, b in grid]
     for N in N_list:
+        rounding = LatticeRounding.of(N, end)
+        table = DiscreteKernelTable(rounding.bridge_spec(d))
         worst = 0.0
         for pid, (a, b) in enumerate(grid):
-            kn = discrete_kernel_rescaled(N, end, d, a, b)
+            entry = table.entry(rounding.round_query_point(a), rounding.round_query_point(b))
+            kn = math.sqrt(N) / 2.0 * entry
             err = abs(kn - limits[pid])
             worst = max(worst, err)
             rows.append(
@@ -443,7 +417,7 @@ def kernel_convergence_study(
         sup[N] = worst
     ns = sorted(sup)
     errs = [sup[n] for n in ns]
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0]) if len(ns) > 1 else 0.0
+    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     return ConvergenceReport(rows=rows, sup_error=sup, slope=slope, decreasing=decreasing)
 
@@ -502,19 +476,19 @@ def psi_l2_norm_mc(
     """
     ts, zs = end.t_star, end.z_star
     gen = rng.generator()
-    vals = np.empty(mc_samples)
-    log_simplex = k * math.log(ts) - math.lgamma(k + 1)
+    t = np.empty((mc_samples, k))
+    du = np.empty((mc_samples, k))
     for i in range(mc_samples):
-        t = np.sort(gen.uniform(0.0, ts, size=k))
-        dt = np.diff(np.concatenate(([0.0], t)))
-        du = gen.normal(0.0, np.sqrt(dt))
-        u = np.cumsum(du)
-        z = u + zs * t / ts
-        log_q = -log_simplex
-        log_q += float(np.sum(-0.5 * np.log(2 * math.pi * dt) - du**2 / (2 * dt)))
-        pts = tuple(SpaceTimePoint(float(tt), float(zz)) for tt, zz in zip(t, z))
-        psi = continuum_psi_k(end, d, CorrelationQuery(pts))
-        vals[i] = psi * psi * math.exp(-log_q)
+        t[i] = np.sort(gen.uniform(0.0, ts, size=k))
+        du[i] = gen.normal(0.0, np.sqrt(np.diff(t[i], prepend=0.0)))
+    dt = np.diff(t, axis=1, prepend=0.0)
+    z = np.cumsum(du, axis=1) + zs * t / ts
+    log_simplex = k * math.log(ts) - math.lgamma(k + 1)
+    log_q = np.sum(-0.5 * np.log(2 * math.pi * dt) - du**2 / (2 * dt), axis=1) - log_simplex
+    # one k x k kernel matrix per sample, then one batched determinant
+    mat = _kernel(end, d, t[:, :, None], z[:, :, None], t[:, None, :], z[:, None, :])
+    psi = np.linalg.det(mat)
+    vals = psi * psi * np.exp(-log_q)
     # ordered-simplex integral of psi^2 times k! = full-cube norm
     est = float(vals.mean()) * math.factorial(k)
     se = float(vals.std(ddof=1) / math.sqrt(mc_samples)) * math.factorial(k)

@@ -161,6 +161,9 @@ class InverseGapReport:
                 "note": "the uniform constant is existential; the fitted ceiling is reported, not asserted as ground truth"}
 
 
+_EXACT_STATE_BUDGET = 4096  # reachable states up to which the gap law is exact
+
+
 def expected_inverse_gap_check(
     d: int,
     a_idx: int,
@@ -169,12 +172,12 @@ def expected_inverse_gap_check(
     start_configs: Sequence[WeylConfig],
     rng: SeedRecord,
     mc_samples: int = 20000,
-    exact_budget: int = 4096,
 ) -> InverseGapReport:
     """Table of E[sqrt(n) / gap(n)] for the free ensemble, per (n, start).
 
     Exact (the free-walk law from one chamber path-count sweep) when the
-    reachable state count stays within budget, Monte Carlo otherwise.
+    reachable state count stays within _EXACT_STATE_BUDGET, Monte Carlo
+    otherwise.
     Asserts only finiteness and reports the empirical ceiling.
     """
     if d < 2:
@@ -188,7 +191,7 @@ def expected_inverse_gap_check(
         if x0.d != d:
             raise DomainError("start config has wrong walker count")
         for ni, n in enumerate(n_list):
-            exact = _reachable_count_estimate(d, n) <= exact_budget
+            exact = _reachable_count_estimate(d, n) <= _EXACT_STATE_BUDGET
             if exact:
                 val = _exact_inverse_gap(x0, n, a_idx, b_idx)
                 se = 0.0
@@ -453,7 +456,7 @@ class L2BoundReport:
     lhs_cell_sum: float
     rhs_mc: float
     rhs_se: float
-    rhs_exact: float | None
+    rhs_exact: float
     holds: bool
 
     def to_json_dict(self) -> dict:
@@ -476,13 +479,12 @@ def overlap_l2_bound_check(
     k: int,
     rng: SeedRecord,
     replicas: int = 20000,
-    rhs_exact: bool = False,
 ) -> L2BoundReport:
     """Squared-correlation cell sum against the overlap moment bound.
 
     LHS: exact sum over ordered interior lattice time tuples and positions of
-    psi_k^2 times cell volumes (the piecewise-constant integral).  RHS: Monte
-    Carlo estimate of E[(O[window])^k] / (2^k k!).  Both sides run over the
+    psi_k^2 times cell volumes (the piecewise-constant integral).  RHS:
+    E[(O[window])^k] / (2^k k!), by Monte Carlo and exactly.  Both sides run over the
     same interior lattice steps max(1, floor(Ns)) .. min(n_star-1, floor(Ns'))
     (the pinned endpoint configs coincide deterministically and are excluded),
     which makes k = 1 an exact equality and k >= 2 an inequality whose slack
@@ -497,7 +499,7 @@ def overlap_l2_bound_check(
     if window[1] <= window[0]:
         # empty ordered-time domain: both sides vanish
         return L2BoundReport(k=k, window=(0, -1), lhs_cell_sum=0.0, rhs_mc=0.0,
-                             rhs_se=0.0, rhs_exact=0.0 if rhs_exact else None, holds=True)
+                             rhs_se=0.0, rhs_exact=0.0, holds=True)
     n_lo = max(1, int(math.floor(window[0] * N + 1e-9)))
     n_hi = min(int(math.floor(window[1] * N + 1e-9)), spec.n_star - 1)
     law = ExactBridgeLaw(spec)
@@ -516,12 +518,10 @@ def overlap_l2_bound_check(
     vals = (coincide / math.sqrt(N)) ** k / (2**k * math.factorial(k))
     rhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))
-    exact_rhs = None
-    if rhs_exact:
-        # E[O^k] for two independent bridges: the squared k-site
-        # probabilities, with each pair of distinct times counted in both orders
-        moment = same if k == 1 else same + 2 * cross
-        exact_rhs = float(moment / N ** (k / 2) / (2**k * math.factorial(k)))
+    # exact RHS, E[O^k] for two independent bridges: the squared k-site
+    # probabilities, with each pair of distinct times counted in both orders
+    moment = same if k == 1 else same + 2 * cross
+    exact_rhs = float(moment / N ** (k / 2) / (2**k * math.factorial(k)))
     holds = lhs <= rhs + 3 * se
     return L2BoundReport(
         k=k, window=(n_lo, n_hi), lhs_cell_sum=lhs, rhs_mc=rhs, rhs_se=se,
@@ -584,11 +584,13 @@ def drift_bound_sweep(
 
     Random configurations with gaps in gap_range are checked exactly; the
     running sum (1/sqrt(N)) sum_n |E[step | position]| along sampled free
-    trajectories is summarized by its first two moments per t.
+    trajectories is summarized by its first two moments per t, a fraction
+    of path_n; a t outside [0, 1] raises DomainError.
     """
     if not 2 <= d <= 5:
         # one walker has no gap, so its drift bound is 0
         raise DomainError(f"sweep supports 2 <= d <= 5, got d={d}")
+    check_t_grid(t_grid, 1.0)
     gen = rng.generator()
     violations = 0
     max_ratio = 0.0
@@ -610,7 +612,7 @@ def drift_bound_sweep(
     walks = sample_free_walks_lockstep(delta_config(d, 0), path_n, path_replicas, rng.child(7))
     moments = {}
     for t in t_grid:
-        steps = min(int(t * path_n), path_n)
+        steps = int(t * path_n)
         stat = np.zeros(path_replicas)
         for k in range(1, d + 1):
             for n in range(1, steps + 1):

@@ -39,10 +39,10 @@ def hermite(j: int, y: Real) -> Real:
     return h
 
 
-def hermite_normalized(j: int, y: float) -> float:
-    """H_j(y) / sqrt(sqrt(pi) * j! * 2^j)."""
+def hermite_normalized(j: int, y):
+    """H_j(y) / sqrt(sqrt(pi) * j! * 2^j), elementwise on arrays."""
     norm = math.sqrt(math.sqrt(math.pi) * math.factorial(j) * 2.0**j)
-    return float(hermite(j, y)) / norm
+    return hermite(j, y) / norm
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,53 @@ class TestConfigFile:
         assert (tmp_path / "nested" / "manifest.json").exists()
 
 
+def assert_no_files(out):
+    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
+
+class TestBadInputs:
+    """Inputs that used to crash or pass vacuously exit 2 and write nothing."""
+
+    def _run_with_config(self, tmp_path, capsys, payload, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code = run(["--config", str(cfg), *args, "--out-dir", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert_no_files(out)
+
+    @pytest.mark.parametrize("args", [
+        ["kernels", "--d", "1"],
+        ["polymer", "--seed", "3", "--d", "1", "--replicas", "4", "--inner-paths", "4"],
+        ["grsk", "--seed", "5", "--d", "2", "--replicas", "4"],
+    ])
+    def test_empty_n_list(self, tmp_path, capsys, args):
+        self._run_with_config(tmp_path, capsys, {"N_list": []}, args)
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        self._run_with_config(tmp_path, capsys, {"foo": 1},
+                              ["sample", "--d", "1", "--n-star", "2", "--enumerate-all"])
+
+    def test_kernels_needs_two_scales(self, tmp_path, capsys):
+        out = tmp_path / "k"
+        code = run(["kernels", "--d", "1", "--N-list", "50", "--out-dir", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert_no_files(out)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("sample", "--workers"), ("kernels", "--workers"), ("polymer", "--workers"),
+        ("grsk", "--workers"), ("overlap", "--workers"), ("kernels", "--seed"),
+        ("verify", "--seed"), ("verify", "--d"),
+    ])
+    def test_flags_the_command_ignores_are_rejected(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "7", "--out-dir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert_no_files(tmp_path / "x")
+
+
 class TestKernelsCommand:
     def test_convergence_outputs(self, tmp_path):
         out = tmp_path / "k"

@@ -359,7 +359,7 @@ class TestL2Bound:
     def test_k1_interior_equality(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 2, 8, (0.25, 0.75), 1, SeedRecord(10, 0),
-            replicas=2000, rhs_exact=True,
+            replicas=2000,
         )
         assert rep.lhs_cell_sum == pytest.approx(rep.rhs_exact, rel=1e-12)
         assert rep.holds
@@ -367,7 +367,7 @@ class TestL2Bound:
     def test_k1_full_window_equality_d1(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 1, 6, (0.0, 1.0), 1, SeedRecord(11, 0),
-            replicas=2000, rhs_exact=True,
+            replicas=2000,
         )
         assert rep.lhs_cell_sum == pytest.approx(rep.rhs_exact, rel=1e-12)
 
@@ -375,14 +375,14 @@ class TestL2Bound:
         # sampling-path first moment against the exact squared-occupation sum
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 1, 10, (0.0, 1.0), 1, SeedRecord(25, 0),
-            replicas=40_000, rhs_exact=True,
+            replicas=40_000,
         )
         assert abs(rep.rhs_mc - rep.rhs_exact) <= 3 * rep.rhs_se
 
     def test_k2_inequality_with_slack(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 2, 12, (0.0, 1.0), 2, SeedRecord(12, 0),
-            replicas=8000, rhs_exact=True,
+            replicas=8000,
         )
         assert rep.lhs_cell_sum < rep.rhs_exact
         assert rep.holds
@@ -490,6 +490,14 @@ class TestDriftSweep:
     def test_d_cap(self):
         with pytest.raises(DomainError):
             drift_bound_sweep(6, (1, 5), SeedRecord(19, 0), configs=1)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_rejects_times_outside_unit_interval(self, t):
+        # t is a fraction of path_n: below 0 the row was silently zero, above
+        # 1 it repeated the t = 1 row
+        with pytest.raises(DomainError):
+            drift_bound_sweep(2, (1, 5), SeedRecord(19, 0), configs=1, path_n=8,
+                              path_replicas=10, t_grid=(0.5, t))
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_rejects_fewer_than_two_walkers(self, d):
