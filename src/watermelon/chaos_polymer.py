@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
@@ -122,15 +121,6 @@ class CumulantSpec:
     @classmethod
     def for_distribution(cls, name: str) -> "CumulantSpec":
         return cls(_distribution(name)[1])
-
-    @classmethod
-    def numeric(cls, density: Callable[[float], float], lo: float, hi: float) -> "CumulantSpec":
-        """Quadrature-backed cumulant for custom densities (tolerance 1e-12)."""
-        def lam(b: float) -> float:
-            val, _ = quad(lambda w: math.exp(b * w) * density(w), lo, hi,
-                          epsabs=1e-12, epsrel=1e-12, limit=200)
-            return math.log(val)
-        return cls(lam)
 
 
 def zeta_variance_ratio(beta: float, N: int, cumulant: CumulantSpec) -> float:

@@ -169,6 +169,12 @@ class RunManifest:
         (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
+def _exit_code(manifest: RunManifest) -> int:
+    """0 iff every boolean assertion of the manifest holds, else 1."""
+    flags = [v for v in manifest.assertions.values() if isinstance(v, bool)]
+    return 0 if all(flags) else 1
+
+
 def _start(cfg: ExperimentConfig) -> tuple[Path, RunManifest]:
     out = cfg.resolved_out_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +206,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
     print(f"wrote {len(samples)} trajectories to {out}")
-    return 0
+    return _exit_code(manifest)
 
 
 def cmd_kernels(cfg: ExperimentConfig) -> int:
@@ -222,7 +228,7 @@ def cmd_kernels(cfg: ExperimentConfig) -> int:
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
     print(f"convergence study written to {out}; decreasing={report.decreasing}")
-    return 0 if report.decreasing else 1
+    return _exit_code(manifest)
 
 
 def cmd_polymer(cfg: ExperimentConfig) -> int:
@@ -248,9 +254,8 @@ def cmd_polymer(cfg: ExperimentConfig) -> int:
         manifest.assertions[f"sigma_ratio_N{lv.N}"] = lv.sigma_ratio
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
-    ok = all(v for k, v in manifest.assertions.items() if k.startswith("mean_within"))
     print(f"polymer run written to {out}")
-    return 0 if ok else 1
+    return _exit_code(manifest)
 
 
 def cmd_grsk(cfg: ExperimentConfig) -> int:
@@ -283,7 +288,7 @@ def cmd_grsk(cfg: ExperimentConfig) -> int:
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
     print(f"grsk run written to {out}")
-    return 0 if (lgv_ok and dp_ok and mm_ok) else 1
+    return _exit_code(manifest)
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> int:
@@ -316,9 +321,8 @@ def cmd_overlap(cfg: ExperimentConfig) -> int:
     manifest.assertions["l2_bound_holds"] = bound.holds
     manifest.wall_clock = time.time() - manifest.started
     manifest.write(out)
-    ok = report.bounded_in_n and report.decays_to_zero and bound.holds
     print(f"overlap diagnostics written to {out}")
-    return 0 if ok else 1
+    return _exit_code(manifest)
 
 
 def resolve_workers(requested: int, jobs: int) -> int:
@@ -368,7 +372,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     manifest.write(out)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 1 if failed else 0
+    return _exit_code(manifest)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,11 +9,9 @@ this vertex-weight geometry.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -55,20 +53,6 @@ class WeightMatrix:
     @classmethod
     def from_array(cls, arr) -> "WeightMatrix":
         return cls(tuple(tuple(row) for row in arr))
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in self.entries:
-                w.writerow([float(v) for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "WeightMatrix":
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                rows.append(tuple(float(v) for v in row))
-        return cls(tuple(rows))
 
 
 def single_path_sum(w: WeightMatrix, start: tuple[int, int], end: tuple[int, int]):

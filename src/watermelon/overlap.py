@@ -39,6 +39,11 @@ from .walk_ensembles import (
 )
 
 
+def _lattice_steps(t: float, N: int) -> int:
+    """floor(t N), robust to t N landing just below an integer (0.29 * 100)."""
+    return math.floor(t * N + 1e-9)
+
+
 @dataclass(frozen=True)
 class OverlapRecord:
     """Pairwise and total coincidence counts over a time window."""
@@ -144,7 +149,7 @@ def inverse_gap_sum(
         raise DomainError("need 1 <= a < b <= d")
     if not (t >= 0 and N >= 1):
         raise DomainError(f"need t >= 0 and N >= 1, got t={t}, N={N}")
-    steps = int(math.floor(t * N + 1e-9))
+    steps = _lattice_steps(t, N)
     if steps >= trajectory.shape[0]:
         raise DomainError("window longer than trajectory")
     gaps = trajectory[1 : steps + 1, b_idx - 1] - trajectory[1 : steps + 1, a_idx - 1]
@@ -321,7 +326,7 @@ def overlap_moment_diagnostics(
         coincide[:, spec.n_star] = 0
         prefix = np.cumsum(coincide, axis=1)  # overlap on interior of [0, n]
         for t in t_grid:
-            n_t = int(math.floor(t * N + 1e-9))  # <= n_star, as t <= t_star
+            n_t = _lattice_steps(t, N)  # <= n_star, as t <= t_star
             o_scaled = prefix[:, n_t] / math.sqrt(N)
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
@@ -500,8 +505,8 @@ def overlap_l2_bound_check(
         # empty ordered-time domain: both sides vanish
         return L2BoundReport(k=k, window=(0, -1), lhs_cell_sum=0.0, rhs_mc=0.0,
                              rhs_se=0.0, rhs_exact=0.0, holds=True)
-    n_lo = max(1, int(math.floor(window[0] * N + 1e-9)))
-    n_hi = min(int(math.floor(window[1] * N + 1e-9)), spec.n_star - 1)
+    n_lo = max(1, _lattice_steps(window[0], N))
+    n_hi = min(_lattice_steps(window[1], N), spec.n_star - 1)
     law = ExactBridgeLaw(spec)
     # integral = sum psi_k^2 * vol^k with psi_k = (sqrt(N)/2)^k P and
     # vol = 2 N^{-3/2}, i.e. 2^{-k} N^{-k/2} times the sum of P^2
@@ -612,7 +617,7 @@ def drift_bound_sweep(
     walks = sample_free_walks_lockstep(delta_config(d, 0), path_n, path_replicas, rng.child(7))
     moments = {}
     for t in t_grid:
-        steps = int(t * path_n)
+        steps = _lattice_steps(t, path_n)
         stat = np.zeros(path_replicas)
         for k in range(1, d + 1):
             for n in range(1, steps + 1):

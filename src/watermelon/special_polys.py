@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, ParityError, PoleError
+from .errors import DomainError, PoleError
 
 Real = Union[int, float, Fraction]
 
@@ -139,29 +139,6 @@ def _p_tilde_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) ->
         beta=Fraction(-(n_star + x_star), 2) - d,
         M=n_star - n + d - 1,
     )
-
-
-def _check_lattice(n: int, x: int, n_star: int, x_star: int) -> None:
-    if (n_star + x_star) % 2 != 0:
-        raise ParityError(f"endpoint ({n_star}, {x_star}) has odd parity")
-    if (n + x) % 2 != 0:
-        raise ParityError(f"lattice point ({n}, {x}) has odd parity")
-    if not 0 <= n <= n_star:
-        raise DomainError(f"time {n} outside [0, {n_star}]")
-
-
-def hahn_P(j: int, n: int, x: int, d: int, n_star: int, x_star: int, exact: bool = False) -> Real:
-    """The Hahn-family polynomial attached to the forward endpoint data."""
-    _check_lattice(n, x, n_star, x_star)
-    p = _p_params(j, n, x, d, n_star, x_star)
-    return hahn_exact(p) if exact else hahn(p)
-
-
-def hahn_P_tilde(j: int, n: int, x: int, d: int, n_star: int, x_star: int, exact: bool = False) -> Real:
-    """The reflected Hahn-family polynomial attached to the backward endpoint data."""
-    _check_lattice(n, x, n_star, x_star)
-    p = _p_tilde_params(j, n, x, d, n_star, x_star)
-    return hahn_exact(p) if exact else hahn(p)
 
 
 def rescaled_hahn_G(j: int, y: float, M: int, p: float, c: float, gamma: float) -> float:

@@ -6,8 +6,12 @@ live here: :func:`exact_det` (the oracle, exact rationals, behind every
 exact law) and :func:`signed_logdet` (row-scaled doubles, for the large
 positive-entry LGV matrices of `grsk`).  The float kernel determinants of
 `kernels` (`continuum_psi_k`, float `discrete_psi_prob`) have O(1) gauged
-entries and call ``np.linalg.det`` directly.  Every exact path sum over the
-chamber goes through one sweep, :func:`chamber_path_sums`.
+entries and call ``np.linalg.det`` directly.  Exact path sums over the
+chamber go through one sweep, :func:`chamber_path_sums`, with one
+exception: the pair-site transfer of `overlap.ExactBridgeLaw` moves one
+marked layer per site from time n1 and keeps only configurations in the
+backward layers, which this sweep cannot prune by.  Without that pruning
+the same sums run several times slower.
 """
 
 from __future__ import annotations
@@ -362,7 +366,13 @@ class BridgeStepper:
         )
 
     def _move_log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
-        """Log-weights of shape (2^d, P): move-major, move c as in `signs`."""
+        """Log-weights of the 2^d moves of each row of `paths` at time n.
+
+        Shape (2^d, P), move-major; row c is the move by row c of `signs`.
+        The value is log V(y) + sum_i log binom(m+d-1, (m+y_i-x*)/2), which
+        is log q_m up to a constant per call, and -inf for moves that leave
+        the chamber or cannot reach the endpoint.
+        """
         d = self.spec.d
         lo, table = self._binomials(n)
         idx = paths.T - lo
@@ -378,16 +388,6 @@ class BridgeStepper:
         for i, j, shift in self._gap_shift:
             logw = logw + self._log_gap.take(paths[:, j] - paths[:, i] + shift)
         return logw.reshape(1 << d, len(paths))
-
-    def log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
-        """Log-weights of the 2^d moves of each row of `paths` at time n.
-
-        Shape (P, 2^d); column c is the move by row c of `signs`.  The value
-        is log V(y) + sum_i log binom(m+d-1, (m+y_i-x*)/2), which is log q_m
-        up to a constant per call, and -inf for moves that leave the chamber
-        or cannot reach the endpoint.
-        """
-        return self._move_log_weights(paths, n).T
 
     def step(self, paths: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
         """Advance every row of `paths` from time n to n + 1.

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from watermelon import chaos_polymer
 from watermelon.chaos_polymer import (
@@ -73,11 +74,26 @@ class TestCumulant:
         with pytest.raises(DomainError):
             lam(1.0)
 
-    def test_numeric_quadrature_matches_gaussian(self):
-        density = lambda w: math.exp(-w * w / 2) / math.sqrt(2 * math.pi)
-        lam = CumulantSpec.numeric(density, -12, 12)
-        for b in (0.3, 1.1):
-            assert lam(b) == pytest.approx(b * b / 2, abs=1e-10)
+    def test_closed_forms_match_quadrature(self):
+        # log E[exp(b w)] integrated against each density, independently of
+        # the closed forms the package ships
+        def log_mgf(log_density, lo, hi, b):
+            val, _ = quad(lambda w: math.exp(b * w + log_density(w)), lo, hi,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)
+            return math.log(val)
+
+        gaussian = lambda w: -w * w / 2 - 0.5 * math.log(2 * math.pi)
+        shifted_exponential = lambda w: -(w + 1)
+        for b in (0.3, 0.7, 0.9):
+            assert CumulantSpec.for_distribution("gaussian")(b) == pytest.approx(
+                log_mgf(gaussian, -math.inf, math.inf, b), abs=1e-10
+            )
+            assert CumulantSpec.for_distribution("shifted_exponential")(b) == pytest.approx(
+                log_mgf(shifted_exponential, -1.0, math.inf, b), abs=1e-10
+            )
+            assert CumulantSpec.for_distribution("rademacher")(b) == pytest.approx(
+                math.log(0.5 * math.exp(b) + 0.5 * math.exp(-b)), abs=1e-15
+            )
 
     def test_small_beta_expansion(self):
         lam = CumulantSpec.for_distribution("rademacher")

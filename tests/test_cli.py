@@ -3,11 +3,13 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from watermelon import acceptance, cli, grsk
+from watermelon import acceptance, cli, grsk, kernels
 from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
 
@@ -137,6 +139,15 @@ class TestKernelsCommand:
         assert lines[0].startswith("N,pair_id")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions"]["duplicate_query_is_zero"] is True
+
+    def test_nonzero_duplicate_query_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "rescaled_psi_k", lambda *args: 0.5)
+        out = tmp_path / "k"
+        code = run(["kernels", "--N-list", "20", "40", "--out-dir", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["assertions"]["duplicate_query_is_zero"] is False
+        assert manifest["assertions"]["sup_error_decreasing"] is True
 
 
 class TestPolymerCommand:
@@ -368,3 +379,16 @@ class TestWorkers:
     def test_unknown_criterion_rejected(self, tmp_path):
         code = run(["verify", "--criteria", "7", "99", "--out-dir", str(tmp_path / "v")])
         assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse alone takes ~0.4 s to import on a 2-core host, several
+    # times the rest of the package's start-up. Library code that needs scipy
+    # (for example a sparse chamber-transfer engine) imports it inside the
+    # function that uses it, so that commands which never reach it do not pay.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import watermelon.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

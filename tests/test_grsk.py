@@ -299,16 +299,3 @@ class TestRescaledRun:
         assert tau / c ** (d * (2 * N + d)) == pytest.approx(
             macmahon_count(N, d), rel=1e-12
         )
-
-
-class TestCsvRoundTrip:
-    def test_weight_matrix(self, tmp_path):
-        gen = SeedRecord(1, 0).generator()
-        w = WeightMatrix.from_array(gen.uniform(0.5, 2.0, size=(3, 5)))
-        path = tmp_path / "w.csv"
-        w.to_csv(path)
-        back = WeightMatrix.from_csv(path)
-        assert back.n == 3 and back.m == 5
-        for i in range(1, 4):
-            for j in range(1, 6):
-                assert back.at(i, j) == pytest.approx(w.at(i, j))

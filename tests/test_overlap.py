@@ -491,6 +491,14 @@ class TestDriftSweep:
         with pytest.raises(DomainError):
             drift_bound_sweep(6, (1, 5), SeedRecord(19, 0), configs=1)
 
+    def test_window_rounds_like_the_other_overlap_sums(self):
+        # 0.29 * 100 = 28.999...; floor(t N + 1e-9) gives 29 steps, as in
+        # inverse_gap_sum, while int(t N) gave 28 and repeated the t = 0.28 row
+        rep = drift_bound_sweep(2, (1, 5), SeedRecord(19, 0), configs=1, path_n=100,
+                                path_replicas=10, t_grid=(0.28, 0.29))
+        rows = rep.path_stat_moments
+        assert rows["t=0.28"] != rows["t=0.29"]
+
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_rejects_times_outside_unit_interval(self, t):
         # t is a fraction of path_n: below 0 the row was silently zero, above

@@ -13,9 +13,9 @@ from watermelon.errors import DomainError, PoleError
 from watermelon.special_polys import (
     HahnParams,
     hahn,
+    _p_params,
+    _p_tilde_params,
     hahn_exact,
-    hahn_P,
-    hahn_P_tilde,
     hermite,
     hermite_normalized,
     rescaled_hahn_G,
@@ -159,8 +159,8 @@ class TestHahn:
 
 class TestEndpointFamilies:
     def test_degree_zero_everywhere(self):
-        assert hahn_P(0, 2, 0, 2, 4, 0) == 1.0
-        assert hahn_P_tilde(0, 2, 0, 2, 4, 0) == 1.0
+        assert hahn_exact(_p_params(0, 2, 0, 2, 4, 0)) == 1.0
+        assert hahn_exact(_p_tilde_params(0, 2, 0, 2, 4, 0)) == 1.0
 
     def test_reflected_at_origin(self):
         # at (n, x) = (0, 0) the reflected family evaluates at (n*-x*)/2
@@ -174,18 +174,12 @@ class TestEndpointFamilies:
                     6 + 2 - 1,
                 )
             )
-            assert hahn_P_tilde(j, 0, 0, 2, 6, 2, exact=True) == direct
+            assert hahn_exact(_p_tilde_params(j, 0, 0, 2, 6, 2)) == direct
 
     def test_degree_one_example(self):
         # d=2, n*=4, x*=0, (n,x)=(2,0): argument 1, top parameters -4, -4
-        val = hahn_P(1, 2, 0, 2, 4, 0, exact=True)
+        val = hahn_exact(_p_params(1, 2, 0, 2, 4, 0))
         assert val == 1 - Fraction((-4 - 4 + 2) * 1, (-4 + 1) * 3)
-
-    def test_parity_error(self):
-        from watermelon.errors import ParityError
-
-        with pytest.raises(ParityError):
-            hahn_P(1, 2, 1, 2, 4, 0)
 
 
 class TestRescaledFamily:

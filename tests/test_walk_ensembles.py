@@ -433,7 +433,7 @@ class TestBridgeStepper:
         for n in range(n_star):
             states = np.unique(trajs[:, n], axis=0)
             cand = states[:, None, :] + stepper.signs[None, :, :]
-            logw = stepper.log_weights(states, n)
+            logw = stepper._move_log_weights(states, n).T
             w = np.exp(logw - logw.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             for row, x in enumerate(states):
