@@ -11,12 +11,9 @@ across N.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -288,15 +285,6 @@ class PolymerReport:
                 for lv in self.levels
             ],
         }
-
-    def write(self, json_path: str | Path, csv_path: str | Path) -> None:
-        Path(json_path).write_text(json.dumps(self.to_json_dict(), indent=2))
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "replica", "centered_Z_interior_sites"])
-            for lv in self.levels:
-                for i, v in enumerate(lv.draws_interior):
-                    w.writerow([lv.N, i, float(v)])
 
 
 def freedman_diaconis(draws: np.ndarray) -> dict:

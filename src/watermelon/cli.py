@@ -1,15 +1,18 @@
-"""Command-line front end: experiments, configuration, tabular output.
+"""Command-line front end: experiments, configuration, and every file written.
 
 Commands: sample | kernels | polymer | grsk | overlap | verify.  A JSON
 config file supplies defaults; flags override fields.  Monte Carlo commands
-require an explicit --seed (no silent entropy).  Every run writes a manifest
-with the resolved config, seeds, versions, wall-clock, and per-assertion
-outcomes; exact paths reproduce bit-for-bit from the manifest.
+require an explicit --seed (no silent entropy).  This is the only module
+that writes files: each command returns its files and assertions, and
+:func:`run_command` writes them, then a manifest with the resolved config,
+seeds, versions, wall-clock, per-assertion outcomes and the list of files.
+Exact paths reproduce bit-for-bit from the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -17,7 +20,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,94 +148,104 @@ def _source_revision() -> str | None:
 
 
 @dataclass
-class RunManifest:
-    config: dict
-    version: str
-    started: float
-    wall_clock: float = 0.0
+class Outcome:
+    """What a command computed, before anything reaches the disk.
+
+    `files` maps each output file name to a JSON payload (a dict) or to a
+    CSV header and its rows; `assertions` and `criteria` go to the manifest.
+    """
+
+    files: dict = field(default_factory=dict)
     assertions: dict = field(default_factory=dict)
     criteria: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-
-    def write(self, out_dir: Path) -> None:
-        payload = {
-            "config": self.config,
-            "package_version": self.version,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "git_revision": _source_revision(),
-            "wall_clock_seconds": self.wall_clock,
-            "assertions": self.assertions,
-            "criteria": self.criteria,
-            "outputs": self.outputs,
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
-def _exit_code(manifest: RunManifest) -> int:
-    """0 iff every boolean assertion of the manifest holds, else 1."""
-    flags = [v for v in manifest.assertions.values() if isinstance(v, bool)]
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2))
+
+
+def run_command(command, cfg: ExperimentConfig) -> int:
+    """Run one command, write its files and manifest, and return its exit code.
+
+    The command computes everything before the output directory is made, so
+    a command that raises leaves no file or directory behind.  The exit code
+    is 0 iff every boolean assertion holds, else 1; numeric assertions are
+    reported, not judged.
+    """
+    started = time.time()
+    outcome = command(cfg)
+    out = cfg.resolved_out_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in outcome.files.items():
+        if isinstance(data, dict):
+            _write_json(out / name, data)
+        else:
+            header, rows = data
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+    _write_json(out / "manifest.json", {
+        "config": vars(cfg),
+        "package_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_revision": _source_revision(),
+        "wall_clock_seconds": time.time() - started,
+        "assertions": outcome.assertions,
+        "criteria": outcome.criteria,
+        "outputs": [str(out / name) for name in outcome.files],
+    })
+    flags = [v for v in outcome.assertions.values() if isinstance(v, bool)]
+    print(f"{sum(flags)}/{len(flags)} assertions hold; "
+          f"{len(outcome.files)} files and the manifest written to {out}")
     return 0 if all(flags) else 1
 
 
-def _start(cfg: ExperimentConfig) -> tuple[Path, RunManifest]:
-    out = cfg.resolved_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config=cfg.__dict__.copy(), version=__version__, started=time.time())
-    return out, manifest
-
-
-def cmd_sample(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
+def cmd_sample(cfg: ExperimentConfig) -> Outcome:
     if cfg.n_star is None:
         raise WatermelonError("sample needs --n-star")
     spec = we.BridgeSpec(cfg.d, cfg.n_star, cfg.x_star)
+    outcome = Outcome()
     if cfg.enumerate_all:
         samples = we.enumerate_bridges(spec, budget=cfg.step_budget)
-        manifest.assertions["enumeration_count"] = len(samples)
+        outcome.assertions["enumeration_count"] = len(samples)
     else:
         samples = [
             we.sample_bridge(spec, cfg.rng(i)) for i in range(cfg.count)
         ]
+    header = ["step"] + [f"walker_{i + 1}" for i in range(spec.d)]
     for i, s in enumerate(samples):
         s.validate()
-        path = out / f"trajectory_{i:05d}.csv"
-        we.sample_to_csv(s, path)
-        manifest.outputs.append(str(path))
-        (out / f"trajectory_{i:05d}.json").write_text(
-            json.dumps(we.sample_envelope(s), indent=2)
-        )
-    manifest.assertions["all_valid"] = True
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    print(f"wrote {len(samples)} trajectories to {out}")
-    return _exit_code(manifest)
+        rows = [[n, *row] for n, row in enumerate(s.trajectory.tolist())]
+        outcome.files[f"trajectory_{i:05d}.csv"] = (header, rows)
+        outcome.files[f"trajectory_{i:05d}.json"] = we.sample_envelope(s)
+    outcome.assertions["all_valid"] = True
+    return outcome
 
 
-def cmd_kernels(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
+def cmd_kernels(cfg: ExperimentConfig) -> Outcome:
     end = kr.ContinuumEndpoint(cfg.t_star, cfg.z_star)
     grid = kr.convergence_grid(end, 0.1, 0.1, 2.0)
     report = kr.kernel_convergence_study(end, cfg.d, grid, cfg.N_list)
-    csv_path = out / "kernel_convergence.csv"
-    json_path = out / "kernel_convergence_summary.json"
-    report.to_csv(csv_path)
-    report.to_json(json_path)
-    manifest.outputs += [str(csv_path), str(json_path)]
-    manifest.assertions["sup_error_decreasing"] = report.decreasing
-    manifest.assertions["fitted_slope"] = report.slope
     # duplicate-point rule demonstration
     p = kr.SpaceTimePoint(cfg.t_star / 2, 0.0)
     psi_dup = kr.rescaled_psi_k(cfg.N_list[0], end, cfg.d, kr.CorrelationQuery((p, p)))
-    manifest.assertions["duplicate_query_is_zero"] = psi_dup == 0.0
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    print(f"convergence study written to {out}; decreasing={report.decreasing}")
-    return _exit_code(manifest)
+    header = ["N", "pair_id", "t", "z", "t_prime", "z_prime", "K_N", "K", "abs_err"]
+    return Outcome(
+        files={
+            "kernel_convergence.csv": (header, [astuple(r) for r in report.rows]),
+            "kernel_convergence_summary.json": report.to_json_dict(),
+        },
+        assertions={
+            "sup_error_decreasing": report.decreasing,
+            "fitted_slope": report.slope,
+            "duplicate_query_is_zero": psi_dup == 0.0,
+        },
+    )
 
 
-def cmd_polymer(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
+def cmd_polymer(cfg: ExperimentConfig) -> Outcome:
     end = kr.ContinuumEndpoint(cfg.t_star, cfg.z_star)
     report = cp.intermediate_disorder_run(
         end,
@@ -244,22 +257,21 @@ def cmd_polymer(cfg: ExperimentConfig) -> int:
         distribution=cfg.distribution,
         inner_paths=cfg.inner_paths,
     )
-    json_path = out / "polymer_report.json"
-    csv_path = out / "polymer_draws.csv"
-    report.write(json_path, csv_path)
-    manifest.outputs += [str(json_path), str(csv_path)]
+    draws = [
+        [lv.N, i, float(v)] for lv in report.levels for i, v in enumerate(lv.draws_interior)
+    ]
+    outcome = Outcome(files={
+        "polymer_report.json": report.to_json_dict(),
+        "polymer_draws.csv": (["N", "replica", "centered_Z_interior_sites"], draws),
+    })
     for lv in report.levels:
         pull = abs(lv.mean_interior - 1.0) / lv.se_interior if lv.se_interior else 0.0
-        manifest.assertions[f"mean_within_3se_N{lv.N}"] = bool(pull <= 3.0)
-        manifest.assertions[f"sigma_ratio_N{lv.N}"] = lv.sigma_ratio
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    print(f"polymer run written to {out}")
-    return _exit_code(manifest)
+        outcome.assertions[f"mean_within_3se_N{lv.N}"] = bool(pull <= 3.0)
+        outcome.assertions[f"sigma_ratio_N{lv.N}"] = lv.sigma_ratio
+    return outcome
 
 
-def cmd_grsk(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
+def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
     gen = cfg.rng().generator()
     # oracle cross-checks at desk scale, including log_tau_lgv, which the
     # scaling run below uses
@@ -274,35 +286,29 @@ def cmd_grsk(cfg: ExperimentConfig) -> int:
         tl = grsk.tau_lgv(w, d, n, m)
         lgv_ok &= bool(abs(tl - te) <= 1e-9 * abs(te))
         dp_ok &= bool(abs(grsk.log_tau_lgv(np.log(arr), d) - math.log(tl)) <= 1e-9)
-    manifest.assertions["lgv_equals_enumeration"] = lgv_ok
-    manifest.assertions["log_dp_matches_lgv"] = dp_ok
     ones = grsk.WeightMatrix.constant(cfg.d + 2, cfg.d + 2, 1.0)
     mm_ok = abs(
         grsk.tau_lgv(ones, cfg.d, cfg.d + 2, cfg.d + 2) - we.macmahon_count(2, cfg.d)
     ) < 1e-9 * we.macmahon_count(2, cfg.d)
-    manifest.assertions["all_ones_count_matches"] = bool(mm_ok)
     report = grsk.rescaled_tau_run(cfg.beta, cfg.N_list, cfg.replicas, cfg.rng(1), d=cfg.d)
-    json_path = out / "grsk_report.json"
-    json_path.write_text(json.dumps(report.to_json_dict(), indent=2))
-    manifest.outputs.append(str(json_path))
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    print(f"grsk run written to {out}")
-    return _exit_code(manifest)
+    return Outcome(
+        files={"grsk_report.json": report.to_json_dict()},
+        assertions={
+            "lgv_equals_enumeration": lgv_ok,
+            "log_dp_matches_lgv": dp_ok,
+            "all_ones_count_matches": bool(mm_ok),
+        },
+    )
 
 
-def cmd_overlap(cfg: ExperimentConfig) -> int:
+def cmd_overlap(cfg: ExperimentConfig) -> Outcome:
     end = kr.ContinuumEndpoint(cfg.t_star, cfg.z_star)
-    # bad times fail before any sampling and leave no output behind
-    ov.check_t_grid(cfg.t_grid, end.t_star)
+    # a bad window fails before any sampling (the moment diagnostics check
+    # their times first thing)
     ov.check_window(cfg.window, end.t_star)
-    out, manifest = _start(cfg)
     report = ov.overlap_moment_diagnostics(
         end, cfg.d, cfg.N_list, cfg.t_grid, cfg.k_max, cfg.replicas, cfg.rng()
     )
-    csv_path = out / "overlap_moments.csv"
-    report.to_csv(csv_path)
-    json_path = out / "overlap_summary.json"
     bound = ov.overlap_l2_bound_check(
         end,
         cfg.d,
@@ -312,17 +318,18 @@ def cmd_overlap(cfg: ExperimentConfig) -> int:
         cfg.rng(1),
         replicas=cfg.replicas,
     )
-    payload = report.to_json_dict()
-    payload["l2_bound"] = bound.to_json_dict()
-    json_path.write_text(json.dumps(payload, indent=2))
-    manifest.outputs += [str(csv_path), str(json_path)]
-    manifest.assertions["moments_bounded_in_N"] = report.bounded_in_n
-    manifest.assertions["moments_decay_to_zero"] = report.decays_to_zero
-    manifest.assertions["l2_bound_holds"] = bound.holds
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    print(f"overlap diagnostics written to {out}")
-    return _exit_code(manifest)
+    header = ["N", "t", "k", "moment_over_k_factorial", "se"]
+    return Outcome(
+        files={
+            "overlap_moments.csv": (header, [astuple(r) for r in report.rows]),
+            "overlap_summary.json": {**report.to_json_dict(), "l2_bound": bound.to_json_dict()},
+        },
+        assertions={
+            "moments_bounded_in_N": report.bounded_in_n,
+            "moments_decay_to_zero": report.decays_to_zero,
+            "l2_bound_holds": bound.holds,
+        },
+    )
 
 
 def resolve_workers(requested: int, jobs: int) -> int:
@@ -334,8 +341,7 @@ def resolve_workers(requested: int, jobs: int) -> int:
     return max(1, min(requested, jobs))
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    out, manifest = _start(cfg)
+def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     known = [cid for cid, _, _, _ in acceptance.CRITERIA]
     unknown = set(cfg.criteria or ()) - set(known)
     if unknown:
@@ -358,21 +364,18 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             print(res.line(), flush=True)
     else:
         results = acceptance.run_all(ids=ids)
+    outcome = Outcome()
     for res in results:
         key = f"criterion_{res.crit_id:02d}_{res.name}"
-        manifest.assertions[key] = res.passed
-        manifest.criteria[key] = {
+        outcome.assertions[key] = res.passed
+        outcome.criteria[key] = {
             "seconds": res.seconds,
             "cpu_seconds": res.cpu_seconds,
             "load_avg": res.load_avg,
             "limit_seconds": res.limit_seconds,
             "detail": res.detail,
         }
-    manifest.wall_clock = time.time() - manifest.started
-    manifest.write(out)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return _exit_code(manifest)
+    return outcome
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -445,8 +448,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.func(cfg)
+        return run_command(args.func, build_config(args))
     except WatermelonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,9 @@ Both are evaluated in their gauged forms, which keep every entry O(1).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +70,11 @@ def alpha_factor(t_star: float, t):
 _ROUND_EPS = 1e-9
 
 
+def lattice_steps(t: float, N: int) -> int:
+    """floor(N t), robust to N t landing just below an integer (0.29 * 100)."""
+    return math.floor(N * t + _ROUND_EPS)
+
+
 def round_point2(t: float, z: float) -> tuple[int, int]:
     """Nearest-below lattice point with matching parity: (floor t, parity floor of z).
 
@@ -109,7 +111,7 @@ class LatticeRounding:
     def of(cls, N: int, end: ContinuumEndpoint) -> "LatticeRounding":
         # Endpoint uses the nearest parity-matching lattice point; query
         # points use the parity floor of their tessellation cell.
-        n_star = math.floor(N * end.t_star + _ROUND_EPS)
+        n_star = lattice_steps(end.t_star, N)
         x_star = nearest_parity(math.sqrt(N) * end.z_star, n_star % 2)
         return cls(N=N, t_star=end.t_star, z_star=end.z_star, n_star=n_star, x_star=x_star)
 
@@ -366,21 +368,13 @@ class ConvergenceReport:
     slope: float
     decreasing: bool
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "pair_id", "t", "z", "t_prime", "z_prime", "K_N", "K", "abs_err"])
-            for r in self.rows:
-                w.writerow([r.N, r.pair_id, r.t, r.z, r.t_prime, r.z_prime, r.k_n, r.k_limit, r.abs_err])
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "sup_error": {str(k): v for k, v in self.sup_error.items()},
             "slope": self.slope,
             "decreasing": self.decreasing,
             "note": "the N^{-1/2} rate window is an empirical local-CLT expectation, not a proven rate",
         }
-        Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def kernel_convergence_study(

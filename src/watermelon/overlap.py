@@ -9,18 +9,16 @@ identity everything else leans on, so it is checked to literal zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ParityError, SpecMismatch
-from .kernels import ContinuumEndpoint, LatticeRounding
+from .kernels import ContinuumEndpoint, LatticeRounding, lattice_steps
 from .rng import SeedRecord
 from .walk_ensembles import (
     BridgeSpec,
@@ -37,11 +35,6 @@ from .walk_ensembles import (
     sample_free_walks_lockstep,
     vandermonde,
 )
-
-
-def _lattice_steps(t: float, N: int) -> int:
-    """floor(t N), robust to t N landing just below an integer (0.29 * 100)."""
-    return math.floor(t * N + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ def inverse_gap_sum(
         raise DomainError("need 1 <= a < b <= d")
     if not (t >= 0 and N >= 1):
         raise DomainError(f"need t >= 0 and N >= 1, got t={t}, N={N}")
-    steps = _lattice_steps(t, N)
+    steps = lattice_steps(t, N)
     if steps >= trajectory.shape[0]:
         raise DomainError("window longer than trajectory")
     gaps = trajectory[1 : steps + 1, b_idx - 1] - trajectory[1 : steps + 1, a_idx - 1]
@@ -160,10 +153,6 @@ def inverse_gap_sum(
 class InverseGapReport:
     rows: list[dict]
     ceiling: float
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "empirical_ceiling": self.ceiling,
-                "note": "the uniform constant is existential; the fitted ceiling is reported, not asserted as ground truth"}
 
 
 _EXACT_STATE_BUDGET = 4096  # reachable states up to which the gap law is exact
@@ -248,13 +237,6 @@ class OverlapMomentReport:
     decays_to_zero: bool
     tail_ratios: dict
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "t", "k", "moment_over_k_factorial", "se"])
-            for r in self.rows:
-                w.writerow([r.N, r.t, r.k, r.moment_over_kfact, r.se])
-
     def to_json_dict(self) -> dict:
         return {
             "bounded_in_N": self.bounded_in_n,
@@ -326,7 +308,7 @@ def overlap_moment_diagnostics(
         coincide[:, spec.n_star] = 0
         prefix = np.cumsum(coincide, axis=1)  # overlap on interior of [0, n]
         for t in t_grid:
-            n_t = _lattice_steps(t, N)  # <= n_star, as t <= t_star
+            n_t = lattice_steps(t, N)  # <= n_star, as t <= t_star
             o_scaled = prefix[:, n_t] / math.sqrt(N)
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
@@ -375,8 +357,12 @@ class ExactBridgeLaw:
 
     fwd[n] counts the chamber paths delta(0) -> x of n steps and bwd[n] the
     paths x -> delta(x*) of n_star - n steps; the moves are symmetric, so
-    bwd is the same sweep run from the endpoint back to the start.  A time
-    outside 0 <= n <= n_star raises DomainError.
+    bwd is the same sweep run from the endpoint back to the start.  Both
+    layers at time n hold the same configurations: those within reach,
+    walker by walker, of both ends.  (The walkers' lower envelopes
+    max(a_i - m, b_i - (n - m)) join any two chamber configurations a, b
+    within reach in n steps and never collide.)  A time outside
+    0 <= n <= n_star raises DomainError.
     """
 
     def __init__(self, spec: BridgeSpec):
@@ -395,17 +381,13 @@ class ExactBridgeLaw:
         out = 0
         for pos, cf in self.fwd[n].items():
             if x in pos:
-                out += cf * self.bwd[n].get(pos, 0)
+                out += cf * self.bwd[n][pos]
         return Fraction(out, self.total)
 
     def config_dist(self, n: int) -> dict[tuple[int, ...], Fraction]:
         self._check_time(n)
-        out = {}
-        for pos, cf in self.fwd[n].items():
-            cb = self.bwd[n].get(pos, 0)
-            if cb != 0:
-                out[pos] = Fraction(cf * cb, self.total)
-        return out
+        bwd = self.bwd[n]
+        return {pos: Fraction(cf * bwd[pos], self.total) for pos, cf in self.fwd[n].items()}
 
     def pair_site_table(self, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
         """All P(x1 occupied at n1, x2 occupied at n2): the pair sweep from n1,
@@ -433,9 +415,8 @@ class ExactBridgeLaw:
         signs = [tuple(s) for s in _step_signs(self.spec.d).tolist()]
         marked: dict[int, dict[tuple[int, ...], int]] = {}
         for pos, cf in self.fwd[n1].items():
-            if pos in self.bwd[n1]:
-                for x1 in pos:
-                    marked.setdefault(x1, {})[pos] = cf
+            for x1 in pos:
+                marked.setdefault(x1, {})[pos] = cf
         for n2 in range(n1 + 1, n_last + 1):
             keep = self.bwd[n2]
             counts: dict[tuple[int, int], int] = {}
@@ -505,8 +486,8 @@ def overlap_l2_bound_check(
         # empty ordered-time domain: both sides vanish
         return L2BoundReport(k=k, window=(0, -1), lhs_cell_sum=0.0, rhs_mc=0.0,
                              rhs_se=0.0, rhs_exact=0.0, holds=True)
-    n_lo = max(1, _lattice_steps(window[0], N))
-    n_hi = min(_lattice_steps(window[1], N), spec.n_star - 1)
+    n_lo = max(1, lattice_steps(window[0], N))
+    n_hi = min(lattice_steps(window[1], N), spec.n_star - 1)
     law = ExactBridgeLaw(spec)
     # integral = sum psi_k^2 * vol^k with psi_k = (sqrt(N)/2)^k P and
     # vol = 2 N^{-3/2}, i.e. 2^{-k} N^{-k/2} times the sum of P^2
@@ -567,14 +548,6 @@ class DriftSweepReport:
     max_ratio: float
     path_stat_moments: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "configs_checked": self.checked,
-            "max_drift_to_bound_ratio": self.max_ratio,
-            "path_statistic_moments": self.path_stat_moments,
-        }
-
 
 def drift_bound_sweep(
     d: int,
@@ -617,7 +590,7 @@ def drift_bound_sweep(
     walks = sample_free_walks_lockstep(delta_config(d, 0), path_n, path_replicas, rng.child(7))
     moments = {}
     for t in t_grid:
-        steps = _lattice_steps(t, path_n)
+        steps = lattice_steps(t, path_n)
         stat = np.zeros(path_replicas)
         for k in range(1, d + 1):
             for n in range(1, steps + 1):

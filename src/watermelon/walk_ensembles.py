@@ -16,12 +16,10 @@ the same sums run several times slower.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,9 +105,6 @@ class PathEnsembleSample:
             raise DomainError("walkers must move by +-1 each step")
         if not np.all(np.diff(traj, axis=1) >= 2):
             raise DomainError("walkers must stay strictly ordered")
-
-    def config(self, n: int) -> WeylConfig:
-        return WeylConfig(tuple(int(v) for v in self.trajectory[n]))
 
 
 def vandermonde(positions: Sequence[int]) -> int:
@@ -228,16 +223,6 @@ def bridge_transition(
     return num / denom
 
 
-def _step_candidates(x: WeylConfig) -> Iterator[WeylConfig]:
-    """All one-step moves that stay strictly ordered (at most 2^d of them)."""
-    d = x.d
-    pos = x.positions
-    for mask in range(1 << d):
-        new = tuple(pos[i] + (1 if mask >> i & 1 else -1) for i in range(d))
-        if all(b > a for a, b in zip(new, new[1:])):
-            yield WeylConfig(new)
-
-
 def chamber_path_sums(
     start: WeylConfig,
     steps: int,
@@ -286,7 +271,11 @@ def chamber_path_sums(
 def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig):
     """List of (successor, exact probability) pairs for the bridge at time n."""
     out = []
-    for y in _step_candidates(x):
+    for s in _step_signs(x.d).tolist():
+        pos = tuple(p + q for p, q in zip(x.positions, s))
+        if any(b - a < 2 for a, b in zip(pos, pos[1:])):
+            continue  # two walkers meet
+        y = WeylConfig(pos)
         p = bridge_transition(spec, n, x, n + 1, y)
         if p != 0:
             out.append((y, p))
@@ -295,7 +284,7 @@ def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig):
 
 def _step_signs(d: int) -> np.ndarray:
     """The 2^d one-step displacement vectors; row `mask` moves walker i up
-    exactly when bit i of `mask` is set (the order of :func:`_step_candidates`)."""
+    exactly when bit i of `mask` is set."""
     return np.array([[(m >> i) & 1 for i in range(d)] for m in range(1 << d)]) * 2 - 1
 
 
@@ -568,10 +557,12 @@ def free_step_law(x: WeylConfig) -> list[tuple[WeylConfig, Fraction]]:
     """One-step law of the free non-intersecting walk (harmonic reweighting)."""
     h = vandermonde(x.positions)
     out = []
-    for y in _step_candidates(x):
-        w = Fraction(vandermonde(y.positions), h * 2**x.d)
+    for s in _step_signs(x.d).tolist():
+        y = tuple(p + q for p, q in zip(x.positions, s))
+        # a move leaves the chamber exactly when two walkers meet, where V = 0
+        w = Fraction(vandermonde(y), h * 2**x.d)
         if w != 0:
-            out.append((y, w))
+            out.append((WeylConfig(y), w))
     return out
 
 
@@ -635,17 +626,7 @@ def sample_free_walks_lockstep(
     return out
 
 
-# --- serialization -----------------------------------------------------------
-
-def sample_to_csv(sample: PathEnsembleSample, path: str | Path) -> None:
-    """Flat CSV: step, walker_1 ... walker_d."""
-    d = sample.spec.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"walker_{i + 1}" for i in range(d)])
-        for n, row in enumerate(sample.trajectory):
-            writer.writerow([n] + [int(v) for v in row])
-
+# --- serialization (the CLI writes it) ---------------------------------------
 
 def sample_envelope(sample: PathEnsembleSample) -> dict:
     """JSON envelope carrying spec and seed record."""
@@ -658,18 +639,3 @@ def sample_envelope(sample: PathEnsembleSample) -> dict:
         "seed_record": sample.seed_record.as_dict() if sample.seed_record else None,
     }
 
-
-def sample_from_csv(csv_path: str | Path, envelope: dict) -> PathEnsembleSample:
-    spec = BridgeSpec(**envelope["spec"])
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append([int(v) for v in row[1:]])
-    rec = envelope.get("seed_record")
-    return PathEnsembleSample(
-        spec=spec,
-        trajectory=np.array(rows, dtype=np.int64),
-        seed_record=SeedRecord(**rec) if rec else None,
-    )

@@ -362,14 +362,6 @@ class TestIntermediateDisorder:
         assert ratios[0] < ratios[1] < 2.0
         assert rep.levels[0].sigma_ratio_limit == 2.0
 
-    def test_report_write(self, tmp_path):
-        rep = intermediate_disorder_run(
-            ContinuumEndpoint(1.0, 0.0), 1, 0.4, [16], 20, SeedRecord(14, 0), inner_paths=8
-        )
-        rep.write(tmp_path / "r.json", tmp_path / "r.csv")
-        assert (tmp_path / "r.json").exists()
-        assert len((tmp_path / "r.csv").read_text().splitlines()) == 21
-
     def test_variance_matches_truncated_series(self):
         # quenched variance against the truncated squared-norm series, small beta
         from watermelon.kernels import psi_l2_series

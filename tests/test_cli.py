@@ -1,6 +1,9 @@
-"""Command-line behavior: config handling, manifests, determinism."""
+"""Command-line behavior: config handling, manifests, files, determinism."""
 
+import ast
 import concurrent.futures
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +15,8 @@ import pytest
 from watermelon import acceptance, cli, grsk, kernels
 from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
+from watermelon.rng import SeedRecord
+from watermelon.walk_ensembles import BridgeSpec, sample_bridge
 
 
 def run(args):
@@ -55,6 +60,41 @@ class TestSample:
         )
         assert code == 2
 
+    # sha256 of every data file of one small run; the files hold integers
+    # only, so the bytes are the same on every platform
+    PINNED = {
+        "trajectory_00000.csv": "b405b16322e4c5a12b002e93a0f1ffc66b5b7876be30271aa230a42730d38971",
+        "trajectory_00000.json": "55556e8347f039894457bc0484cdf3dedfd856bc90366fe0c6b7d4977b3c8969",
+        "trajectory_00001.csv": "dcf0a59150c03dd72f7d9806b039a3d2d631e1f1b8c38da83180c4c49c62968d",
+        "trajectory_00001.json": "536c3a18bec1b592ec3af65fddd2c12fc9386b447a81ec49df8bc7a034cd3641",
+        "trajectory_00002.csv": "91fdf31745b8a3c732a332309d233e8ae83d8b125a8f5d3a8b21e51afa79876c",
+        "trajectory_00002.json": "26e2f47890e481377988e7d6c19b01d96f4d7f8e2e731c5b17b1b78b77fa41e9",
+    }
+
+    def test_files_are_pinned(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(["sample", "--d", "2", "--n-star", "6", "--x-star", "0",
+                    "--count", "3", "--seed", "99", "--out-dir", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.name != "manifest.json"}
+        assert digests == self.PINNED
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [Path(p).name for p in manifest["outputs"]] == sorted(self.PINNED)
+
+    def test_replay_from_envelope(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(["sample", "--d", "2", "--n-star", "6", "--x-star", "2",
+                    "--count", "2", "--seed", "3", "--out-dir", str(out)]) == 0
+        for i in range(2):
+            with open(out / f"trajectory_{i:05d}.csv", newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["step", "walker_1", "walker_2"]
+            assert [int(r[0]) for r in rows] == list(range(7))
+            envelope = json.loads((out / f"trajectory_{i:05d}.json").read_text())
+            spec = BridgeSpec(**envelope["spec"])
+            s = sample_bridge(spec, SeedRecord(**envelope["seed_record"]))
+            assert s.trajectory.tolist() == [[int(v) for v in r[1:]] for r in rows]
+
     def test_deterministic_given_seed(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -82,12 +122,8 @@ class TestConfigFile:
         assert (tmp_path / "nested" / "manifest.json").exists()
 
 
-def assert_no_files(out):
-    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
-
-
 class TestBadInputs:
-    """Inputs that used to crash or pass vacuously exit 2 and write nothing."""
+    """Inputs that used to crash or pass vacuously exit 2 and create no out dir."""
 
     def _run_with_config(self, tmp_path, capsys, payload, args):
         cfg = tmp_path / "cfg.json"
@@ -96,7 +132,18 @@ class TestBadInputs:
         code = run(["--config", str(cfg), *args, "--out-dir", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert_no_files(out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload,args", [
+        ({}, ["sample", "--d", "4", "--n-star", "40", "--enumerate-all"]),
+        ({}, ["kernels", "--d", "1", "--t-star", "-1"]),
+        ({}, ["polymer", "--seed", "3", "--d", "1", "--t-star", "-1"]),
+        ({}, ["grsk", "--seed", "5", "--d", "2", "--N-list", "1", "--replicas", "4"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "--window", "2", "3"]),
+        ({}, ["verify", "--criteria", "99"]),
+    ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify"])
+    def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
+        self._run_with_config(tmp_path, capsys, payload, args)
 
     @pytest.mark.parametrize("args", [
         ["kernels", "--d", "1"],
@@ -115,7 +162,7 @@ class TestBadInputs:
         code = run(["kernels", "--d", "1", "--N-list", "50", "--out-dir", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert_no_files(out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("sample", "--workers"), ("kernels", "--workers"), ("polymer", "--workers"),
@@ -126,7 +173,7 @@ class TestBadInputs:
         with pytest.raises(SystemExit) as exc:
             run([command, flag, "7", "--out-dir", str(tmp_path / "x")])
         assert exc.value.code == 2
-        assert_no_files(tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
 
 class TestKernelsCommand:
@@ -139,6 +186,18 @@ class TestKernelsCommand:
         assert lines[0].startswith("N,pair_id")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions"]["duplicate_query_is_zero"] is True
+
+    def test_csv_and_summary_files(self, tmp_path):
+        out = tmp_path / "k"
+        assert run(["kernels", "--d", "1", "--N-list", "32", "64", "--out-dir", str(out)]) == 0
+        grid = kernels.convergence_grid(kernels.ContinuumEndpoint(1.0, 0.0), 0.1, 0.1, 2.0)
+        raw = (out / "kernel_convergence.csv").read_bytes()
+        lines = raw.decode().split("\r\n")
+        assert lines[0] == "N,pair_id,t,z,t_prime,z_prime,K_N,K,abs_err"
+        assert lines[-1] == "" and len(lines) == 2 + 2 * len(grid)
+        summary = json.loads((out / "kernel_convergence_summary.json").read_text())
+        assert summary.keys() == {"sup_error", "slope", "decreasing", "note"}
+        assert list(summary["sup_error"]) == ["32", "64"]
 
     def test_nonzero_duplicate_query_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, "rescaled_psi_k", lambda *args: 0.5)
@@ -161,6 +220,18 @@ class TestPolymerCommand:
         lv = payload["levels"][0]
         assert lv["centered_mean_interior_sites"] == pytest.approx(1.0)
         assert lv["centered_se_interior_sites"] == pytest.approx(0.0)
+
+    def test_report_and_draws_files(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(["polymer", "--seed", "14", "--beta", "0.4", "--d", "1",
+                    "--N-list", "16", "32", "--replicas", "20", "--inner-paths", "8",
+                    "--out-dir", str(out)]) == 0
+        report = json.loads((out / "polymer_report.json").read_text())
+        assert [lv["N"] for lv in report["levels"]] == [16, 32]
+        lines = (out / "polymer_draws.csv").read_text().splitlines()
+        assert lines[0] == "N,replica,centered_Z_interior_sites"
+        assert len(lines) == 1 + 2 * 20
+        assert [r.split(",")[:2] for r in lines[1:3]] == [["16", "0"], ["16", "1"]]
 
     def test_sigma_ratio_column_present(self, tmp_path):
         out = tmp_path / "p2"
@@ -204,12 +275,21 @@ class TestOverlapCommand:
         payload = json.loads((out / "overlap_summary.json").read_text())
         assert payload["l2_bound"]["holds"] is True
 
+    def test_moments_csv(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["overlap", "--seed", "17", "--d", "1", "--N-list", "16", "--replicas", "200",
+                    "--k-max", "2", "--t-grid", "0.5", "1.0", "--out-dir", str(out)]) in (0, 1)
+        lines = (out / "overlap_moments.csv").read_text().splitlines()
+        assert lines[0] == "N,t,k,moment_over_k_factorial,se"
+        assert [r.split(",")[:3] for r in lines[1:]] == [
+            ["16", "0.5", "1"], ["16", "0.5", "2"], ["16", "1.0", "1"], ["16", "1.0", "2"]]
+
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_k_max_below_one_rejected(self, tmp_path, k_max):
         code = run(["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "16",
                     "--replicas", "100", "--k-max", k_max, "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_window_outside_bridge_rejected(self, tmp_path):
         # rejected before any sampling: no moments file is left behind
@@ -245,7 +325,7 @@ class TestOverlapCommand:
         code = run(["--config", str(cfg), "overlap", "--seed", "6", "--d", "2",
                     "--replicas", "100", "--k-max", "2", "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
 
 SHA = "0123456789abcdef0123456789abcdef01234567"
@@ -392,3 +472,28 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_cli_touches_the_file_system():
+    # library modules return data; cli.run_command writes every file
+    pkg = Path(cli.__file__).resolve().parent
+    io_modules = {"csv", "pathlib", "shutil", "tempfile"}
+    io_calls = {"open", "write_text", "write_bytes", "mkdir", "touch", "unlink",
+                "save", "savez", "savetxt", "tofile"}
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names} & io_modules
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]} & io_modules
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                names = {name} & io_calls
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names]
+    assert found == []

@@ -320,16 +320,6 @@ class TestConvergence:
         with pytest.raises(DomainError):
             kernel_convergence_study(end, 1, grid, N_list)
 
-    def test_report_serialization(self, tmp_path):
-        end = ContinuumEndpoint(1.0, 0.0)
-        grid = convergence_grid(end, 0.2, 0.2, 1.0, nt=4, nz=3)
-        rep = kernel_convergence_study(end, 1, grid, [32, 64])
-        rep.to_csv(tmp_path / "conv.csv")
-        rep.to_json(tmp_path / "conv.json")
-        lines = (tmp_path / "conv.csv").read_text().splitlines()
-        assert lines[0].startswith("N,pair_id,t,z")
-        assert len(lines) == 1 + 2 * len(grid)
-
 
 class TestL2Series:
     def test_beta_zero(self):

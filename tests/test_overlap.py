@@ -266,6 +266,20 @@ class TestExactBridgeLaw:
         law = ExactBridgeLaw(BridgeSpec(2, 8, 0))
         assert sum(law.pair_site_table(2, 5).values()) == 4
 
+    def test_forward_and_backward_layers_hold_the_same_configurations(self):
+        # site_prob, config_dist and the pair sweep look up bwd[n] by every
+        # key of fwd[n] without a guard
+        layers = 0
+        for d in range(1, 5):
+            for n_star in range(1, 13):
+                for x_star in range(-n_star, n_star + 1, 2):
+                    law = ExactBridgeLaw(BridgeSpec(d, n_star, x_star))
+                    assert len(law.fwd) == len(law.bwd) == n_star + 1
+                    for fwd, bwd in zip(law.fwd, law.bwd):
+                        assert fwd.keys() == bwd.keys()
+                    layers += n_star + 1
+        assert layers == 3272
+
     @pytest.mark.parametrize(
         "d,n_star,x_star", [(2, 6, 0), (1, 6, 0), (2, 6, 2), (2, 8, 0), (3, 8, -2), (2, 7, 1)]
     )
@@ -466,13 +480,6 @@ class TestMomentDiagnostics:
         assert rep.bounded_in_n
         assert rep.decays_to_zero
         assert rep.tail_ratios
-
-    def test_csv(self, tmp_path):
-        rep = overlap_moment_diagnostics(
-            ContinuumEndpoint(1.0, 0.0), 1, [16], [0.5], 2, 200, SeedRecord(17, 0)
-        )
-        rep.to_csv(tmp_path / "m.csv")
-        assert (tmp_path / "m.csv").read_text().startswith("N,t,k,")
 
 
 class TestDriftSweep:

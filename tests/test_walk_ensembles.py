@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -42,9 +41,6 @@ from watermelon.walk_ensembles import (
     radon_nikodym_ratio,
     sample_bridge,
     sample_bridges_lockstep,
-    sample_envelope,
-    sample_from_csv,
-    sample_to_csv,
     signed_logdet,
     vandermonde,
 )
@@ -502,19 +498,6 @@ class TestBridgeStepper:
         traj = sample_bridges_lockstep(spec, count, rng)
         assert traj.dtype == np.int64 and traj.shape == (count, spec.n_star + 1, spec.d)
         assert hashlib.sha256(traj.tobytes()).hexdigest() == digest
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        s = sample_bridge(BridgeSpec(2, 6, 2), SeedRecord(3, 1))
-        csv_path = tmp_path / "traj.csv"
-        sample_to_csv(s, csv_path)
-        envelope = sample_envelope(s)
-        restored = sample_from_csv(csv_path, json.loads(json.dumps(envelope)))
-        assert np.array_equal(restored.trajectory, s.trajectory)
-        assert restored.spec == s.spec
-        assert restored.seed_record == s.seed_record
-        restored.validate()
 
 
 def leibniz_det(mat):
