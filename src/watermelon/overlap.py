@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +31,12 @@ from .walk_ensembles import (
     drift_bound,
     free_step_weights,
     km_weight,  # unused here; perfbench's tracer patches overlap.km_weight by name
-    sample_bridges_lockstep,
     sample_free_walks_lockstep,
     vandermonde,
+    walk_bridges_lockstep,
 )
+# unused here; bound so that perfbench/spans.py can patch it on this module
+from .walk_ensembles import sample_bridges_lockstep  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,30 @@ class OverlapMomentReport:
         }
 
 
-def _coincidences(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Per replica and time, the number of walker pairs (k, l) with
-    p1[r, n, k] == p2[r, n, l]: int64 counts of shape p1.shape[:2]."""
-    out = np.zeros(p1.shape[:2], dtype=np.int64)
-    for k in range(p1.shape[2]):
-        for l in range(p2.shape[2]):
-            out += p1[:, :, k] == p2[:, :, l]
+def _pair_overlaps(
+    spec: BridgeSpec, replicas: int, rngs: tuple[SeedRecord, SeedRecord],
+    n_lo: int, times: Collection[int],
+) -> dict[int, np.ndarray]:
+    """Overlaps of `replicas` pairs of independent bridges, walked in lockstep.
+
+    The two ensembles draw from `rngs[0]` and `rngs[1]`, exactly as
+    :func:`sample_bridges_lockstep` would.  Per replica, one running int64
+    count adds the walker pairs (k, l) that share a site at each time
+    n_lo <= n < n_star (the pinned end configuration is never counted); a
+    copy is kept at each time in `times`, so `{n: counts}` holds the overlap
+    on [n_lo, n].  Only the current positions are stored, so memory does
+    not grow with n_star.
+    """
+    count = np.zeros(replicas, dtype=np.int64)
+    out = {}
+    walks = zip(*(walk_bridges_lockstep(spec, replicas, r) for r in rngs))
+    for n, (a, b) in enumerate(walks):
+        if n_lo <= n < spec.n_star:
+            for k in range(spec.d):
+                for l in range(spec.d):
+                    count += a[:, k] == b[:, l]
+        if n in times:
+            out[n] = count.copy()
     return out
 
 
@@ -265,8 +284,9 @@ def check_t_grid(t_grid: Sequence[float], t_star: float) -> None:
 
 
 def check_window(window: Sequence[float], t_star: float) -> None:
-    """Raise DomainError if the window reaches outside [0, t_star]."""
-    if window[0] < 0 or window[1] > t_star:
+    """Raise DomainError unless both window ends are numbers with
+    0 <= window[0] and window[1] <= t_star."""
+    if not (0 <= window[0] and window[1] <= t_star):
         raise DomainError(f"window {tuple(window)} outside [0, {t_star}]")
 
 
@@ -281,12 +301,15 @@ def overlap_moment_diagnostics(
 ) -> OverlapMomentReport:
     """Monte Carlo moments of the rescaled overlap time across scales.
 
-    For each N, samples independent bridge pairs once and reads the overlap
-    on every [0, t] window from prefix counts.  Asserts finite-sample
+    For each N, walks independent bridge pairs once and reads the overlap
+    on every [0, t] window from one running count.  Asserts finite-sample
     versions of uniform boundedness in N and decay as t -> 0; the tail ratio
     of successive moment terms is reported, not asserted.  An empty N_list
-    or t_grid, or a time outside [0, t_star], raises DomainError.
+    or t_grid, a time outside [0, t_star] or fewer than two replicas raises
+    DomainError.
     """
+    if replicas < 2:  # no standard error from one replica
+        raise DomainError(f"need at least 2 replicas, got {replicas}")
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
     if k_max > 6:
@@ -299,17 +322,14 @@ def overlap_moment_diagnostics(
     for li, N in enumerate(N_list):
         rounding = LatticeRounding.of(N, end)
         spec = rounding.bridge_spec(d)
-        p1 = sample_bridges_lockstep(spec, replicas, rng.child(2 * li))
-        p2 = sample_bridges_lockstep(spec, replicas, rng.child(2 * li + 1))
-        coincide = _coincidences(p1, p2)
+        steps = {t: lattice_steps(t, N) for t in t_grid}  # <= n_star, as t <= t_star
         # interior times only: the pinned configs at steps 0 and n_star
         # coincide deterministically and carry no information
-        coincide[:, 0] = 0
-        coincide[:, spec.n_star] = 0
-        prefix = np.cumsum(coincide, axis=1)  # overlap on interior of [0, n]
+        overlaps = _pair_overlaps(
+            spec, replicas, (rng.child(2 * li), rng.child(2 * li + 1)), 1, steps.values()
+        )
         for t in t_grid:
-            n_t = lattice_steps(t, N)  # <= n_star, as t <= t_star
-            o_scaled = prefix[:, n_t] / math.sqrt(N)
+            o_scaled = overlaps[steps[t]] / math.sqrt(N)
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
                 m, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
@@ -475,8 +495,11 @@ def overlap_l2_bound_check(
     (the pinned endpoint configs coincide deterministically and are excluded),
     which makes k = 1 an exact equality and k >= 2 an inequality whose slack
     is exactly the discarded equal-time diagonal.  A window reaching outside
-    [0, t_star] raises DomainError; one with window[1] <= window[0] is empty.
+    [0, t_star] or fewer than two replicas raise DomainError; a window with
+    window[1] <= window[0] is empty.
     """
+    if replicas < 2:  # no standard error from one replica
+        raise DomainError(f"need at least 2 replicas, got {replicas}")
     if not 1 <= k <= 2:
         raise DomainError(f"exact cell sums support 1 <= k <= 2, got {k}")
     check_window(window, end.t_star)
@@ -497,10 +520,7 @@ def overlap_l2_bound_check(
     else:
         lhs = float(cross) / (4.0 * N)
     # Monte Carlo RHS
-    p1 = sample_bridges_lockstep(spec, replicas, rng.child(0))
-    p2 = sample_bridges_lockstep(spec, replicas, rng.child(1))
-    window_steps = slice(n_lo, n_hi + 1)
-    coincide = _coincidences(p1[:, window_steps], p2[:, window_steps]).sum(axis=1)
+    coincide = _pair_overlaps(spec, replicas, (rng.child(0), rng.child(1)), n_lo, [n_hi])[n_hi]
     vals = (coincide / math.sqrt(N)) ** k / (2**k * math.factorial(k))
     rhs = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -411,27 +411,42 @@ class BridgeStepper:
         return paths + self.signs.take(choice, axis=0)
 
 
-def sample_bridges_lockstep(
+def walk_bridges_lockstep(
     spec: BridgeSpec, count: int, rng: SeedRecord
-) -> np.ndarray:
-    """Vectorized sampler: `count` independent bridge trajectories at once.
+) -> Iterator[np.ndarray]:
+    """`count` independent bridge trajectories, one time at a time.
 
-    Returns an int array of shape (count, n_star + 1, d).  Each step draws
-    from the exact one-step law of the bridge (:func:`one_step_bridge_law`)
-    through :class:`BridgeStepper`.  Raises EmptyBridge when no trajectory
-    connects the endpoints: since all walkers may take the same steps, that
-    happens exactly when |x*| > n_star.
+    Yields the int64 positions of shape (count, d) at times 0..n_star, a
+    fresh array each time.  Each step draws from the exact one-step law of
+    the bridge (:func:`one_step_bridge_law`) through :class:`BridgeStepper`.
+    Raises EmptyBridge on the call itself, not on the first ``next``, when
+    no trajectory connects the endpoints: since all walkers may take the
+    same steps, that happens exactly when |x*| > n_star.
     """
     if abs(spec.x_star) > spec.n_star:
         raise EmptyBridge(f"no trajectory for {spec}")
-    gen = rng.generator()
-    stepper = BridgeStepper(spec)
-    paths = np.tile(np.array(spec.start.positions), (count, 1))
-    out = np.empty((count, spec.n_star + 1, spec.d), dtype=np.int64)
-    out[:, 0] = paths
-    for n in range(spec.n_star):
+    return _bridge_steps(BridgeStepper(spec), count, rng.generator())
+
+
+def _bridge_steps(
+    stepper: BridgeStepper, count: int, gen: np.random.Generator
+) -> Iterator[np.ndarray]:
+    paths = np.tile(np.array(stepper.spec.start.positions, dtype=np.int64), (count, 1))
+    yield paths
+    for n in range(stepper.spec.n_star):
         paths = stepper.step(paths, n, gen)
-        out[:, n + 1] = paths
+        yield paths
+
+
+def sample_bridges_lockstep(
+    spec: BridgeSpec, count: int, rng: SeedRecord
+) -> np.ndarray:
+    """Vectorized sampler: the trajectories of :func:`walk_bridges_lockstep`
+    as one int64 array of shape (count, n_star + 1, d)."""
+    walk = walk_bridges_lockstep(spec, count, rng)
+    out = np.empty((count, spec.n_star + 1, spec.d), dtype=np.int64)
+    for n, paths in enumerate(walk):
+        out[:, n] = paths
     return out
 
 

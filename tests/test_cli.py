@@ -141,7 +141,14 @@ class TestBadInputs:
         ({}, ["grsk", "--seed", "5", "--d", "2", "--N-list", "1", "--replicas", "4"]),
         ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "--window", "2", "3"]),
         ({}, ["verify", "--criteria", "99"]),
-    ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify"])
+        ({}, ["overlap", "--seed", "3", "--d", "2", "--N-list", "12", "16", "--replicas", "200",
+              "--k-max", "2", "--window", "nan", "0.5"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "--replicas", "1"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "12", "--replicas", "0"]),
+        ({}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16", "--replicas", "1",
+              "--inner-paths", "4"]),
+    ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
+            "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
 

@@ -1,6 +1,7 @@
 """Overlap counts, the occupation-time identity, and moment diagnostics."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -417,17 +418,44 @@ class TestL2Bound:
 
 
 class TestMomentDiagnostics:
-    def test_coincidences_match_overlap_time(self):
-        spec = BridgeSpec(3, 10, 2)
-        p1 = sample_bridges_lockstep(spec, 6, SeedRecord(12, 0))
-        p2 = sample_bridges_lockstep(spec, 6, SeedRecord(12, 1))
-        counts = overlap._coincidences(p1, p2)
-        assert counts.dtype == np.int64 and counts.shape == (6, 11)
-        for r in range(6):
-            s1 = PathEnsembleSample(spec, p1[r])
-            s2 = PathEnsembleSample(spec, p2[r])
-            for n in range(11):
-                assert counts[r, n] == overlap_time(s1, s2, n, n).total
+    @pytest.mark.parametrize(
+        "spec", [BridgeSpec(1, 9, 1), BridgeSpec(2, 10, 0), BridgeSpec(3, 10, 2)]
+    )
+    def test_streamed_overlaps_match_overlap_time(self, spec):
+        # oracle: the stored trajectories at the same seeds, counted one time
+        # at a time by overlap_time over n_lo .. min(n, n_star - 1); a mark
+        # below n_lo is the empty window
+        reps, n_star = 8, spec.n_star
+        rngs = (SeedRecord(12, 0), SeedRecord(12, 1))
+        p1, p2 = (sample_bridges_lockstep(spec, reps, r) for r in rngs)
+        for n_lo in (0, 1, 3):
+            got = overlap._pair_overlaps(spec, reps, rngs, n_lo, range(n_star + 1))
+            assert sorted(got) == list(range(n_star + 1))
+            for r in range(reps):
+                s1 = PathEnsembleSample(spec, p1[r])
+                s2 = PathEnsembleSample(spec, p2[r])
+                for n, counts in got.items():
+                    assert counts.dtype == np.int64 and counts.shape == (reps,)
+                    want = sum(
+                        overlap_time(s1, s2, m, m).total
+                        for m in range(n_lo, min(n, n_star - 1) + 1)
+                    )
+                    assert counts[r] == want
+
+    def test_peak_memory_does_not_grow_with_N(self):
+        # the pair walk keeps the current positions only; two stored
+        # (replicas, n_star + 1, d) trajectory arrays grew the peak ~4x here
+        def peak(N):
+            tracemalloc.start()
+            try:
+                overlap_moment_diagnostics(
+                    ContinuumEndpoint(1.0, 0.0), 2, [N], [1.0], 1, 5000, SeedRecord(17, 0)
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(192) <= 1.5 * peak(48)
 
     @pytest.mark.parametrize("k_max", [0, -1, 7])
     def test_k_max_outside_range_raises(self, k_max):
@@ -443,17 +471,39 @@ class TestMomentDiagnostics:
                 ContinuumEndpoint(1.0, 0.0), 2, N_list, t_grid, 2, 100, SeedRecord(14, 0)
             )
 
-    @pytest.mark.parametrize("t_star,t_grid", [(0.5, [0.25, 1.0]), (1.0, [-0.1, 0.5])])
-    def test_time_outside_bridge_raises_before_sampling(self, monkeypatch, t_star, t_grid):
-        # t = 1.0 at t* = 0.5 used to be clipped to n*, duplicating the t* row
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
         def no_sampling(*args):
-            raise AssertionError("sampled before rejecting t_grid")
+            raise AssertionError("sampled before rejecting the input")
 
-        monkeypatch.setattr(overlap, "sample_bridges_lockstep", no_sampling)
+        monkeypatch.setattr(overlap, "walk_bridges_lockstep", no_sampling)
+
+    @pytest.mark.parametrize(
+        "t_star,t_grid", [(0.5, [0.25, 1.0]), (1.0, [-0.1, 0.5]), (1.0, [0.5, math.nan])]
+    )
+    def test_time_outside_bridge_raises_before_sampling(self, no_walk, t_star, t_grid):
+        # t = 1.0 at t* = 0.5 used to be clipped to n*, duplicating the t* row
         with pytest.raises(DomainError):
             overlap_moment_diagnostics(
                 ContinuumEndpoint(t_star, 0.0), 2, [16], t_grid, 2, 100, SeedRecord(14, 0)
             )
+
+    @pytest.mark.parametrize("call", [
+        # one replica gave se = nan, zero replicas a bare numpy error
+        lambda end: overlap_moment_diagnostics(end, 2, [16], [0.5], 2, 1, SeedRecord(14, 0)),
+        lambda end: overlap_moment_diagnostics(end, 2, [16], [0.5], 2, 0, SeedRecord(14, 0)),
+        lambda end: overlap_l2_bound_check(end, 2, 12, (0.0, 0.5), 2, SeedRecord(1, 0),
+                                           replicas=1),
+        # a nan window end passed the check and failed in lattice_steps
+        lambda end: overlap_l2_bound_check(end, 2, 12, (math.nan, 0.5), 2, SeedRecord(1, 0),
+                                           replicas=200),
+        lambda end: overlap_l2_bound_check(end, 2, 12, (0.0, math.nan), 2, SeedRecord(1, 0),
+                                           replicas=200),
+    ], ids=["moments_one_replica", "moments_no_replicas", "l2_one_replica",
+            "l2_window_start_nan", "l2_window_end_nan"])
+    def test_bad_input_raises_before_sampling(self, no_walk, call):
+        with pytest.raises(DomainError):
+            call(ContinuumEndpoint(1.0, 0.0))
 
     def test_zero_window(self):
         rep = overlap_moment_diagnostics(

@@ -43,6 +43,7 @@ from watermelon.walk_ensembles import (
     sample_bridges_lockstep,
     signed_logdet,
     vandermonde,
+    walk_bridges_lockstep,
 )
 
 
@@ -353,6 +354,10 @@ class TestSamplers:
                 sample_bridge(spec, SeedRecord(0, 0))
             with pytest.raises(EmptyBridge):
                 sample_bridges_lockstep(spec, 3, SeedRecord(0, 0))
+            # on the call itself, before any next(): a plain generator
+            # function would defer the raise to its first step
+            with pytest.raises(EmptyBridge):
+                walk_bridges_lockstep(spec, 3, SeedRecord(0, 0))
 
     def test_emptiness_matches_km_weight(self):
         # the closed form |x*| > n_star against the exact determinant
