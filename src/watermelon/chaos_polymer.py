@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, hash_uniform
-from .walk_ensembles import BridgeSpec, PathEnsembleSample, chamber_path_sums, exact_det
+from .walk_ensembles import BridgeSpec, PathEnsembleSample, exact_det
 # unused here; bound so that perfbench/spans.py can patch them on this module
 from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
@@ -160,40 +160,48 @@ def reachable_sites(spec: BridgeSpec) -> list[tuple[int, int]]:
     return sorted(set(sites))
 
 
-def _site_values(spec: BridgeSpec, field) -> dict[tuple[int, int], object]:
-    """The field at every reachable interior site, read once."""
-    sites = reachable_sites(spec)
-    if isinstance(field, DisorderField):
-        ns, xs = np.array(sites, dtype=np.int64).reshape(-1, 2).T
-        return dict(zip(sites, field.values(ns, xs).tolist()))
-    return {s: field.value(*s) for s in sites}
-
-
-def _bridge_average(spec: BridgeSpec, site_weight: Callable):
-    """Mean over all bridge trajectories of the product of site weights over
-    every walker at every interior time: a transfer sum over the chamber
-    divided by the path count.  Exact (a Fraction) when the weights are."""
-    end = spec.end.positions
-    total = chamber_path_sums(spec.start, spec.n_star, spec.end, site_weight)[-1][end]
-    count = chamber_path_sums(spec.start, spec.n_star, spec.end)[-1][end]
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, count)
-    return float(total) / count
-
-
-def partition_exact(spec: BridgeSpec, field, beta: float) -> float:
-    """Average of exp(beta * energy) over every bridge trajectory."""
-    boltzmann = {s: math.exp(beta * v) for s, v in _site_values(spec, field).items()}
-    return float(_bridge_average(spec, lambda n, x: boltzmann[n, x]))
+def _walker_det(spec: BridgeSpec, weights: dict | None = None) -> Fraction:
+    """det[W], where W[i][j] sums, over the single +-1 walks from start site
+    a_i to end site b_j, the product of weights[n, x] at the interior times
+    (each walk counts 1 without `weights`).  Each sweep keeps only sites
+    that can still reach some end site."""
+    n_star, ends = spec.n_star, spec.end.positions
+    rows = []
+    for a in spec.start.positions:
+        layer = {a: 1}
+        for n in range(1, n_star + 1):
+            rem = n_star - n
+            nxt: dict[int, object] = {}
+            for x, w in layer.items():
+                for y in (x - 1, x + 1):
+                    if ends[0] - rem <= y <= ends[-1] + rem:
+                        nxt[y] = nxt.get(y, 0) + w
+            if weights is not None and n < n_star:
+                nxt = {y: w * weights[n, y] for y, w in nxt.items()}
+            layer = nxt
+        rows.append([layer.get(b, 0) for b in ends])
+    return exact_det(rows)
 
 
 def partition_product_exact(spec: BridgeSpec, field):
     """E[prod over visited sites of the field value] under the bridge measure.
 
-    A Fraction when every field value is an int or a Fraction, else a float.
+    Walkers step by +-1 and keep even gaps, so two of them can only swap
+    order by meeting at a site.  By the Lindstroem-Gessel-Viennot lemma the
+    sum over non-intersecting trajectories is then :func:`_walker_det` over
+    the field values, and their count the same determinant over unit
+    weights.  Floats enter as the exact binary fractions they are: the mean
+    is a Fraction when every field value is an int or a Fraction, else the
+    exact mean rounded once to a float.  An empty bridge raises DomainError.
     """
-    values = _site_values(spec, field)
-    return _bridge_average(spec, lambda n, x: values[n, x])
+    count = _walker_det(spec)
+    if count == 0:
+        raise DomainError(f"no non-intersecting trajectory for {spec}")
+    values = {s: field.value(*s) for s in reachable_sites(spec)}
+    mean = _walker_det(spec, {s: Fraction(v) for s, v in values.items()}) / count
+    if all(isinstance(v, (int, Fraction)) for v in values.values()):
+        return mean
+    return float(mean)
 
 
 def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fraction:
@@ -208,7 +216,7 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fra
     the direct enumeration average of multiplicative weights.  Float field
     values enter as the exact binary fractions they are.
     """
-    values = _site_values(spec, field)
+    values = {s: field.value(*s) for s in reachable_sites(spec)}
     live = [s for s, v in values.items() if v != 1]
     if len(live) > site_budget:
         raise BudgetExceeded(
@@ -383,13 +391,18 @@ def intermediate_disorder_run(
     function is estimated by :func:`smc_partition_estimates` with
     `inner_paths` particles.  Two centerings are reported: interior-site
     (d(n_star - 1) sites, exactly mean-one for the unbiased estimator) and
-    the asymptotic one (d * n_star sites).  An empty N_list or fewer than
-    two replicas raises DomainError.
+    the asymptotic one (d * n_star sites).  An empty N_list, fewer than two
+    replicas, fewer than one inner path or a non-finite beta raises
+    DomainError.
     """
     if not N_list:
         raise DomainError("N_list is empty")
     if replicas < 2:  # no standard error from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
+    if inner_paths < 1:
+        raise DomainError(f"need at least 1 inner path, got {inner_paths}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     cumulant = CumulantSpec.for_distribution(distribution)
     levels = []
     for li, N in enumerate(N_list):

@@ -15,7 +15,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import platform
 import sys
@@ -273,19 +272,17 @@ def cmd_polymer(cfg: ExperimentConfig) -> Outcome:
 
 def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
     gen = cfg.rng().generator()
-    # oracle cross-checks at desk scale, including log_tau_lgv, which the
-    # scaling run below uses
-    lgv_ok = dp_ok = True
+    # oracle cross-checks at desk scale; float weights send tau_lgv through
+    # log_tau_lgv, the DP the scaling run below uses
+    lgv_ok = True
     for _ in range(5):
         n = int(gen.integers(2, 7))
         m = int(gen.integers(2, 7))
         d = int(gen.integers(1, min(3, n, m) + 1))
-        arr = gen.uniform(0.5, 2.0, size=(n, m))
-        w = grsk.WeightMatrix.from_array(arr)
+        w = grsk.WeightMatrix.from_array(gen.uniform(0.5, 2.0, size=(n, m)))
         te = grsk.tau_enumerate(w, d, n, m)
         tl = grsk.tau_lgv(w, d, n, m)
         lgv_ok &= bool(abs(tl - te) <= 1e-9 * abs(te))
-        dp_ok &= bool(abs(grsk.log_tau_lgv(np.log(arr), d) - math.log(tl)) <= 1e-9)
     ones = grsk.WeightMatrix.constant(cfg.d + 2, cfg.d + 2, 1.0)
     mm_ok = abs(
         grsk.tau_lgv(ones, cfg.d, cfg.d + 2, cfg.d + 2) - we.macmahon_count(2, cfg.d)
@@ -295,7 +292,6 @@ def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
         files={"grsk_report.json": report.to_json_dict()},
         assertions={
             "lgv_equals_enumeration": lgv_ok,
-            "log_dp_matches_lgv": dp_ok,
             "all_ones_count_matches": bool(mm_ok),
         },
     )

@@ -3,7 +3,8 @@
 tau_{m,d}(n) sums products of vertex weights over d-tuples of vertex-disjoint
 up-right lattice paths; ratios of consecutive tau's define the array entries.
 tau is evaluated by exhaustive enumeration (the oracle) and by the
-determinant of single-path sums, which the enumeration tests validate for
+determinant of single-path sums, exactly for rational weights and by a
+log-space DP otherwise; the enumeration tests validate the determinant for
 this vertex-weight geometry.
 """
 
@@ -150,18 +151,16 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
 
     Vertex weights need no inclusion-exclusion correction in this geometry;
     the enumeration equivalence test asserts it rather than assuming it.
-    Exact (a Fraction) when every path sum is an int or a Fraction; other
-    weights go through the float log-determinant.
+    Exact (a Fraction) when every weight of the n x m window is an int or a
+    Fraction; other weights go through :func:`log_tau_lgv`.
     """
     if not 1 <= d <= min(n, m):
         raise DomainError("need 1 <= d <= min(n, m)")
+    window = [[w.at(i, j) for j in range(1, m + 1)] for i in range(1, n + 1)]
+    if not all(isinstance(v, (int, Fraction)) for row in window for v in row):
+        return math.exp(log_tau_lgv(np.log(np.array(window, dtype=np.float64)), d))
     starts, ends = _path_endpoints(d, n, m)
-    mat = [[single_path_sum(w, s, e) for e in ends] for s in starts]
-    if all(isinstance(v, (int, Fraction)) for row in mat for v in row):
-        return exact_det([[Fraction(v) for v in row] for row in mat])
-    with np.errstate(divide="ignore"):
-        sign, logdet = signed_logdet(np.log(np.array(mat, dtype=np.float64)))
-    return sign * math.exp(logdet)
+    return exact_det([[single_path_sum(w, s, e) for e in ends] for s in starts])
 
 
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
@@ -314,10 +313,12 @@ def rescaled_tau_run(
     Weights are inverse-Gamma with parameter beta^{-1} sqrt(N); the
     normalization divides by the exact mean to the power d(2N+d), by
     2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.  An empty
-    N_list raises DomainError.
+    N_list or fewer than two replicas raises DomainError.
     """
     if not N_list:
         raise DomainError("N_list is empty")
+    if replicas < 2:  # no standard deviation from one replica
+        raise DomainError(f"need at least 2 replicas, got {replicas}")
     for N in N_list:  # every level is checked before any is drawn
         theta = math.sqrt(N) / beta
         if theta <= 2:

@@ -6,7 +6,7 @@ live here: :func:`exact_det` (the oracle, exact rationals, behind every
 exact law) and :func:`signed_logdet` (row-scaled doubles, for the large
 positive-entry LGV matrices of `grsk`).  The float kernel determinants of
 `kernels` (`continuum_psi_k`, float `discrete_psi_prob`) have O(1) gauged
-entries and call ``np.linalg.det`` directly.  Exact path sums over the
+entries and call ``np.linalg.det`` directly.  Exact path counts over the
 chamber go through one sweep, :func:`chamber_path_sums`, with one
 exception: the pair-site transfer of `overlap.ExactBridgeLaw` moves one
 marked layer per site from time n1 and keeps only configurations in the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -224,26 +224,20 @@ def bridge_transition(
 
 
 def chamber_path_sums(
-    start: WeylConfig,
-    steps: int,
-    end: WeylConfig | None = None,
-    site_weight: Callable | None = None,
-) -> list[dict[tuple[int, ...], object]]:
-    """Sums over non-intersecting paths from `start`, one dict per time 0..steps.
+    start: WeylConfig, steps: int, end: WeylConfig | None = None
+) -> list[dict[tuple[int, ...], int]]:
+    """Counts of non-intersecting paths from `start`, one dict per time 0..steps.
 
-    Entry n maps the positions of each configuration x to the sum, over the
-    n-step chamber paths start -> x, of the product of site_weight(m, y_i)
-    over every walker i at every time 1 <= m <= min(n, steps - 1); without
-    `site_weight` it is the path count.  With `end`, only configurations
-    that can still reach `end` in the remaining steps are kept, and a
-    DomainError is raised when no path arrives.  The sweep only adds and
-    multiplies, so ints count exactly and Fractions and floats pass through.
+    Entry n maps the positions of each configuration x to the number of
+    n-step chamber paths start -> x.  With `end`, only configurations that
+    can still reach `end` in the remaining steps are kept, and a DomainError
+    is raised when no path arrives.
     """
     signs = [tuple(s) for s in _step_signs(start.d).tolist()]
     layers = [{start.positions: 1}]
     for n in range(1, steps + 1):
         rem = steps - n
-        nxt: dict[tuple[int, ...], object] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for pos, w in layers[-1].items():
             for s in signs:
                 y = tuple(p + q for p, q in zip(pos, s))
@@ -254,11 +248,6 @@ def chamber_path_sums(
                 ):
                     continue
                 nxt[y] = nxt.get(y, 0) + w
-        if site_weight is not None and n < steps:
-            for y, w in nxt.items():
-                for x in y:
-                    w = w * site_weight(n, x)
-                nxt[y] = w
         layers.append(nxt)
     if end is not None and not layers[-1]:
         raise DomainError(

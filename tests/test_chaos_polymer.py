@@ -4,7 +4,7 @@ import functools
 import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from watermelon.chaos_polymer import (
     chaos_expansion_exact,
     energy,
     intermediate_disorder_run,
-    partition_exact,
     partition_product_exact,
     reachable_sites,
     smc_partition_estimates,
@@ -33,6 +32,7 @@ from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
 from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
+    chamber_path_sums,
     enumerate_trajectories,
     exact_det,
     sample_bridge,
@@ -123,6 +123,48 @@ class TestZeta:
         assert z.shape == (10,)
 
 
+def _boltzmann(spec, field, beta):
+    """exp(beta * field) at every reachable site: its bridge average is the
+    partition function at inverse temperature beta."""
+    return TableField({s: math.exp(beta * field.value(*s)) for s in reachable_sites(spec)})
+
+
+def _rational_field(spec, seed, values):
+    """Seeded draws from `values` at every reachable site."""
+    gen = SeedRecord(seed, spec.d).generator()
+    return TableField(
+        {s: values[int(gen.integers(len(values)))] for s in reachable_sites(spec)},
+        default=Fraction(1),
+    )
+
+
+def _chamber_sweep_average(spec, field):
+    """Reference bridge average: the weighted transfer sum over the d-walker
+    chamber, one configuration per state, divided by the path count."""
+    end = spec.end.positions
+    signs = list(product((-1, 1), repeat=spec.d))
+    layer = {spec.start.positions: 1}
+    for n in range(1, spec.n_star + 1):
+        rem = spec.n_star - n
+        nxt = {}
+        for pos, w in layer.items():
+            for s in signs:
+                y = tuple(p + q for p, q in zip(pos, s))
+                if all(b - a >= 2 for a, b in zip(y, y[1:])) and all(
+                    abs(p - t) <= rem for p, t in zip(y, end)
+                ):
+                    nxt[y] = nxt.get(y, 0) + w
+        if n < spec.n_star:
+            nxt = {y: w * math.prod(field.value(n, x) for x in y) for y, w in nxt.items()}
+        layer = nxt
+    return Fraction(layer[end], chamber_path_sums(spec.start, spec.n_star, spec.end)[-1][end])
+
+
+# every spec with d <= 4 and d * n_star <= 24 (the enumeration budget), save
+# d = 1 beyond n_star = 12: a 1 x 1 determinant over up to 2.7e6 trajectories
+_LGV_SIZES = [(d, n) for d in range(1, 5) for n in range(1, min(24 // d, 12) + 1)]
+
+
 class TestEnergyAndPartition:
     def test_zero_field(self):
         s = sample_bridge(BridgeSpec(2, 6, 0), SeedRecord(1, 0))
@@ -143,16 +185,18 @@ class TestEnergyAndPartition:
         assert energy(s, f) == pytest.approx(expected)
 
     def test_partition_beta_zero(self):
-        assert partition_exact(BridgeSpec(2, 6, 0), DisorderField("gaussian", 0), 0.0) == 1.0
+        spec = BridgeSpec(2, 6, 0)
+        assert partition_product_exact(spec, _boltzmann(spec, DisorderField("gaussian", 0), 0.0)) == 1.0
 
     def test_two_path_bridge(self):
+        spec = BridgeSpec(1, 2, 0)
         f = TableField({(1, 1): 0.9, (1, -1): -0.4})
-        z = partition_exact(BridgeSpec(1, 2, 0), f, 1.7)
+        z = partition_product_exact(spec, _boltzmann(spec, f, 1.7))
         assert z == pytest.approx((math.exp(1.7 * 0.9) + math.exp(-1.7 * 0.4)) / 2)
 
     def test_constant_field(self):
         spec = BridgeSpec(2, 5, 1)
-        z = partition_exact(spec, TableField({}, default=0.7), 0.9)
+        z = partition_product_exact(spec, _boltzmann(spec, TableField({}, default=0.7), 0.9))
         assert z == pytest.approx(math.exp(0.9 * 0.7 * 2 * 4))
 
     @pytest.mark.parametrize("spec", [BridgeSpec(1, 6, 2), BridgeSpec(2, 6, 0), BridgeSpec(3, 7, 1)])
@@ -175,18 +219,44 @@ class TestEnergyAndPartition:
         for t in trajs:
             visits = [(n, int(x)) for n in range(1, spec.n_star) for x in t[n]]
             product.append(math.prod(frac.value(*v) for v in visits))
-        assert partition_exact(spec, gauss, 0.6) == pytest.approx(np.mean(boltzmann), rel=1e-13)
+        z = partition_product_exact(spec, _boltzmann(spec, gauss, 0.6))
+        assert type(z) is float and z == pytest.approx(np.mean(boltzmann), rel=1e-13)
         exact = partition_product_exact(spec, frac)
         assert type(exact) is Fraction
         assert exact == Fraction(sum(product), len(trajs))
 
+    @pytest.mark.parametrize("d,n_star", _LGV_SIZES)
+    def test_lgv_matches_enumeration(self, d, n_star):
+        # the odd part of every trajectory product is a power of 3 below 2^53,
+        # so the products are exact doubles and equal ones pool exactly
+        values = [Fraction(v) for v in (-2, -1, 0, 3)] + [Fraction(1, 2), Fraction(-3, 4)]
+        times = np.arange(1, n_star)[None, :, None]
+        for x_star in range(-n_star, n_star + 1, 2):
+            spec = BridgeSpec(d, n_star, x_star)
+            field = _rational_field(spec, 100 * n_star + x_star, values)
+            table = np.full((n_star, 2 * (n_star + d)), np.nan)
+            for (n, x), v in field.table.items():
+                table[n, x + n_star] = v
+            trajs = enumerate_trajectories(spec)
+            prods = table[times, trajs[:, 1:n_star] + n_star].reshape(len(trajs), -1).prod(axis=1)
+            vals, counts = np.unique(prods, return_counts=True)
+            total = sum((Fraction(v) * int(c) for v, c in zip(vals, counts)), Fraction(0))
+            got = partition_product_exact(spec, field)
+            assert type(got) is Fraction and got == total / len(trajs), spec
+
+    @pytest.mark.parametrize("spec", [BridgeSpec(3, 14, 0), BridgeSpec(4, 12, 2)])
+    def test_lgv_matches_chamber_sweep(self, spec):
+        # beyond the enumeration budget the chamber transfer sum is the oracle;
+        # no zero weight, which at this length would zero the whole sum
+        values = [Fraction(v) for v in (-2, -1, 2, 3)] + [Fraction(1, 3), Fraction(-5, 7)]
+        field = _rational_field(spec, 31, values)
+        want = _chamber_sweep_average(spec, field)
+        assert want != 0 and partition_product_exact(spec, field) == want
+
     def test_empty_bridge_raises(self):
         spec = BridgeSpec(1, 2, 4)
-        field = TableField({}, default=Fraction(2))
         with pytest.raises(DomainError):
-            partition_product_exact(spec, field)
-        with pytest.raises(DomainError):
-            partition_exact(spec, field, 0.5)
+            partition_product_exact(spec, TableField({}, default=Fraction(2)))
 
 
 def _subset_chaos_sum(spec, field):
@@ -279,8 +349,9 @@ class TestChaosExpansion:
             assert chaos_expansion_exact(spec, field) != partition_product_exact(spec, field)
 
     def test_float_path_general_field(self):
-        # a non-two-valued float field: its values enter the determinant as
-        # exact binary fractions, against the float transfer sum
+        # a non-two-valued float field: its values enter both determinants
+        # as exact binary fractions, so the bridge average is the exact chaos
+        # sum rounded once
         spec = BridgeSpec(2, 4, 0)
         gen = SeedRecord(43, 0).generator()
         field = TableField(
@@ -289,7 +360,7 @@ class TestChaosExpansion:
         lhs = partition_product_exact(spec, field)
         rhs = chaos_expansion_exact(spec, field)
         assert type(rhs) is Fraction
-        assert float(rhs) == pytest.approx(lhs, rel=1e-10)
+        assert type(lhs) is float and lhs == float(rhs)
 
     def test_site_budget(self):
         spec = BridgeSpec(2, 10, 0)
@@ -313,7 +384,7 @@ class TestSmcEstimator:
                     "rademacher", key, np.array([0]), np.array([n]), np.array([x])
                 )[0]
             )
-        z_exact = partition_exact(spec, TableField(table), beta_n)
+        z_exact = partition_product_exact(spec, _boltzmann(spec, TableField(table), beta_n))
         ests = np.array(
             [
                 float(

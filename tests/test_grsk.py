@@ -101,9 +101,10 @@ class TestTau:
         assert isinstance(tau_lgv(WeightMatrix.constant(4, 4, 1.0), 2, 4, 4), float)
 
     def test_log_dp_matches_direct(self):
+        # direct enumeration of the disjoint path pairs, in doubles
         gen = SeedRecord(3, 0).generator()
         logw = np.log(gen.uniform(0.5, 2.0, size=(6, 6)))
-        direct = tau_lgv(WeightMatrix.from_array(np.exp(logw)), 2, 6, 6)
+        direct = tau_enumerate(WeightMatrix.from_array(np.exp(logw)), 2, 6, 6)
         assert log_tau_lgv(logw, 2) == pytest.approx(math.log(direct), rel=1e-12)
 
     @pytest.mark.parametrize(

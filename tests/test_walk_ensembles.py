@@ -236,14 +236,6 @@ class TestChamberPathSums:
         assert type(count) is int and count == len(enumerate_trajectories(spec))
         assert Fraction(count, 2 ** (d * n_star)) == km_weight(n_star, spec.start, spec.end, "exact")
 
-    def test_site_weights_at_interior_times_only(self):
-        spec = BridgeSpec(2, 6, 0)
-        count = len(enumerate_trajectories(spec))
-        end = spec.end.positions
-        for w in (3, Fraction(1, 3), 0.5):
-            total = chamber_path_sums(spec.start, 6, spec.end, lambda n, x: w)[-1][end]
-            assert type(total) is type(w) and total == count * w ** (2 * 5)
-
     def test_empty_bridge_raises(self):
         spec = BridgeSpec(1, 2, 4)
         with pytest.raises(DomainError):
