@@ -183,6 +183,13 @@ def _walker_det(spec: BridgeSpec, weights: dict | None = None) -> Fraction:
     return exact_det(rows)
 
 
+def _exact_value(site: tuple[int, int], v) -> Fraction:
+    """The field value v at `site` as an exact rational; NaN and infinities raise."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise DomainError(f"field value {v} at site {site} is not finite")
+    return Fraction(v)
+
+
 def partition_product_exact(spec: BridgeSpec, field):
     """E[prod over visited sites of the field value] under the bridge measure.
 
@@ -192,13 +199,14 @@ def partition_product_exact(spec: BridgeSpec, field):
     the field values, and their count the same determinant over unit
     weights.  Floats enter as the exact binary fractions they are: the mean
     is a Fraction when every field value is an int or a Fraction, else the
-    exact mean rounded once to a float.  An empty bridge raises DomainError.
+    exact mean rounded once to a float.  An empty bridge or a NaN or
+    infinite field value raises DomainError.
     """
     count = _walker_det(spec)
     if count == 0:
         raise DomainError(f"no non-intersecting trajectory for {spec}")
     values = {s: field.value(*s) for s in reachable_sites(spec)}
-    mean = _walker_det(spec, {s: Fraction(v) for s, v in values.items()}) / count
+    mean = _walker_det(spec, {s: _exact_value(s, v) for s, v in values.items()}) / count
     if all(isinstance(v, (int, Fraction)) for v in values.values()):
         return mean
     return float(mean)
@@ -214,7 +222,8 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fra
     diagonal of centered factors; subsets with more than d sites at one time
     are impossible configurations, so their minors vanish.  Must reproduce
     the direct enumeration average of multiplicative weights.  Float field
-    values enter as the exact binary fractions they are.
+    values enter as the exact binary fractions they are; a NaN or infinite
+    one raises DomainError.
     """
     values = {s: field.value(*s) for s in reachable_sites(spec)}
     live = [s for s, v in values.items() if v != 1]
@@ -223,7 +232,7 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fra
             f"{len(live)} contributing sites exceed budget {site_budget}"
         )
     table = DiscreteKernelTable(spec, exact=True)
-    f = [Fraction(values[s]) - 1 for s in live]
+    f = [_exact_value(s, values[s]) - 1 for s in live]
     # I + K F: column j of the kernel matrix scaled by f_j, one entry per pair
     mat = [
         [table.entry(a, b) * f[j] + int(i == j) for j, b in enumerate(live)]

@@ -321,8 +321,8 @@ def rescaled_tau_run(
         raise DomainError(f"need at least 2 replicas, got {replicas}")
     for N in N_list:  # every level is checked before any is drawn
         theta = math.sqrt(N) / beta
-        if theta <= 2:
-            raise DomainError(f"theta = {theta} <= 2 at N = {N}; variance undefined")
+        if not theta > 2:  # NaN fails this too
+            raise DomainError(f"theta = {theta} is not above 2 at N = {N}; variance undefined")
         if N > 400:
             raise BudgetExceeded("N above 400 is out of the determinant budget")
     levels = []

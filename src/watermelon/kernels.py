@@ -9,6 +9,7 @@ Both are evaluated in their gauged forms, which keep every entry O(1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -200,8 +201,12 @@ def _f_weight(spec: BridgeSpec, j: int) -> Fraction:
 class DiscreteKernelTable:
     """Cached per-spec evaluation of the discrete bridge kernel.
 
-    Exact mode carries Fractions end to end; float mode assembles each term
-    in log space with a sign tracker and exponentiates once.
+    Exact mode caches each factor at (n, x) as integer numerators over one
+    denominator, with the spectral weights `f` folded into the forward
+    factor when it is first filled; an entry is then an integer dot product
+    and shifts over the product of two denominators, and one Fraction.
+    Float mode assembles each term in log space with a sign tracker and
+    exponentiates once.
     """
 
     def __init__(self, spec: BridgeSpec, exact: bool = False):
@@ -212,8 +217,8 @@ class DiscreteKernelTable:
         self.log_f = [
             math.log(w.numerator) - math.log(w.denominator) for w in self.f
         ]
-        self._fwd: dict[tuple[int, int], list] = {}
-        self._bwd: dict[tuple[int, int], list] = {}
+        self._fwd: dict[tuple[int, int], object] = {}
+        self._bwd: dict[tuple[int, int], object] = {}
 
     def _check(self, n: int, x: int) -> None:
         if (n + x) % 2 != 0:
@@ -221,18 +226,25 @@ class DiscreteKernelTable:
         if not 0 < n < self.spec.n_star:
             raise DomainError(f"time {n} outside (0, {self.spec.n_star})")
 
-    def _factor(self, cache: dict, params, n: int, x: int, top: int, twice_k: int) -> list:
-        """hahn(params(j, ...)) * binom(top, twice_k / 2) at (n, x), all degrees j.
+    def _factor(self, cache: dict, params, n: int, x: int, top: int, twice_k: int,
+                weights: list | None = None):
+        """weights[j] * hahn(params(j, ...)) * binom(top, twice_k / 2) at (n, x), all j.
 
-        Cached per (n, x).  Float entries are (sign, log magnitude) pairs.
+        Cached per (n, x).  Exact entries are (integer numerators, one
+        positive denominator); float entries are (sign, log magnitude) pairs
+        without the weights.  `twice_k` is even on the parity lattice.
         """
         key = (n, x)
         if key not in cache:
             spec = self.spec
             args = (n, x, spec.d, spec.n_star, spec.x_star)
             if self.exact:
-                b = _binom(top, Fraction(twice_k, 2))
-                vals = [hahn_exact(params(j, *args)) * b for j in range(spec.d)]
+                vals = [hahn_exact(params(j, *args)) for j in range(spec.d)]
+                if weights is not None:
+                    vals = [w * v for w, v in zip(weights, vals)]
+                den = math.lcm(*(v.denominator for v in vals))
+                b = _binom(top, twice_k // 2)
+                cache[key] = ([v.numerator * (den // v.denominator) * b for v in vals], den)
             else:
                 lb = log_binom(top, twice_k // 2)
                 vals = []
@@ -242,14 +254,17 @@ class DiscreteKernelTable:
                         vals.append((0.0, -math.inf))
                     else:
                         vals.append((math.copysign(1.0, q), math.log(abs(q)) + lb))
-            cache[key] = vals
+                cache[key] = vals
         return cache[key]
 
-    def _forward(self, n: int, x: int) -> list:
-        # P_j(n, x) * binom(n + d - 1, (n + x)/2)
-        return self._factor(self._fwd, _p_params, n, x, self.spec.d + n - 1, n + x)
+    def _forward(self, n: int, x: int):
+        # P_j(n, x) * binom(n + d - 1, (n + x)/2), times f_j when exact
+        return self._factor(
+            self._fwd, _p_params, n, x, self.spec.d + n - 1, n + x,
+            self.f if self.exact else None,
+        )
 
-    def _backward(self, n: int, x: int) -> list:
+    def _backward(self, n: int, x: int):
         # P~_j(n, x) * binom(n_star - n + d - 1, (n_star - n + x - x_star)/2)
         s = self.spec
         return self._factor(
@@ -263,17 +278,17 @@ class DiscreteKernelTable:
         self._check(n, x)
         self._check(npr, xpr)
         if self.exact:
-            gauge = Fraction(2) ** (n - npr)
-            heat = Fraction(0)
+            # 2^{n-n'} (sum_j f_j fwd_j bwd_j - heat), heat only when n < n'
+            u, du = self._forward(npr, xpr)
+            v, dv = self._backward(n, x)
+            num = sum(map(operator.mul, u, v))
+            den = du * dv
             if n < npr:
-                heat = gauge * _binom(npr - n, Fraction(npr - n + xpr - x, 2))
-            fwd = self._forward(npr, xpr)
-            bwd = self._backward(n, x)
-            series = sum(
-                (self.f[j] * fwd[j] * bwd[j] for j in range(self.spec.d)),
-                Fraction(0),
-            )
-            return gauge * series - heat
+                num -= _binom(npr - n, (npr - n + xpr - x) // 2) * den
+                den <<= npr - n
+            else:
+                num <<= n - npr
+            return Fraction(num, den)
         # float: each term assembled in log space, one sign, one exponential
         total = 0.0
         if n < npr and (npr - n + xpr - x) % 2 == 0:

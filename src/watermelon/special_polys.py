@@ -2,8 +2,10 @@
 
 All functions here are pure; they may be called freely from concurrent
 workers.  The Hahn evaluator ships two backends: compensated floating-point
-summation for general arguments and exact rational arithmetic for rational
-arguments (the oracle path, used to quantify cancellation in the float path).
+summation for general arguments, and for rational arguments an exact
+Horner evaluation over integers that makes one Fraction per value (the
+oracle path, used to quantify cancellation in the float path).  The lattice
+parameter builders `_p_params` and `_p_tilde_params` give integer arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, ParityError, PoleError
 
 Real = Union[int, float, Fraction]
 
@@ -64,24 +66,21 @@ class HahnParams:
             raise DomainError("Hahn degree must be nonnegative")
 
 
-def _hahn_sum(p: HahnParams, exact: bool) -> Real:
-    """Terminating 3F2-type sum at unit argument.
+def hahn(params: HahnParams) -> float:
+    """Hahn polynomial Q_j(x, alpha, beta, M), floating point.
 
-    Series: sum_m (-j)_m (j+alpha+beta+1)_m (-x)_m / ((alpha+1)_m (-M)_m m!),
+    The terminating 3F2-type sum at unit argument,
+        sum_m (-j)_m (j+alpha+beta+1)_m (-x)_m / ((alpha+1)_m (-M)_m m!),
     accumulated through the term ratio
-        (m-1-j) (j+alpha+beta+m) (m-1-x)  /  ((alpha+m) (m-1-M) m).
-    A zero numerator factor terminates the series; a zero denominator factor
-    before that is a pole.
+        (m-1-j) (j+alpha+beta+m) (m-1-x)  /  ((alpha+m) (m-1-M) m)
+    with Kahan-compensated summation.  A zero numerator factor terminates
+    the series; a zero denominator factor before that is a pole.
     """
-    j, x, a, b, M = p.j, p.x, p.alpha, p.beta, p.M
-    if exact:
-        x, a, b, M = Fraction(x), Fraction(a), Fraction(b), Fraction(M)
-        term: Real = Fraction(1)
-    else:
-        x, a, b, M = float(x), float(a), float(b), float(M)
-        term = 1.0
-    total = term
-    comp = 0.0  # Kahan compensation, float path only
+    p = params
+    j = p.j
+    x, a, b, M = float(p.x), float(p.alpha), float(p.beta), float(p.M)
+    term = total = 1.0
+    comp = 0.0
     for m in range(1, j + 1):
         num = (m - 1 - j) * (j + a + b + m) * (m - 1 - x)
         if num == 0:
@@ -92,30 +91,53 @@ def _hahn_sum(p: HahnParams, exact: bool) -> Real:
                 f"denominator Pochhammer vanished at m={m} for {p}"
             )
         term = term * num / den
-        if exact:
-            total = total + term
-        else:
-            yk = term - comp
-            t = total + yk
-            comp = (t - total) - yk
-            total = t
+        yk = term - comp
+        t = total + yk
+        comp = (t - total) - yk
+        total = t
     return total
-
-
-def hahn(params: HahnParams) -> float:
-    """Hahn polynomial Q_j(x, alpha, beta, M), floating point."""
-    return float(_hahn_sum(params, exact=False))
 
 
 def hahn_exact(params: HahnParams) -> Fraction:
     """Exact rational evaluation of the same terminating sum.
 
-    Requires rational arguments; used as the oracle for :func:`hahn`.
+    Requires rational arguments; used as the oracle for :func:`hahn`.  With
+    x, alpha, beta and M over one common denominator L, each term ratio is a
+    quotient of integers (the L^2 of numerator and denominator cancels), and
+    the series is evaluated by Horner's rule, 1 + r_1 (1 + r_2 (1 + ...)),
+    over integers.  The result is one Fraction.  Termination and poles are
+    those of :func:`hahn`.
     """
-    for v in (params.x, params.alpha, params.beta, params.M):
-        if isinstance(v, float) and not float(v).is_integer():
+    p = params
+    vals = []
+    for v in (p.x, p.alpha, p.beta, p.M):
+        if isinstance(v, float) and not v.is_integer():
             raise DomainError("exact path needs rational arguments")
-    return Fraction(_hahn_sum(params, exact=True))
+        vals.append(v if type(v) is int else Fraction(v))
+    L = math.lcm(*(v.denominator for v in vals))
+    x, a, b, M = (v.numerator * (L // v.denominator) for v in vals)
+    j = p.j
+    ratios = []
+    for m in range(1, j + 1):
+        num = (m - 1 - j) * ((j + m) * L + a + b) * ((m - 1) * L - x)
+        if num == 0:
+            break
+        den = (a + m * L) * ((m - 1) * L - M) * m
+        if den == 0:
+            raise PoleError(
+                f"denominator Pochhammer vanished at m={m} for {p}"
+            )
+        ratios.append((num, den))
+    top, bottom = 1, 1
+    for num, den in reversed(ratios):
+        top, bottom = den * bottom + num * top, den * bottom
+    return Fraction(top, bottom)
+
+
+def _half(v: int) -> int:
+    if v % 2 != 0:
+        raise ParityError(f"lattice sum {v} is odd")
+    return v // 2
 
 
 def _p_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
@@ -124,9 +146,9 @@ def _p_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnP
     # forced by the exact enumeration oracle.
     return HahnParams(
         j=j,
-        x=Fraction(n + x, 2),
-        alpha=Fraction(-(n_star + x_star), 2) - d,
-        beta=Fraction(-(n_star - x_star), 2) - d,
+        x=_half(n + x),
+        alpha=-_half(n_star + x_star) - d,
+        beta=-_half(n_star - x_star) - d,
         M=n + d - 1,
     )
 
@@ -134,9 +156,9 @@ def _p_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnP
 def _p_tilde_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
     return HahnParams(
         j=j,
-        x=Fraction(n_star - n + x - x_star, 2),
-        alpha=Fraction(-(n_star - x_star), 2) - d,
-        beta=Fraction(-(n_star + x_star), 2) - d,
+        x=_half(n_star - n + x - x_star),
+        alpha=-_half(n_star - x_star) - d,
+        beta=-_half(n_star + x_star) - d,
         M=n_star - n + d - 1,
     )
 

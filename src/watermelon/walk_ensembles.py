@@ -456,11 +456,12 @@ def enumerate_bridges(spec: BridgeSpec, budget: int = 24) -> list[PathEnsembleSa
 def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     """All bridge trajectories as one array of shape (count, n_star+1, d).
 
-    Level by level: each partial trajectory tries the 2^d rows of
-    :func:`_step_signs` (bit i of a row's index moves walker i up), keeping
-    moves with every neighbour gap >= 2 and every walker within reach of
-    delta(x*).  Survivors are gathered parent-major, so the rows come out in
-    lexicographic order of their per-step sign indices.
+    Level by level, one walker column at a time: each partial trajectory
+    tries the 2^d rows of :func:`_step_signs` (bit i of a row's index moves
+    walker i up), keeping moves with every neighbour gap >= 2 and every
+    walker within reach of delta(x*).  Survivors are gathered parent-major,
+    so the rows come out in lexicographic order of their per-step sign
+    indices.
     """
     if spec.d * spec.n_star > budget:
         raise BudgetExceeded(
@@ -469,24 +470,30 @@ def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     d, n_star = spec.d, spec.n_star
     # positions and the target stay within n_star + |x*| of 0 .. 2(d-1)
     small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
-    signs = _step_signs(d).astype(small)
-    target = np.array(spec.end.positions, dtype=small)
-    levels = [np.array([spec.start.positions], dtype=small)]
+    signs = _step_signs(d).T.astype(small)  # row i: walker i's step in each move
+    target = spec.end.positions
+    # levels[n][i]: position of walker i at time n, one entry per partial trajectory
+    levels = [[np.array([p], dtype=small) for p in spec.start.positions]]
     parents = []
     for n in range(n_star):
-        cand = levels[-1][:, None, :] + signs
-        keep = np.all(np.diff(cand, axis=2) >= 2, axis=2)
-        keep &= np.all(np.abs(cand - target) <= n_star - n - 1, axis=2)
-        parent, move = np.nonzero(keep)
-        levels.append(cand[parent, move])
-        parents.append(parent)
-    out = np.empty((len(levels[-1]), n_star + 1, d), dtype=np.int64)
-    rows = np.arange(len(out))
+        reach = n_star - n - 1
+        cand = [col[:, None] + s for col, s in zip(levels[-1], signs)]
+        keep = np.abs(cand[0] - target[0]) <= reach
+        for i in range(1, d):
+            keep &= cand[i] - cand[i - 1] >= 2
+            keep &= np.abs(cand[i] - target[i]) <= reach
+        flat = np.flatnonzero(keep)  # parent * 2^d + move
+        levels.append([c.ravel()[flat] for c in cand])
+        parents.append(flat >> d)
+    count = len(levels[-1][0])
+    out = np.empty((count, n_star + 1, d), dtype=small)
+    rows = np.arange(count)
     for n in range(n_star, 0, -1):
-        out[:, n] = levels[n][rows]
+        for i in range(d):
+            out[:, n, i] = levels[n][i][rows]
         rows = parents[n - 1][rows]
     out[:, 0] = spec.start.positions
-    return out
+    return out.astype(np.int64)
 
 
 def macmahon_count(N: int, d: int) -> int:

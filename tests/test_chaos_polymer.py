@@ -348,6 +348,12 @@ class TestChaosExpansion:
         for spec, field in _criterion_8_fields():
             assert chaos_expansion_exact(spec, field) != partition_product_exact(spec, field)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [partition_product_exact, chaos_expansion_exact])
+    def test_non_finite_field_value_names_the_site(self, fn, bad):
+        with pytest.raises(DomainError, match=r"at site \(1, -1\) is not finite"):
+            fn(BridgeSpec(1, 2, 0), TableField({}, default=bad))
+
     def test_float_path_general_field(self):
         # a non-two-valued float field: its values enter both determinants
         # as exact binary fractions, so the bridge average is the exact chaos

@@ -152,9 +152,11 @@ class TestBadInputs:
         ({}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16", "--replicas", "4",
               "--beta", "nan"]),
         ({}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "16", "--replicas", "1"]),
+        ({}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "16", "--replicas", "4",
+              "--beta", "nan"]),
     ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
             "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica",
-            "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica"])
+            "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
 

@@ -271,6 +271,13 @@ class TestRescaledRun:
             rescaled_tau_run(1.0, N_list, 30, SeedRecord(0, 0))
         assert calls == []
 
+    def test_nan_beta_fails_before_any_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grsk, "log_tau_lgv", lambda *a: calls.append(a) or 0.0)
+        with pytest.raises(DomainError, match="theta = nan"):
+            rescaled_tau_run(math.nan, [16], 4, SeedRecord(0, 0))
+        assert calls == []
+
     def test_pinned_levels(self):
         # replay contract of the scaling run: figures of the per-cell loop DP
         # that preceded the wavefront; the two agree to ~1e-11 relative

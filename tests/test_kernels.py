@@ -15,6 +15,7 @@ from watermelon.kernels import (
     DiscreteKernelTable,
     LatticeRounding,
     SpaceTimePoint,
+    _f_weight,
     _kernel,
     alpha_factor,
     continuum_kernel,
@@ -28,8 +29,10 @@ from watermelon.kernels import (
     rescaled_psi_k,
     round_point2,
 )
+from watermelon.chaos_polymer import reachable_sites
 from watermelon.rng import SeedRecord
-from watermelon.walk_ensembles import BridgeSpec, enumerate_trajectories
+from watermelon.special_polys import _p_params, _p_tilde_params, hahn_exact
+from watermelon.walk_ensembles import BridgeSpec, _binom, enumerate_trajectories
 
 
 def rho(t, z):
@@ -158,7 +161,39 @@ def enumeration_occupancy(spec, budget=24):
     return sites, (occ.T @ occ).round().astype(np.int64), count
 
 
+def _gauge_series_heat(spec, a, b):
+    """The former exact entry: gauge * sum_j f_j fwd_j bwd_j - heat, in Fractions."""
+    d, n_star, x_star = spec.d, spec.n_star, spec.x_star
+    (n, x), (npr, xpr) = a, b
+    f = [_f_weight(spec, j) for j in range(d)]
+    fwd = [
+        hahn_exact(_p_params(j, npr, xpr, d, n_star, x_star))
+        * _binom(d + npr - 1, Fraction(npr + xpr, 2))
+        for j in range(d)
+    ]
+    bwd = [
+        hahn_exact(_p_tilde_params(j, n, x, d, n_star, x_star))
+        * _binom(n_star - n + d - 1, Fraction(n_star - n + x - x_star, 2))
+        for j in range(d)
+    ]
+    gauge = Fraction(2) ** (n - npr)
+    heat = Fraction(0)
+    if n < npr:
+        heat = gauge * _binom(npr - n, Fraction(npr - n + xpr - x, 2))
+    series = sum((f[j] * fwd[j] * bwd[j] for j in range(d)), Fraction(0))
+    return gauge * series - heat
+
+
 class TestDiscreteKernel:
+    @pytest.mark.parametrize("spec", [BridgeSpec(2, 6, 2), BridgeSpec(3, 8, -2), BridgeSpec(2, 7, 1)])
+    def test_exact_entry_matches_fraction_formula(self, spec):
+        sites = reachable_sites(spec)
+        table = DiscreteKernelTable(spec, exact=True)
+        for a in sites:
+            for b in sites:
+                got = table.entry(a, b)
+                assert type(got) is Fraction and got == _gauge_series_heat(spec, a, b)
+
     def test_parity_error(self):
         spec = BridgeSpec(2, 6, 0)
         with pytest.raises(ParityError):

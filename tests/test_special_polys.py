@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from watermelon.errors import DomainError, PoleError
+from watermelon.errors import DomainError, ParityError, PoleError
 from watermelon.special_polys import (
     HahnParams,
     hahn,
@@ -157,6 +157,74 @@ class TestHahn:
         assert hahn(HahnParams(j, x, a, b, m_par)) == pytest.approx(ref, rel=1e-10)
 
 
+def _term_by_term_exact(p):
+    """The former exact route: the series in Fractions, term by term."""
+    j = p.j
+    x, a, b, M = Fraction(p.x), Fraction(p.alpha), Fraction(p.beta), Fraction(p.M)
+    term = total = Fraction(1)
+    for m in range(1, j + 1):
+        num = (m - 1 - j) * (j + a + b + m) * (m - 1 - x)
+        if num == 0:
+            break
+        den = (a + m) * (m - 1 - M) * m
+        if den == 0:
+            raise PoleError(f"denominator Pochhammer vanished at m={m} for {p}")
+        term = term * num / den
+        total = total + term
+    return total
+
+
+_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+class TestHahnExactHorner:
+    """Integer Horner evaluation against the term-by-term Fraction series."""
+
+    @given(
+        st.integers(0, 7),
+        st.one_of(_RATIONALS, st.integers(0, 7)),  # small integer x terminates early
+        st.one_of(_RATIONALS, st.integers(-8, -1)),  # negative integer alpha: pole
+        _RATIONALS,
+        st.one_of(_RATIONALS, st.integers(0, 7)),  # small integer M: pole
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_term_by_term_series(self, j, x, alpha, beta, m_par):
+        p = HahnParams(j, x, alpha, beta, m_par)
+        try:
+            want = _term_by_term_exact(p)
+        except PoleError:
+            with pytest.raises(PoleError):
+                hahn_exact(p)
+            return
+        got = hahn_exact(p)
+        assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("p", [
+        HahnParams(2, Fraction(5, 3), -1, Fraction(1, 2), 9),  # pole at m = 1
+        HahnParams(3, Fraction(7, 2), Fraction(1, 3), 1, 2),  # pole at m = 3
+        HahnParams(4, Fraction(9, 4), -2, Fraction(2, 3), Fraction(7, 2)),  # pole at m = 2
+    ])
+    def test_pole_cases(self, p):
+        with pytest.raises(PoleError):
+            _term_by_term_exact(p)
+        with pytest.raises(PoleError):
+            hahn_exact(p)
+
+    @pytest.mark.parametrize("p", [
+        HahnParams(2, 0, -1, 5, 9),  # terminates at m = 1, before the alpha pole
+        HahnParams(3, 1, Fraction(1, 2), 2, 1),  # terminates at m = 2, before the M pole
+        HahnParams(3, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6)),
+        HahnParams(5, 3.0, Fraction(-1, 2), 2, 11.0),  # integral floats are exact
+    ])
+    def test_fixed_cases(self, p):
+        assert hahn_exact(p) == _term_by_term_exact(p)
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_non_rational_float_raises(self, bad):
+        with pytest.raises(DomainError):
+            hahn_exact(HahnParams(2, bad, 1, 2, 9))
+
+
 class TestEndpointFamilies:
     def test_degree_zero_everywhere(self):
         assert hahn_exact(_p_params(0, 2, 0, 2, 4, 0)) == 1.0
@@ -175,6 +243,20 @@ class TestEndpointFamilies:
                 )
             )
             assert hahn_exact(_p_tilde_params(j, 0, 0, 2, 6, 2)) == direct
+
+    @pytest.mark.parametrize("builder", [_p_params, _p_tilde_params])
+    @pytest.mark.parametrize("args", [
+        (1, 2, 1, 2, 6, 0),  # n + x odd
+        (1, 2, 0, 2, 7, 0),  # n_star + x_star odd
+    ])
+    def test_odd_lattice_sum_raises(self, builder, args):
+        with pytest.raises(ParityError):
+            builder(*args)
+
+    @pytest.mark.parametrize("builder", [_p_params, _p_tilde_params])
+    def test_parameters_are_integers(self, builder):
+        p = builder(2, 3, 1, 3, 8, -2)
+        assert all(type(v) is int for v in (p.x, p.alpha, p.beta, p.M))
 
     def test_degree_one_example(self):
         # d=2, n*=4, x*=0, (n,x)=(2,0): argument 1, top parameters -4, -4

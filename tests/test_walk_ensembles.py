@@ -44,6 +44,7 @@ from watermelon.walk_ensembles import (
     signed_logdet,
     vandermonde,
     walk_bridges_lockstep,
+    _step_signs,
 )
 
 
@@ -192,6 +193,42 @@ class TestEnumeration:
         assert got.dtype == np.int64 and np.array_equal(got, want)
         with pytest.raises(BudgetExceeded):
             enumerate_trajectories(spec, budget=d * n_star - 1)
+
+    @staticmethod
+    def whole_row_masks(spec):
+        """The former enumeration: np.diff and np.all over whole candidate rows."""
+        d, n_star = spec.d, spec.n_star
+        small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
+        signs = _step_signs(d).astype(small)
+        target = np.array(spec.end.positions, dtype=small)
+        levels = [np.array([spec.start.positions], dtype=small)]
+        parents = []
+        for n in range(n_star):
+            cand = levels[-1][:, None, :] + signs
+            keep = np.all(np.diff(cand, axis=2) >= 2, axis=2)
+            keep &= np.all(np.abs(cand - target) <= n_star - n - 1, axis=2)
+            parent, move = np.nonzero(keep)
+            levels.append(cand[parent, move])
+            parents.append(parent)
+        out = np.empty((len(levels[-1]), n_star + 1, d), dtype=np.int64)
+        rows = np.arange(len(out))
+        for n in range(n_star, 0, -1):
+            out[:, n] = levels[n][rows]
+            rows = parents[n - 1][rows]
+        out[:, 0] = spec.start.positions
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_whole_row_masks(self, d):
+        # every spec with d * n_star <= 24, each endpoint up to one step
+        # past reach; one walker stops at n_star = 20 (185k rows), since
+        # n_star = 24 alone would hold 2.7M rows, 540 MB per array
+        for n_star in range(1, min(24 // d, 20) + 1):
+            for x_star in range(-n_star - 2, n_star + 3, 2):
+                spec = BridgeSpec(d, n_star, x_star)
+                got = enumerate_trajectories(spec)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, self.whole_row_masks(spec)), spec
 
     @pytest.mark.parametrize("x_star", [4, 40000])
     def test_unreachable_is_empty(self, x_star):
