@@ -13,7 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -474,14 +474,3 @@ def run_criterion(crit_id: int) -> CheckResult:
             return CheckResult(cid, name, passed, detail, elapsed, limit, cpu, load)
     raise KeyError(f"no criterion {crit_id}")
 
-
-def run_all(ids: Sequence[int] | None = None, echo: bool = True) -> list[CheckResult]:
-    results = []
-    for cid, name, limit, fn in CRITERIA:
-        if ids is not None and cid not in ids:
-            continue
-        res = run_criterion(cid)
-        results.append(res)
-        if echo:
-            print(res.line(), flush=True)
-    return results

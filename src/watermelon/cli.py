@@ -1,12 +1,15 @@
 """Command-line front end: experiments, configuration, and every file written.
 
-Commands: sample | kernels | polymer | grsk | overlap | verify.  A JSON
-config file supplies defaults; flags override fields.  Monte Carlo commands
-require an explicit --seed (no silent entropy).  This is the only module
-that writes files: each command returns its files and assertions, and
-:func:`run_command` writes them, then a manifest with the resolved config,
-seeds, versions, wall-clock, per-assertion outcomes and the list of files.
-Exact paths reproduce bit-for-bit from the manifest.
+Commands: sample | kernels | polymer | grsk | overlap | verify.  The table
+:data:`COMMANDS` names the config fields each command reads and :data:`FLAGS`
+each field's flag; the subparsers, the config-file keys a command accepts (a
+JSON config file supplies defaults; flags override them), the seed rule (a
+command that reads `seed` requires an explicit --seed: no silent entropy)
+and the manifest's config all come from it.  This is the only module that
+writes files: each command returns its files and assertions, and
+:func:`run_command` writes them, then a manifest with the config, seeds,
+versions, wall-clock, per-assertion outcomes and the list of files.  Exact
+paths reproduce bit-for-bit from the manifest.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import os
 import platform
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -78,23 +82,45 @@ class ExperimentConfig:
         return SeedRecord(self.seed, offset)
 
 
-MC_COMMANDS = {"sample", "polymer", "grsk", "overlap"}
+# argparse options of each config field but `command`; the flag is the
+# field name with dashes (`n_star` -> --n-star, `N_list` -> --N-list)
+FLAGS = {
+    "out_dir": {},
+    "seed": {"type": int},
+    "d": {"type": int},
+    "n_star": {"type": int},
+    "x_star": {"type": int},
+    "count": {"type": int},
+    "enumerate_all": {"action": "store_true", "default": None},
+    "step_budget": {"type": int},
+    "t_star": {"type": float},
+    "z_star": {"type": float},
+    "beta": {"type": float},
+    "N_list": {"type": int, "nargs": "+"},
+    "replicas": {"type": int},
+    "inner_paths": {"type": int},
+    "distribution": {"choices": cp.DISTRIBUTIONS},
+    "k_max": {"type": int},
+    "t_grid": {"type": float, "nargs": "+"},
+    "window": {"type": float, "nargs": 2},
+    "workers": {"type": int},
+    "criteria": {"type": int, "nargs": "+", "help": "criterion ids to run (default: all)"},
+}
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    reads = {"command", "out_dir", *COMMANDS[args.command][2]}
     payload: dict = {}
     if args.config:
         payload.update(json.loads(Path(args.config).read_text()))
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        payload[key] = value
-    payload.setdefault("command", args.command)
-    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+    if payload.setdefault("command", args.command) != args.command:
+        raise WatermelonError(f"config is for the {payload['command']} command")
+    payload.update((k, v) for k, v in vars(args).items() if k in reads and v is not None)
+    unknown = sorted(set(payload) - reads)
     if unknown:
-        raise WatermelonError(f"unknown config keys {unknown}")
+        raise WatermelonError(f"the {args.command} command reads no config keys {unknown}")
     cfg = ExperimentConfig(**payload)
-    if cfg.command in MC_COMMANDS and not cfg.enumerate_all and cfg.seed is None:
+    if "seed" in reads and not cfg.enumerate_all and cfg.seed is None:
         raise WatermelonError(f"--seed is mandatory for the {cfg.command} command")
     return cfg
 
@@ -163,7 +189,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2))
 
 
-def run_command(command, cfg: ExperimentConfig) -> int:
+def run_command(cfg: ExperimentConfig) -> int:
     """Run one command, write its files and manifest, and return its exit code.
 
     The command computes everything before the output directory is made, so
@@ -171,6 +197,7 @@ def run_command(command, cfg: ExperimentConfig) -> int:
     is 0 iff every boolean assertion holds, else 1; numeric assertions are
     reported, not judged.
     """
+    command, _, reads = COMMANDS[cfg.command]
     started = time.time()
     outcome = command(cfg)
     out = cfg.resolved_out_dir()
@@ -185,7 +212,7 @@ def run_command(command, cfg: ExperimentConfig) -> int:
                 writer.writerow(header)
                 writer.writerows(rows)
     _write_json(out / "manifest.json", {
-        "config": vars(cfg),
+        "config": {k: v for k, v in vars(cfg).items() if k in ("command", "out_dir", *reads)},
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -337,6 +364,23 @@ def resolve_workers(requested: int, jobs: int) -> int:
     return max(1, min(requested, jobs))
 
 
+def _criterion_results(ids: list[int], workers: int) -> Iterator[acceptance.CheckResult]:
+    """Results of the criteria `ids` in that order, each as soon as it is in."""
+    if workers == 1:
+        yield from map(acceptance.run_criterion, ids)
+        return
+    # criteria are independent and internally seeded, so the outcome is
+    # identical regardless of scheduling; only wall clock changes.  Spawned
+    # workers import afresh instead of forking a process that may hold BLAS
+    # threads.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(acceptance.run_criterion, ids)
+
+
 def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     known = [cid for cid, _, _, _ in acceptance.CRITERIA]
     unknown = set(cfg.criteria or ()) - set(known)
@@ -344,24 +388,9 @@ def cmd_verify(cfg: ExperimentConfig) -> Outcome:
         raise WatermelonError(f"no criteria {sorted(unknown)}")
     # suite order, each id once, whether run serially or in a pool
     ids = [cid for cid in known if cid in (cfg.criteria or known)]
-    workers = resolve_workers(cfg.workers, len(ids))
-    if workers > 1:
-        # criteria are independent and internally seeded, so the outcome is
-        # identical regardless of scheduling; only wall clock changes.  Spawned
-        # workers import afresh instead of forking a process that may hold
-        # BLAS threads.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(acceptance.run_criterion, ids))
-        for res in results:
-            print(res.line(), flush=True)
-    else:
-        results = acceptance.run_all(ids=ids)
     outcome = Outcome()
-    for res in results:
+    for res in _criterion_results(ids, resolve_workers(cfg.workers, len(ids))):
+        print(res.line(), flush=True)
         key = f"criterion_{res.crit_id:02d}_{res.name}"
         outcome.assertions[key] = res.passed
         outcome.criteria[key] = {
@@ -374,7 +403,26 @@ def cmd_verify(cfg: ExperimentConfig) -> Outcome:
     return outcome
 
 
-def main(argv: list[str] | None = None) -> int:
+# each command: its function, its help line and the config fields it reads
+# besides `command` and `out_dir`, in the order of its flags
+COMMANDS = {
+    "sample": (cmd_sample, "sample or enumerate bridge trajectories",
+               ("seed", "d", "n_star", "x_star", "count", "enumerate_all", "step_budget")),
+    "kernels": (cmd_kernels, "lattice-to-continuum kernel convergence study",
+                ("d", "t_star", "z_star", "N_list")),
+    "polymer": (cmd_polymer, "intermediate-disorder partition run",
+                ("seed", "d", "t_star", "z_star", "beta", "N_list", "replicas", "inner_paths",
+                 "distribution")),
+    "grsk": (cmd_grsk, "path-sum determinant checks and scaling run",
+             ("seed", "d", "beta", "N_list", "replicas")),
+    "overlap": (cmd_overlap, "overlap-time moments and bound checks",
+                ("seed", "d", "t_star", "z_star", "N_list", "replicas", "k_max", "t_grid",
+                 "window")),
+    "verify": (cmd_verify, "run the acceptance suite", ("workers", "criteria")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="watermelon",
         description="Non-intersecting walk bridges, determinantal kernels, "
@@ -382,69 +430,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, fields_read) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key in ("out_dir", *fields_read):
+            p.add_argument("--" + key.replace("_", "-"), **FLAGS[key])
+    return parser
 
-    def common(p, seed=True, d=True):
-        # only the flags the command reads
-        p.add_argument("--out-dir", dest="out_dir")
-        if seed:
-            p.add_argument("--seed", type=int)
-        if d:
-            p.add_argument("--d", type=int)
 
-    p = sub.add_parser("sample", help="sample or enumerate bridge trajectories")
-    common(p)
-    p.add_argument("--n-star", dest="n_star", type=int)
-    p.add_argument("--x-star", dest="x_star", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--enumerate-all", dest="enumerate_all", action="store_true", default=None)
-    p.add_argument("--step-budget", dest="step_budget", type=int)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("kernels", help="lattice-to-continuum kernel convergence study")
-    common(p, seed=False)
-    p.add_argument("--t-star", dest="t_star", type=float)
-    p.add_argument("--z-star", dest="z_star", type=float)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+")
-    p.set_defaults(func=cmd_kernels)
-
-    p = sub.add_parser("polymer", help="intermediate-disorder partition run")
-    common(p)
-    p.add_argument("--t-star", dest="t_star", type=float)
-    p.add_argument("--z-star", dest="z_star", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+")
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--inner-paths", dest="inner_paths", type=int)
-    p.add_argument("--distribution", choices=cp.DISTRIBUTIONS)
-    p.set_defaults(func=cmd_polymer)
-
-    p = sub.add_parser("grsk", help="path-sum determinant checks and scaling run")
-    common(p)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+")
-    p.add_argument("--replicas", type=int)
-    p.set_defaults(func=cmd_grsk)
-
-    p = sub.add_parser("overlap", help="overlap-time moments and bound checks")
-    common(p)
-    p.add_argument("--t-star", dest="t_star", type=float)
-    p.add_argument("--z-star", dest="z_star", type=float)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+")
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--t-grid", dest="t_grid", type=float, nargs="+")
-    p.add_argument("--window", type=float, nargs=2)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p, seed=False, d=False)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--criteria", type=int, nargs="+", help="criterion ids to run (default: all)")
-    p.set_defaults(func=cmd_verify)
-
-    args = parser.parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return run_command(args.func, build_config(args))
+        return run_command(build_config(args))
     except WatermelonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -242,7 +242,7 @@ def rotate_lambda_inverse(d: int, tz: tuple[int, int]) -> tuple[int, int]:
 
 def inverse_gamma_sample(theta: float, rng: SeedRecord | np.random.Generator, size=None):
     """Reciprocal of a unit-scale Gamma(theta) draw."""
-    if theta <= 0:
+    if not theta > 0:
         raise DomainError("theta must be positive")
     gen = rng.generator() if isinstance(rng, SeedRecord) else rng
     return 1.0 / gen.gamma(theta, 1.0, size=size)
@@ -250,10 +250,10 @@ def inverse_gamma_sample(theta: float, rng: SeedRecord | np.random.Generator, si
 
 def inverse_gamma_moments(theta: float) -> tuple[float, float]:
     """Mean 1/(theta-1) for theta > 1; variance (theta-1)^{-2}(theta-2)^{-1} for theta > 2."""
-    if theta <= 1:
+    if not theta > 1:
         raise DomainError("mean requires theta > 1")
     mean = 1.0 / (theta - 1.0)
-    if theta <= 2:
+    if not theta > 2:
         raise DomainError("variance requires theta > 2")
     var = mean * mean / (theta - 2.0)
     return mean, var

@@ -376,8 +376,10 @@ class ExactBridgeLaw:
     """Exact one- and two-time occupation probabilities of the bridge.
 
     fwd[n] counts the chamber paths delta(0) -> x of n steps and bwd[n] the
-    paths x -> delta(x*) of n_star - n steps; the moves are symmetric, so
-    bwd is the same sweep run from the endpoint back to the start.  Both
+    paths x -> delta(x*) of n_star - n steps.  The moves are symmetric, and
+    the mirror R(x) = x* + 2(d - 1) - x (positions reversed) swaps delta(0)
+    and delta(x*) and commutes with the moves and the reach pruning, so
+    bwd[n] is fwd[n_star - n] mirrored by R: one sweep serves both.  Both
     layers at time n hold the same configurations: those within reach,
     walker by walker, of both ends.  (The walkers' lower envelopes
     max(a_i - m, b_i - (n - m)) join any two chamber configurations a, b
@@ -388,7 +390,11 @@ class ExactBridgeLaw:
     def __init__(self, spec: BridgeSpec):
         self.spec = spec
         self.fwd = chamber_path_sums(spec.start, spec.n_star, spec.end)
-        self.bwd = chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
+        c = spec.x_star + 2 * (spec.d - 1)
+        self.bwd = [
+            {tuple(c - p for p in reversed(y)): w for y, w in layer.items()}
+            for layer in reversed(self.fwd)
+        ]
         self.total = self.fwd[spec.n_star][spec.end.positions]
 
     def _check_time(self, n: int) -> None:

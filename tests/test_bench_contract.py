@@ -1,9 +1,11 @@
 """What the benchmark in perfbench/ needs from the package, checked in Tier-1.
 
 The benchmark's own self-tests (python3 -m pytest perfbench) sit outside the
-default test paths.  These two checks read perfbench/ and change nothing
-there: every attribute its tracer patches must exist on its owner, and the
-smoke exact-oracles job must run with every check passing.
+default test paths.  These checks read perfbench/ and change nothing there:
+every attribute its tracer patches must exist on its owner, the smoke
+exact-oracles job must run with every check passing, and the smoke CLI
+commands job, which passes every flag the benchmark uses, must run with every
+hard check passing.
 """
 
 import sys
@@ -49,3 +51,18 @@ def test_smoke_exact_oracles_job_passes(bench, tmp_path):
         job.check(checks)
     assert checks.attempted > 0
     assert checks.correct and checks.failed == 0, checks.hard_failures + checks.verdict_failures
+
+
+def test_smoke_cli_commands_job_is_correct(bench, tmp_path, monkeypatch):
+    _, workloads = bench
+    # the jobs pass relative --out-dir paths under the output root, as in run.py
+    monkeypatch.setenv("WATERMELON_OUTPUT_ROOT", str(tmp_path))
+    checks = workloads.Checks()
+    for job in workloads.BY_NAME["cli_commands"].make(1, tmp_path, True):
+        job.reset()
+        job.run()
+        job.check(checks)
+    assert checks.attempted > 0
+    # failed verdicts are the program's statistical assertions, not faults of
+    # the run (overlap's moments_bounded_in_N fails at these sizes)
+    assert checks.correct, checks.hard_failures

@@ -1,11 +1,13 @@
 """Command-line behavior: config handling, manifests, files, determinism."""
 
+import argparse
 import ast
 import concurrent.futures
 import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +174,20 @@ class TestBadInputs:
         self._run_with_config(tmp_path, capsys, {"foo": 1},
                               ["sample", "--d", "1", "--n-star", "2", "--enumerate-all"])
 
+    @pytest.mark.parametrize("payload,args", [
+        ({"inner_paths": 3}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "9", "--replicas", "4"]),
+        ({"k_max": 2}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16", "--replicas", "4",
+                        "--inner-paths", "4"]),
+        ({"seed": 3}, ["kernels", "--d", "1", "--N-list", "20", "40"]),
+        ({"workers": 1}, ["sample", "--d", "1", "--n-star", "2", "--enumerate-all"]),
+        ({"N_list": [16]}, ["verify", "--criteria", "7"]),
+        ({"command": "sample"}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "9",
+                                 "--replicas", "4"]),
+    ], ids=["grsk_inner_paths", "polymer_k_max", "kernels_seed", "sample_workers",
+            "verify_N_list", "grsk_other_command"])
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys, payload, args):
+        self._run_with_config(tmp_path, capsys, payload, args)
+
     def test_kernels_needs_two_scales(self, tmp_path, capsys):
         out = tmp_path / "k"
         code = run(["kernels", "--d", "1", "--N-list", "50", "--out-dir", str(out)])
@@ -189,6 +205,74 @@ class TestBadInputs:
             run([command, flag, "7", "--out-dir", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
+
+
+class TestCommandTable:
+    # each command's options in order, and each option's (type, nargs,
+    # choices), as the hand-written subparsers declared them
+    ACCEPTED = {
+        "sample": ["--out-dir", "--seed", "--d", "--n-star", "--x-star", "--count",
+                   "--enumerate-all", "--step-budget"],
+        "kernels": ["--out-dir", "--d", "--t-star", "--z-star", "--N-list"],
+        "polymer": ["--out-dir", "--seed", "--d", "--t-star", "--z-star", "--beta", "--N-list",
+                    "--replicas", "--inner-paths", "--distribution"],
+        "grsk": ["--out-dir", "--seed", "--d", "--beta", "--N-list", "--replicas"],
+        "overlap": ["--out-dir", "--seed", "--d", "--t-star", "--z-star", "--N-list",
+                    "--replicas", "--k-max", "--t-grid", "--window"],
+        "verify": ["--out-dir", "--workers", "--criteria"],
+    }
+    KINDS = {
+        "--out-dir": (None, None, None), "--seed": (int, None, None), "--d": (int, None, None),
+        "--n-star": (int, None, None), "--x-star": (int, None, None),
+        "--count": (int, None, None), "--enumerate-all": (None, 0, None),
+        "--step-budget": (int, None, None), "--t-star": (float, None, None),
+        "--z-star": (float, None, None), "--N-list": (int, "+", None),
+        "--beta": (float, None, None), "--replicas": (int, None, None),
+        "--inner-paths": (int, None, None),
+        "--distribution": (None, None, ["rademacher", "gaussian", "shifted_exponential"]),
+        "--k-max": (int, None, None), "--t-grid": (float, "+", None),
+        "--window": (float, 2, None), "--workers": (int, None, None),
+        "--criteria": (int, "+", None),
+    }
+
+    @staticmethod
+    def _subparser(command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[command]
+
+    @pytest.mark.parametrize("command", list(ACCEPTED))
+    def test_options_are_pinned(self, command):
+        actions = [a for a in self._subparser(command)._actions if a.option_strings != ["-h", "--help"]]
+        assert [a.option_strings for a in actions] == [[o] for o in self.ACCEPTED[command]]
+        for a in actions:
+            choices = list(a.choices) if a.choices else None
+            assert (a.type, a.nargs, choices) == self.KINDS[a.option_strings[0]]
+            assert a.dest == a.option_strings[0][2:].replace("-", "_")
+
+    @pytest.mark.parametrize("command", list(ACCEPTED))
+    def test_every_other_flag_is_an_error(self, command, capsys):
+        table = ["--" + key.replace("_", "-") for key in cli.FLAGS]
+        assert sorted(table) == sorted(self.KINDS)
+        for flag in sorted(set(table) - set(self.ACCEPTED[command])):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([command, flag, "1"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_manifest_config_replays_the_run(self, tmp_path):
+        out = tmp_path / "g"
+        assert run(["grsk", "--seed", "5", "--beta", "1.0", "--d", "2", "--N-list", "16",
+                    "--replicas", "10", "--out-dir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config.keys() == {"command", "out_dir", "seed", "d", "beta", "N_list", "replicas"}
+        report = (out / "grsk_report.json").read_bytes()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        shutil.rmtree(out)
+        assert run(["--config", str(cfg), "grsk"]) == 0
+        assert (out / "grsk_report.json").read_bytes() == report
+        assert json.loads((out / "manifest.json").read_text())["config"] == config
 
 
 class TestKernelsCommand:
@@ -470,6 +554,37 @@ class TestWorkers:
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["criteria"]) == [
             "criterion_01_stub", "criterion_03_stub", "criterion_08_stub"]
+
+    def test_serial_run_matches_pool_run(self, tmp_path, monkeypatch, capsys):
+        events = []
+
+        class Result(acceptance.CheckResult):
+            def line(self):
+                events.append(("print", self.crit_id))
+                return super().line()
+
+        def fake_criterion(cid):
+            events.append(("run", cid))
+            return Result(cid, "stub", cid != 3, "ok", 0.0, None)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(acceptance, "run_criterion", fake_criterion)
+        runs = []
+        for workers in ("0", "1"):
+            events.clear()
+            out = tmp_path / workers
+            assert run(["verify", "--criteria", "8", "1", "3", "--workers", workers,
+                        "--out-dir", str(out)]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            manifest = json.loads((out / "manifest.json").read_text())
+            # each line is printed as soon as its criterion is in
+            assert events == [(e, cid) for cid in (1, 3, 8) for e in ("run", "print")]
+            runs.append((lines[:-1], list(manifest["criteria"]), manifest["assertions"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [
+            "[PASS] criterion  1 stub (0.0s): ok", "[FAIL] criterion  3 stub (0.0s): ok",
+            "[PASS] criterion  8 stub (0.0s): ok"]
 
     def test_unknown_criterion_rejected(self, tmp_path):
         code = run(["verify", "--criteria", "7", "99", "--out-dir", str(tmp_path / "v")])

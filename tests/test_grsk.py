@@ -223,6 +223,15 @@ class TestInverseGamma:
         with pytest.raises(DomainError):
             inverse_gamma_moments(2.0)
 
+    @pytest.mark.parametrize("call", [
+        inverse_gamma_moments,
+        lambda theta: inverse_gamma_sample(theta, np.random.default_rng(0), size=3),
+        lambda theta: inverse_gamma_sample(theta, SeedRecord(2, 0)),
+    ], ids=["moments", "sample_generator", "sample_seed_record"])
+    def test_nan_theta_raises(self, call):
+        with pytest.raises(DomainError):
+            call(float("nan"))
+
     def test_mean_vanishes_at_large_theta(self):
         mean, _ = inverse_gamma_moments(1e6)
         assert mean < 2e-6

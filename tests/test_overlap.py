@@ -269,12 +269,15 @@ class TestExactBridgeLaw:
 
     def test_forward_and_backward_layers_hold_the_same_configurations(self):
         # site_prob, config_dist and the pair sweep look up bwd[n] by every
-        # key of fwd[n] without a guard
+        # key of fwd[n] without a guard; the mirrored bwd equals the sweep
+        # run from the endpoint back to the start
         layers = 0
         for d in range(1, 5):
             for n_star in range(1, 13):
                 for x_star in range(-n_star, n_star + 1, 2):
-                    law = ExactBridgeLaw(BridgeSpec(d, n_star, x_star))
+                    spec = BridgeSpec(d, n_star, x_star)
+                    law = ExactBridgeLaw(spec)
+                    assert law.bwd == chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
                     assert len(law.fwd) == len(law.bwd) == n_star + 1
                     for fwd, bwd in zip(law.fwd, law.bwd):
                         assert fwd.keys() == bwd.keys()
