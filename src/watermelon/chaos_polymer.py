@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, hash_uniform
-from .walk_ensembles import BridgeSpec, PathEnsembleSample, exact_det
+from .walk_ensembles import BridgeSpec, PathEnsembleSample, exact_det, int_det
 # unused here; bound so that perfbench/spans.py can patch them on this module
 from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
@@ -233,12 +233,16 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fra
         )
     table = DiscreteKernelTable(spec, exact=True)
     f = [_exact_value(s, values[s]) - 1 for s in live]
-    # I + K F: column j of the kernel matrix scaled by f_j, one entry per pair
-    mat = [
-        [table.entry(a, b) * f[j] + int(i == j) for j, b in enumerate(live)]
-        for i, a in enumerate(live)
-    ]
-    return exact_det(mat)
+    # det K = det A / prod s_i with s_i = dv_i du_i (DiscreteKernelTable.numerators);
+    # with f_j = p_j / q_j, scaling row i of I + K F by dv_i and column j by
+    # du_j q_j (after the gauge cancels) gives diag(s_i q_i) + A diag(p_j)
+    mat, dv, du = table.numerators(live, live)
+    scales = [v * u * fi.denominator for v, u, fi in zip(dv, du, f)]
+    for i, row in enumerate(mat):
+        for j, fj in enumerate(f):
+            row[j] *= fj.numerator
+        row[i] += scales[i]
+    return Fraction(int_det(mat), math.prod(scales))
 
 
 # --- intermediate disorder pipeline ------------------------------------------

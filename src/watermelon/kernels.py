@@ -18,14 +18,17 @@ import numpy as np
 
 from .errors import DomainError, ParityError
 from .rng import SeedRecord
-from .special_polys import (
-    _p_params,
-    _p_tilde_params,
+# hahn and hahn_exact are unused here; perfbench/spans.py patches them by name
+from .special_polys import (  # noqa: F401
+    _lattice_family,
     hahn,
     hahn_exact,
+    hahn_ratios,
+    hahn_series,
+    hahn_series_exact,
     hermite_normalized,
 )
-from .walk_ensembles import BridgeSpec, _binom, exact_det, log_binom
+from .walk_ensembles import BridgeSpec, _binom, int_det, log_binom
 
 
 @dataclass(frozen=True)
@@ -201,10 +204,13 @@ def _f_weight(spec: BridgeSpec, j: int) -> Fraction:
 class DiscreteKernelTable:
     """Cached per-spec evaluation of the discrete bridge kernel.
 
-    Exact mode caches each factor at (n, x) as integer numerators over one
-    denominator, with the spectral weights `f` folded into the forward
-    factor when it is first filled; an entry is then an integer dot product
-    and shifts over the product of two denominators, and one Fraction.
+    Per factor (forward P, backward P~) and time n the table caches the
+    x-free Hahn term-ratio factors of every degree (`special_polys.hahn_ratios`),
+    so each factor at (n, x) is one short series run per degree, cached too.
+    Exact mode keeps a factor as integer numerators over one denominator,
+    with the spectral weights `f` folded into the forward factor when it is
+    first filled: an entry is an integer dot product and one Fraction, and
+    a k-point probability is one integer determinant (:meth:`numerators`).
     Float mode assembles each term in log space with a sign tracker and
     exponentiates once.
     """
@@ -217,8 +223,8 @@ class DiscreteKernelTable:
         self.log_f = [
             math.log(w.numerator) - math.log(w.denominator) for w in self.f
         ]
-        self._fwd: dict[tuple[int, int], object] = {}
-        self._bwd: dict[tuple[int, int], object] = {}
+        self._cache: dict[tuple[bool, int, int], object] = {}
+        self._series: dict[tuple[bool, int], tuple] = {}
 
     def _check(self, n: int, x: int) -> None:
         if (n + x) % 2 != 0:
@@ -226,50 +232,48 @@ class DiscreteKernelTable:
         if not 0 < n < self.spec.n_star:
             raise DomainError(f"time {n} outside (0, {self.spec.n_star})")
 
-    def _factor(self, cache: dict, params, n: int, x: int, top: int, twice_k: int,
-                weights: list | None = None):
-        """weights[j] * hahn(params(j, ...)) * binom(top, twice_k / 2) at (n, x), all j.
+    def _factor(self, tilde: bool, n: int, x: int):
+        """weights[j] * Q_j(k) * binom(M, k) at (n, x), all degrees j < d.
 
-        Cached per (n, x).  Exact entries are (integer numerators, one
-        positive denominator); float entries are (sign, log magnitude) pairs
-        without the weights.  `twice_k` is even on the parity lattice.
+        Q_j is the P family (the P~ family when `tilde`) at time n, k its
+        argument at x and M its size (`special_polys._lattice_family`);
+        binom(M, k) counts the single walks from that family's end, and the
+        weights are `f` on the forward factor of an exact table, else 1.
+        Exact factors are (integer numerators, one positive denominator);
+        float factors are (sign, log magnitude) pairs without the weights.
         """
-        key = (n, x)
-        if key not in cache:
-            spec = self.spec
-            args = (n, x, spec.d, spec.n_star, spec.x_star)
-            if self.exact:
-                vals = [hahn_exact(params(j, *args)) for j in range(spec.d)]
-                if weights is not None:
-                    vals = [w * v for w, v in zip(weights, vals)]
-                den = math.lcm(*(v.denominator for v in vals))
-                b = _binom(top, twice_k // 2)
-                cache[key] = ([v.numerator * (den // v.denominator) * b for v in vals], den)
-            else:
-                lb = log_binom(top, twice_k // 2)
-                vals = []
-                for j in range(spec.d):
-                    q = hahn(params(j, *args))
-                    if q == 0.0 or lb == -math.inf:
-                        vals.append((0.0, -math.inf))
-                    else:
-                        vals.append((math.copysign(1.0, q), math.log(abs(q)) + lb))
-                cache[key] = vals
-        return cache[key]
-
-    def _forward(self, n: int, x: int):
-        # P_j(n, x) * binom(n + d - 1, (n + x)/2), times f_j when exact
-        return self._factor(
-            self._fwd, _p_params, n, x, self.spec.d + n - 1, n + x,
-            self.f if self.exact else None,
-        )
-
-    def _backward(self, n: int, x: int):
-        # P~_j(n, x) * binom(n_star - n + d - 1, (n_star - n + x - x_star)/2)
-        s = self.spec
-        return self._factor(
-            self._bwd, _p_tilde_params, n, x, s.n_star - n + s.d - 1, s.n_star - n + x - s.x_star
-        )
+        key = (tilde, n, x)
+        got = self._cache.get(key)
+        if got is not None:
+            return got
+        series = self._series.get((tilde, n))
+        if series is None:
+            s = self.spec
+            lo, alpha, beta, M = _lattice_family(tilde, n, s.d, s.n_star, s.x_star)
+            if not self.exact:
+                alpha, beta = float(alpha), float(beta)
+            ratios = [hahn_ratios(j, alpha, beta, M) for j in range(s.d)]
+            series = self._series[tilde, n] = (lo, M, ratios)
+        lo, M, ratios = series
+        k = (x - lo) // 2  # x - lo is even on the parity lattice
+        if self.exact:
+            vals = [hahn_series_exact(r, k) for r in ratios]
+            if not tilde:
+                vals = [(t * w.numerator, b * w.denominator) for (t, b), w in zip(vals, self.f)]
+            den = math.lcm(*(b for _, b in vals))
+            c = _binom(M, k)
+            got = ([t * (den // b) * c for t, b in vals], den)
+        else:
+            lb = log_binom(M, k)
+            got = []
+            for r in ratios:
+                q = hahn_series(r, k)
+                if q == 0.0 or lb == -math.inf:
+                    got.append((0.0, -math.inf))
+                else:
+                    got.append((math.copysign(1.0, q), math.log(abs(q)) + lb))
+        self._cache[key] = got
+        return got
 
     def entry(self, a: tuple[int, int], b: tuple[int, int]):
         """Kernel value K((n,x); (n',x')) in the 2^{n-n'} gauge."""
@@ -278,25 +282,19 @@ class DiscreteKernelTable:
         self._check(n, x)
         self._check(npr, xpr)
         if self.exact:
-            # 2^{n-n'} (sum_j f_j fwd_j bwd_j - heat), heat only when n < n'
-            u, du = self._forward(npr, xpr)
-            v, dv = self._backward(n, x)
-            num = sum(map(operator.mul, u, v))
-            den = du * dv
-            if n < npr:
-                num -= _binom(npr - n, (npr - n + xpr - x) // 2) * den
-                den <<= npr - n
-            else:
-                num <<= n - npr
-            return Fraction(num, den)
-        # float: each term assembled in log space, one sign, one exponential
+            ((num,),), (dv,), (du,) = self.numerators([a], [b])
+            return Fraction(num << max(n - npr, 0), du * dv << max(npr - n, 0))
+        return self._float_entry(n, x, npr, xpr)
+
+    def _float_entry(self, n: int, x: int, npr: int, xpr: int) -> float:
+        # each term assembled in log space, one sign, one exponential
         total = 0.0
         if n < npr and (npr - n + xpr - x) % 2 == 0:
             lb = log_binom(npr - n, (npr - n + xpr - x) // 2)
             if lb > -math.inf:
                 total -= math.exp((n - npr) * math.log(2.0) + lb)
-        fwd = self._forward(npr, xpr)
-        bwd = self._backward(n, x)
+        fwd = self._factor(False, npr, xpr)
+        bwd = self._factor(True, n, x)
         base = (n - npr) * math.log(2.0)
         for j in range(self.spec.d):
             s_f, l_f = fwd[j]
@@ -305,6 +303,30 @@ class DiscreteKernelTable:
                 continue
             total += s_f * s_b * math.exp(base + self.log_f[j] + l_f + l_b)
         return total
+
+    def numerators(self, rows: Sequence[tuple[int, int]], cols: Sequence[tuple[int, int]]):
+        """Integers (A, dv, du) with K(a_i; b_j) = 2^{n_i-n'_j} A_ij / (dv_i du_j).
+
+        For row sites a_i = (n_i, x_i) and column sites b_j = (n'_j, x'_j),
+        A_ij = sum_k f_k fwd_k(b_j) bwd_k(a_i) - [n_i < n'_j] heat, over
+        dv_i, the denominator of the backward factor at a_i, and du_j, that
+        of the forward factor at b_j.  The gauge 2^{n-n'} is a conjugation
+        and cancels in every determinant: det[K(s_i; s_j)] is
+        det A / prod_i dv_i du_i.  Exact tables only; the sites must be
+        checked.
+        """
+        fwd = [self._factor(False, n, x) for n, x in cols]
+        bwd = [self._factor(True, n, x) for n, x in rows]
+        mat = []
+        for (n, x), (v, dv) in zip(rows, bwd):
+            row = []
+            for (npr, xpr), (u, du) in zip(cols, fwd):
+                num = sum(map(operator.mul, u, v))
+                if n < npr:
+                    num -= _binom(npr - n, (npr - n + xpr - x) // 2) * du * dv
+                row.append(num)
+            mat.append(row)
+        return mat, [dv for _, dv in bwd], [du for _, du in fwd]
 
 
 def discrete_psi_prob(
@@ -316,26 +338,29 @@ def discrete_psi_prob(
     """Joint occupation probability of distinct lattice sites, via the kernel.
 
     This is the determinant det[K(s_i; s_j)]; multiplied by (sqrt(N)/2)^k it
-    becomes the rescaled k-point function.  Duplicate sites give 0.  A
-    given `table` must be exact exactly when `mode` is ``exact``.
+    becomes the rescaled k-point function.  Exactly it is one integer
+    determinant over the product of the sites' factor denominators
+    (:meth:`DiscreteKernelTable.numerators`).  Every site is checked as
+    :meth:`DiscreteKernelTable.entry` checks it; then duplicate sites give 0.
+    A given `table` must be exact exactly when `mode` is ``exact``.
     """
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
     exact = mode == "exact"
     if table is not None and table.exact != exact:
         raise DomainError(f"mode {mode!r} with a table of exact={table.exact}")
-    if len(set(sites)) != len(sites):
-        return Fraction(0) if exact else 0.0
     if table is None:
         table = DiscreteKernelTable(spec, exact=exact)
-    k = len(sites)
+    for n, x in sites:
+        table._check(n, x)
+    if len(set(sites)) != len(sites):
+        return Fraction(0) if exact else 0.0
     if exact:
-        mat = [[table.entry(sites[i], sites[j]) for j in range(k)] for i in range(k)]
-        return exact_det(mat)
-    arr = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            arr[i, j] = table.entry(sites[i], sites[j])
+        mat, dv, du = table.numerators(sites, sites)
+        return Fraction(int_det(mat), math.prod(dv) * math.prod(du))
+    arr = np.empty((len(sites), len(sites)))
+    for i, a in enumerate(sites):
+        arr[i] = [table._float_entry(*a, *b) for b in sites]
     return float(np.linalg.det(arr))
 
 

@@ -24,7 +24,7 @@ from .walk_ensembles import (
     BridgeSpec,
     PathEnsembleSample,
     WeylConfig,
-    _step_signs,
+    _chamber_sweep,
     chamber_path_sums,
     conditional_drift,
     delta_config,
@@ -375,45 +375,59 @@ def overlap_moment_diagnostics(
 class ExactBridgeLaw:
     """Exact one- and two-time occupation probabilities of the bridge.
 
-    fwd[n] counts the chamber paths delta(0) -> x of n steps and bwd[n] the
-    paths x -> delta(x*) of n_star - n steps.  The moves are symmetric, and
-    the mirror R(x) = x* + 2(d - 1) - x (positions reversed) swaps delta(0)
-    and delta(x*) and commutes with the moves and the reach pruning, so
-    bwd[n] is fwd[n_star - n] mirrored by R: one sweep serves both.  Both
-    layers at time n hold the same configurations: those within reach,
-    walker by walker, of both ends.  (The walkers' lower envelopes
-    max(a_i - m, b_i - (n - m)) join any two chamber configurations a, b
-    within reach in n steps and never collide.)  A time outside
-    0 <= n <= n_star raises DomainError.
+    One chamber sweep from delta(0), pruned to configurations within reach
+    of delta(x*), gives per time n the configurations `configs[n]`, their
+    path counts from delta(0) and the indices `succ[n]` of each one's
+    successors at n + 1.  Every configuration kept reaches delta(x*) (the
+    walkers' lower envelopes max(a_i - m, b_i - (n - m)) join any two
+    chamber configurations a, b within reach in n steps and never collide),
+    so the successor lists hold every path of the bridge: the counts to
+    delta(x*) run back along them, and pair counts run forward along them.
+    `fwd[n]` and `bwd[n]` map each configuration to its two counts.  A time
+    outside 0 <= n <= n_star raises DomainError.
     """
 
     def __init__(self, spec: BridgeSpec):
         self.spec = spec
-        self.fwd = chamber_path_sums(spec.start, spec.n_star, spec.end)
-        c = spec.x_star + 2 * (spec.d - 1)
-        self.bwd = [
-            {tuple(c - p for p in reversed(y)): w for y, w in layer.items()}
-            for layer in reversed(self.fwd)
-        ]
-        self.total = self.fwd[spec.n_star][spec.end.positions]
+        self.configs, self._fwd, self.succ = _chamber_sweep(spec.start, spec.n_star, spec.end)
+        bwd = [[1]]
+        for layer in reversed(self.succ):
+            after = bwd[-1]
+            bwd.append([sum(map(after.__getitem__, js)) for js in layer])
+        self._bwd = bwd[::-1]
+        self.total = self._fwd[spec.n_star][0]
+        self._marginals: dict[int, dict[int, int]] = {}
+
+    @property
+    def fwd(self) -> list[dict[tuple[int, ...], int]]:
+        return [dict(zip(c, w)) for c, w in zip(self.configs, self._fwd)]
+
+    @property
+    def bwd(self) -> list[dict[tuple[int, ...], int]]:
+        return [dict(zip(c, w)) for c, w in zip(self.configs, self._bwd)]
 
     def _check_time(self, n: int) -> None:
         if not 0 <= n <= self.spec.n_star:
             raise DomainError(f"time {n} outside 0..{self.spec.n_star}")
 
     def site_prob(self, n: int, x: int) -> Fraction:
-        """P(x occupied at time n)."""
+        """P(x occupied at time n), from the marginals at time n."""
         self._check_time(n)
-        out = 0
-        for pos, cf in self.fwd[n].items():
-            if x in pos:
-                out += cf * self.bwd[n][pos]
-        return Fraction(out, self.total)
+        marg = self._marginals.get(n)
+        if marg is None:
+            marg = self._marginals[n] = {}
+            for pos, f, b in zip(self.configs[n], self._fwd[n], self._bwd[n]):
+                w = f * b
+                for x1 in pos:
+                    marg[x1] = marg.get(x1, 0) + w
+        return Fraction(marg.get(x, 0), self.total)
 
     def config_dist(self, n: int) -> dict[tuple[int, ...], Fraction]:
         self._check_time(n)
-        bwd = self.bwd[n]
-        return {pos: Fraction(cf * bwd[pos], self.total) for pos, cf in self.fwd[n].items()}
+        return {
+            pos: Fraction(f * b, self.total)
+            for pos, f, b in zip(self.configs[n], self._fwd[n], self._bwd[n])
+        }
 
     def pair_site_table(self, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
         """All P(x1 occupied at n1, x2 occupied at n2): the pair sweep from n1,
@@ -430,34 +444,33 @@ class ExactBridgeLaw:
         """Bridge path counts with x1 occupied at n1 and x2 at n2, as one
         {(x1, x2): count} dict per n2 = n1 + 1 .. n_last.
 
-        One chamber transfer from time n1: for each site x1, the weight fwd[n1]
-        of every configuration holding x1 is moved by the 2^d steps, keeping
-        only configurations in bwd[n] (every path that still reaches the end
-        passes through them), and at each n2 it is contracted against bwd[n2]
-        over each x2 of the configuration.  The counts are Python ints, so
-        dividing by `total` gives the exact pair probabilities with no
-        Karlin-McGregor determinant.
+        One transfer from time n1 per site x1: the forward counts of the
+        configurations holding x1 move along the successor lists, and at
+        each n2 they are contracted against the backward counts over each
+        x2 of the configuration.  The counts are Python ints, so dividing by
+        `total` gives the exact pair probabilities with no Karlin-McGregor
+        determinant.
         """
-        signs = [tuple(s) for s in _step_signs(self.spec.d).tolist()]
-        marked: dict[int, dict[tuple[int, ...], int]] = {}
-        for pos, cf in self.fwd[n1].items():
+        marked: dict[int, list[int]] = {}
+        size = len(self.configs[n1])
+        for i, (pos, w) in enumerate(zip(self.configs[n1], self._fwd[n1])):
             for x1 in pos:
-                marked.setdefault(x1, {})[pos] = cf
+                marked.setdefault(x1, [0] * size)[i] = w
         for n2 in range(n1 + 1, n_last + 1):
-            keep = self.bwd[n2]
+            succ, keep, configs = self.succ[n2 - 1], self._bwd[n2], self.configs[n2]
             counts: dict[tuple[int, int], int] = {}
             for x1, layer in marked.items():
-                nxt: dict[tuple[int, ...], int] = {}
-                for pos, w in layer.items():
-                    for s in signs:
-                        y = tuple(p + q for p, q in zip(pos, s))
-                        if y in keep:
-                            nxt[y] = nxt.get(y, 0) + w
+                nxt = [0] * len(configs)
+                for w, js in zip(layer, succ):
+                    if w:
+                        for j in js:
+                            nxt[j] += w
                 marked[x1] = nxt
-                for pos, w in nxt.items():
-                    w *= keep[pos]
-                    for x2 in pos:
-                        counts[x1, x2] = counts.get((x1, x2), 0) + w
+                for w, b, pos in zip(nxt, keep, configs):
+                    if w:
+                        w *= b
+                        for x2 in pos:
+                            counts[x1, x2] = counts.get((x1, x2), 0) + w
             yield counts
 
 

@@ -1,11 +1,15 @@
 """Hermite and Hahn orthogonal polynomials and the rescaled Hahn family.
 
 All functions here are pure; they may be called freely from concurrent
-workers.  The Hahn evaluator ships two backends: compensated floating-point
-summation for general arguments, and for rational arguments an exact
-Horner evaluation over integers that makes one Fraction per value (the
-oracle path, used to quantify cancellation in the float path).  The lattice
-parameter builders `_p_params` and `_p_tilde_params` give integer arguments.
+workers.  The Hahn series has one form: :func:`hahn_ratios` gives the
+x-free factors of its term ratios once per (j, alpha, beta, M), and one
+evaluator per arithmetic runs the series at any x from them, compensated
+floating-point summation (:func:`hahn_series`) or, for rational arguments,
+Horner's rule over integers (:func:`hahn_series_exact`, the oracle path
+that quantifies cancellation in the float path).  `hahn` and `hahn_exact`
+wrap them for one value.  The lattice families `_p_params` and
+`_p_tilde_params` have integer arguments; `_lattice_family` gives their
+x-free part per time, which the discrete kernel caches.
 """
 
 from __future__ import annotations
@@ -66,31 +70,45 @@ class HahnParams:
             raise DomainError("Hahn degree must be nonnegative")
 
 
-def hahn(params: HahnParams) -> float:
-    """Hahn polynomial Q_j(x, alpha, beta, M), floating point.
+def hahn_ratios(j: int, alpha, beta, M, L: int = 1) -> list[tuple]:
+    """The x-free factors (c_m, e_m), m = 1..j, of the Hahn term ratios.
 
     The terminating 3F2-type sum at unit argument,
         sum_m (-j)_m (j+alpha+beta+1)_m (-x)_m / ((alpha+1)_m (-M)_m m!),
-    accumulated through the term ratio
-        (m-1-j) (j+alpha+beta+m) (m-1-x)  /  ((alpha+m) (m-1-M) m)
-    with Kahan-compensated summation.  A zero numerator factor terminates
-    the series; a zero denominator factor before that is a pole.
+    has term ratio r_m = (m-1-j) (j+alpha+beta+m) (m-1-x) / ((alpha+m) (m-1-M) m)
+    = c_m ((m-1) - x) / e_m.  With integer arguments over one common
+    denominator L (x, alpha, beta, M the numerators) the L^2 of numerator and
+    denominator cancels, c_m = (m-1-j) ((j+m) L + alpha + beta) and
+    e_m = (alpha + m L) ((m-1) L - M) m are integers and the x factor is
+    (m-1) L - x.  Float arguments (L = 1) give the factors in the float
+    operation order of the ratio above.  One list serves every x.
     """
-    p = params
-    j = p.j
-    x, a, b, M = float(p.x), float(p.alpha), float(p.beta), float(p.M)
+    if isinstance(alpha, float):
+        return [((m - 1 - j) * (j + alpha + beta + m), (alpha + m) * (m - 1 - M) * m)
+                for m in range(1, j + 1)]
+    return [((m - 1 - j) * ((j + m) * L + alpha + beta), (alpha + m * L) * ((m - 1) * L - M) * m)
+            for m in range(1, j + 1)]
+
+
+def _pole(m: int) -> PoleError:
+    return PoleError(f"denominator Pochhammer vanished at m={m}")
+
+
+def hahn_series(ratios: list[tuple], x: float) -> float:
+    """The Hahn sum at x from float :func:`hahn_ratios`, Kahan-compensated.
+
+    A zero numerator terminates the series; a zero denominator before that
+    is a pole.
+    """
     term = total = 1.0
     comp = 0.0
-    for m in range(1, j + 1):
-        num = (m - 1 - j) * (j + a + b + m) * (m - 1 - x)
+    for m, (c, e) in enumerate(ratios):
+        num = c * (m - x)
         if num == 0:
             break
-        den = (a + m) * (m - 1 - M) * m
-        if den == 0:
-            raise PoleError(
-                f"denominator Pochhammer vanished at m={m} for {p}"
-            )
-        term = term * num / den
+        if e == 0:
+            raise _pole(m + 1)
+        term = term * num / e
         yk = term - comp
         t = total + yk
         comp = (t - total) - yk
@@ -98,15 +116,41 @@ def hahn(params: HahnParams) -> float:
     return total
 
 
-def hahn_exact(params: HahnParams) -> Fraction:
-    """Exact rational evaluation of the same terminating sum.
+def hahn_series_exact(ratios: list[tuple[int, int]], x: int, L: int = 1) -> tuple[int, int]:
+    """The Hahn sum at x from integer :func:`hahn_ratios`, as (top, bottom).
 
-    Requires rational arguments; used as the oracle for :func:`hahn`.  With
-    x, alpha, beta and M over one common denominator L, each term ratio is a
-    quotient of integers (the L^2 of numerator and denominator cancels), and
-    the series is evaluated by Horner's rule, 1 + r_1 (1 + r_2 (1 + ...)),
-    over integers.  The result is one Fraction.  Termination and poles are
-    those of :func:`hahn`.
+    x is the numerator over L.  Horner's rule, 1 + r_1 (1 + r_2 (1 + ...)),
+    runs over integers up to the first zero numerator; `bottom` is the
+    product of the denominators used, never 0.  Poles are those of
+    :func:`hahn_series`.
+    """
+    terms = []
+    for m, (c, e) in enumerate(ratios):
+        num = c * (m * L - x)
+        if num == 0:
+            break
+        if e == 0:
+            raise _pole(m + 1)
+        terms.append((num, e))
+    top = bottom = 1
+    for num, e in reversed(terms):
+        top, bottom = e * bottom + num * top, e * bottom
+    return top, bottom
+
+
+def hahn(params: HahnParams) -> float:
+    """Hahn polynomial Q_j(x, alpha, beta, M), floating point: :func:`hahn_series`."""
+    p = params
+    a, b, M = float(p.alpha), float(p.beta), float(p.M)
+    return hahn_series(hahn_ratios(p.j, a, b, M), float(p.x))
+
+
+def hahn_exact(params: HahnParams) -> Fraction:
+    """Exact rational evaluation of the same terminating sum, one Fraction.
+
+    Requires rational arguments; used as the oracle for :func:`hahn`.  The
+    arguments go over their common denominator L, then
+    :func:`hahn_series_exact`.
     """
     p = params
     vals = []
@@ -116,22 +160,7 @@ def hahn_exact(params: HahnParams) -> Fraction:
         vals.append(v if type(v) is int else Fraction(v))
     L = math.lcm(*(v.denominator for v in vals))
     x, a, b, M = (v.numerator * (L // v.denominator) for v in vals)
-    j = p.j
-    ratios = []
-    for m in range(1, j + 1):
-        num = (m - 1 - j) * ((j + m) * L + a + b) * ((m - 1) * L - x)
-        if num == 0:
-            break
-        den = (a + m * L) * ((m - 1) * L - M) * m
-        if den == 0:
-            raise PoleError(
-                f"denominator Pochhammer vanished at m={m} for {p}"
-            )
-        ratios.append((num, den))
-    top, bottom = 1, 1
-    for num, den in reversed(ratios):
-        top, bottom = den * bottom + num * top, den * bottom
-    return Fraction(top, bottom)
+    return Fraction(*hahn_series_exact(hahn_ratios(p.j, a, b, M, L), x, L))
 
 
 def _half(v: int) -> int:
@@ -140,27 +169,29 @@ def _half(v: int) -> int:
     return v // 2
 
 
+def _lattice_family(tilde: bool, n: int, d: int, n_star: int, x_star: int):
+    """(lo, alpha, beta, M) of the P family (P~ when `tilde`) at time n.
+
+    The family's Hahn argument at position x is (x - lo) / 2, with lo the
+    lowest position a walk from 0 (from x_star, for P~) reaches at n.  The
+    lattice-size parameter M is the elapsed time n + d - 1 for P and the
+    remaining time n_star - n + d - 1 for P~; this choice is forced by the
+    exact enumeration oracle.
+    """
+    if tilde:
+        return (x_star - (n_star - n), -_half(n_star - x_star) - d,
+                -_half(n_star + x_star) - d, n_star - n + d - 1)
+    return -n, -_half(n_star + x_star) - d, -_half(n_star - x_star) - d, n + d - 1
+
+
 def _p_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
-    # The lattice-size parameter is the elapsed time n + d - 1, mirroring the
-    # reflected family whose parameter is the remaining time.  This choice is
-    # forced by the exact enumeration oracle.
-    return HahnParams(
-        j=j,
-        x=_half(n + x),
-        alpha=-_half(n_star + x_star) - d,
-        beta=-_half(n_star - x_star) - d,
-        M=n + d - 1,
-    )
+    lo, alpha, beta, M = _lattice_family(False, n, d, n_star, x_star)
+    return HahnParams(j=j, x=_half(x - lo), alpha=alpha, beta=beta, M=M)
 
 
 def _p_tilde_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
-    return HahnParams(
-        j=j,
-        x=_half(n_star - n + x - x_star),
-        alpha=-_half(n_star - x_star) - d,
-        beta=-_half(n_star + x_star) - d,
-        M=n_star - n + d - 1,
-    )
+    lo, alpha, beta, M = _lattice_family(True, n, d, n_star, x_star)
+    return HahnParams(j=j, x=_half(x - lo), alpha=alpha, beta=beta, M=M)
 
 
 def rescaled_hahn_G(j: int, y: float, M: int, p: float, c: float, gamma: float) -> float:

@@ -3,20 +3,22 @@
 The state space is the period-2 Weyl chamber: strictly increasing integer
 vectors whose coordinates all share one parity.  Two determinant helpers
 live here: :func:`exact_det` (the oracle, exact rationals, behind every
-exact law) and :func:`signed_logdet` (row-scaled doubles, for the large
-positive-entry LGV matrices of `grsk`).  The float kernel determinants of
-`kernels` (`continuum_psi_k`, float `discrete_psi_prob`) have O(1) gauged
-entries and call ``np.linalg.det`` directly.  Exact path counts over the
-chamber go through one sweep, :func:`chamber_path_sums`, with one
-exception: the pair-site transfer of `overlap.ExactBridgeLaw` moves one
-marked layer per site from time n1 and keeps only configurations in the
-backward layers, which this sweep cannot prune by.  Without that pruning
-the same sums run several times slower.
+exact law; its integer core :func:`int_det` also takes the integer kernel
+matrices of `kernels` directly) and :func:`signed_logdet` (row-scaled
+doubles, for the large positive-entry LGV matrices of `grsk`).  The float
+kernel determinants of `kernels` (`continuum_psi_k`, float
+`discrete_psi_prob`) have O(1) gauged entries and call ``np.linalg.det``
+directly.  Exact path counts over the chamber go through one sweep,
+:func:`chamber_path_sums`, whose moves come from one table per d; the
+successor lists it records carry the pair-site transfer of
+`overlap.ExactBridgeLaw`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -116,22 +118,12 @@ def vandermonde(positions: Sequence[int]) -> int:
     return h
 
 
-def exact_det(mat) -> Fraction:
-    """Exact determinant of a square matrix of ints or Fractions.
-
-    Each row is scaled to integers by the lcm of its denominators, the
-    integer matrix goes through Bareiss fraction-free elimination, and the
-    row scales are divided back out.
-    """
-    a = []
-    scale = 1
-    for row in mat:
-        m = math.lcm(*(v.denominator for v in row))
-        a.append([v.numerator * (m // v.denominator) for v in row])
-        scale *= m
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination; `a` is overwritten."""
     n = len(a)
     if n == 0:
-        return Fraction(1)
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -142,12 +134,28 @@ def exact_det(mat) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1]
+
+
+def exact_det(mat) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix goes through :func:`int_det`, and the row scales are
+    divided back out.
+    """
+    a = []
+    scale = 1
+    for row in mat:
+        m = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    return Fraction(int_det(a), scale)
 
 
 def signed_logdet(logm: np.ndarray) -> tuple[float, float]:
@@ -223,6 +231,78 @@ def bridge_transition(
     return num / denom
 
 
+@functools.cache
+def _legal_moves(d: int, key: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+    """The move table of d walkers: the one-step displacements allowed by
+    `key` = (up allowed per walker, down allowed per walker, tight per
+    neighbour pair).  Walker i moves up only where up[i], down only where
+    down[i], and no tight pair (gap 2) moves towards each other, the only
+    move that breaks the order.  Memoized: at most 2^(3d-1) keys."""
+    up, down, tight = key[:d], key[d:2 * d], key[2 * d:]
+    return tuple(
+        s for s in map(tuple, _step_signs(d).tolist())
+        if all(up[i] if q > 0 else down[i] for i, q in enumerate(s))
+        and not any(t and s[i] > s[i + 1] for i, t in enumerate(tight))
+    )
+
+
+def _chamber_sweep(start: WeylConfig, steps: int, end: WeylConfig | None = None):
+    """(configs, counts, succ): per time 0..steps the configurations, their
+    path counts from `start`, and (times before `steps`) for each
+    configuration the indices of its successors at the next time.
+
+    The moves of a configuration come from the move table
+    :func:`_legal_moves`, keyed by which walkers may move up and down
+    without leaving reach of `end` and which neighbour pairs are tight.
+    Arguments and errors are those of :func:`chamber_path_sums`.
+    """
+    if steps < 0:
+        raise DomainError("need n >= 0")
+    if end is not None:
+        if end.d != start.d:
+            raise DomainError("configuration sizes differ")
+        pairs = zip(start.positions, end.positions)
+        if (start.positions[0] + end.positions[0] + steps) % 2 or any(
+            abs(a - b) > steps for a, b in pairs
+        ):
+            raise DomainError(
+                f"no non-intersecting path from {start.positions} to {end.positions} "
+                f"in {steps} steps"
+            )
+    d = start.d
+    twos = (2,) * (d - 1)
+    configs, counts, succ = [[start.positions]], [[1]], []
+    lo, hi = (-math.inf,) * d, (math.inf,) * d
+    for n in range(1, steps + 1):
+        if end is not None:
+            # the previous layer is within reach with one more step left,
+            # so a walker may move up unless at hi and down unless at lo
+            rem = steps - n
+            lo = tuple(t - rem for t in end.positions)
+            hi = tuple(t + rem for t in end.positions)
+        index: dict[tuple[int, ...], int] = {}
+        nxt: list[int] = []
+        layer_succ = []
+        for pos, w in zip(configs[-1], counts[-1]):
+            key = (*map(operator.lt, pos, hi), *map(operator.gt, pos, lo),
+                   *map(operator.eq, map(operator.sub, pos[1:], pos), twos))
+            js = []
+            for s in _legal_moves(d, key):
+                y = tuple(map(operator.add, pos, s))
+                j = index.get(y)
+                if j is None:
+                    j = index[y] = len(nxt)
+                    nxt.append(w)
+                else:
+                    nxt[j] += w
+                js.append(j)
+            layer_succ.append(js)
+        configs.append(list(index))
+        counts.append(nxt)
+        succ.append(layer_succ)
+    return configs, counts, succ
+
+
 def chamber_path_sums(
     start: WeylConfig, steps: int, end: WeylConfig | None = None
 ) -> list[dict[tuple[int, ...], int]]:
@@ -230,31 +310,14 @@ def chamber_path_sums(
 
     Entry n maps the positions of each configuration x to the number of
     n-step chamber paths start -> x.  With `end`, only configurations that
-    can still reach `end` in the remaining steps are kept, and a DomainError
-    is raised when no path arrives.
+    can still reach `end` in the remaining steps are kept.  A negative
+    `steps`, an `end` with another walker count, and an `end` that no path
+    reaches raise DomainError before the sweep: a path exists exactly when
+    each walker is within reach of its end with matching parity (the
+    walkers' lower envelopes max(a_i - m, b_i - (steps - m)) never collide).
     """
-    signs = [tuple(s) for s in _step_signs(start.d).tolist()]
-    layers = [{start.positions: 1}]
-    for n in range(1, steps + 1):
-        rem = steps - n
-        nxt: dict[tuple[int, ...], int] = {}
-        for pos, w in layers[-1].items():
-            for s in signs:
-                y = tuple(p + q for p, q in zip(pos, s))
-                if any(b - a < 2 for a, b in zip(y, y[1:])):
-                    continue
-                if end is not None and any(
-                    abs(p - t) > rem for p, t in zip(y, end.positions)
-                ):
-                    continue
-                nxt[y] = nxt.get(y, 0) + w
-        layers.append(nxt)
-    if end is not None and not layers[-1]:
-        raise DomainError(
-            f"no non-intersecting path from {start.positions} to {end.positions} "
-            f"in {steps} steps"
-        )
-    return layers
+    configs, counts, _ = _chamber_sweep(start, steps, end)
+    return [dict(zip(c, w)) for c, w in zip(configs, counts)]
 
 
 def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig):

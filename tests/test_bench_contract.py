@@ -3,11 +3,12 @@
 The benchmark's own self-tests (python3 -m pytest perfbench) sit outside the
 default test paths.  These checks read perfbench/ and change nothing there:
 every attribute its tracer patches must exist on its owner, the smoke
-exact-oracles job must run with every check passing, and the smoke CLI
-commands job, which passes every flag the benchmark uses, must run with every
-hard check passing.
+exact-oracles job must run with every check passing, the full-size one must
+give the pinned exact values, and the smoke CLI commands job, which passes
+every flag the benchmark uses, must run with every hard check passing.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -51,6 +52,24 @@ def test_smoke_exact_oracles_job_passes(bench, tmp_path):
         job.check(checks)
     assert checks.attempted > 0
     assert checks.correct and checks.failed == 0, checks.hard_failures + checks.verdict_failures
+
+
+# sha256 over repr((kind, str(want), str(got))) of every result of the
+# full-size exact-oracles job at seed 1, as the Fraction routes gave them;
+# float values are left out, as their last bits depend on libm and LAPACK
+EXACT_ORACLES_SEED1 = "19b51d97cd7512b456f958f1723779205e82a320aae1d6ce3f0c26a88bdb8356"
+
+
+def test_full_exact_oracles_job_values_are_pinned(bench, tmp_path):
+    _, workloads = bench
+    (job,) = workloads.BY_NAME["exact_oracles"].make(1, tmp_path, False)
+    job.reset()
+    job.run()
+    h = hashlib.sha256()
+    for kind, what, want, got, *flt in job.results:
+        h.update(repr((kind, str(want), str(got))).encode())
+    assert len(job.results) == 276
+    assert h.hexdigest() == EXACT_ORACLES_SEED1
 
 
 def test_smoke_cli_commands_job_is_correct(bench, tmp_path, monkeypatch):

@@ -284,6 +284,38 @@ def _subset_chaos_sum(spec, field):
     return rec(0, [], Fraction(1))
 
 
+def _former_fredholm(spec, field):
+    """The former chaos route: det(I + K F) with Fraction entries
+    K(a; b) (f_b - 1) + [a = b] over the live sites, by Fraction Bareiss."""
+    table = DiscreteKernelTable(spec, exact=True)
+    live = [s for s in reachable_sites(spec) if field.value(*s) != 1]
+    f = [Fraction(field.value(*s)) - 1 for s in live]
+    mat = [
+        [table.entry(a, b) * f[j] + int(i == j) for j, b in enumerate(live)]
+        for i, a in enumerate(live)
+    ]
+    a, scale = [], 1
+    for row in mat:
+        m = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1] if n else 1, scale)
+
+
 def _criterion_8_fields():
     """The five specs and two-valued fields of acceptance criterion 8, drawn
     in its order."""
@@ -337,6 +369,19 @@ class TestChaosExpansion:
         got = chaos_expansion_exact(spec, field)
         assert type(got) is Fraction
         assert got == _subset_chaos_sum(spec, field)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_integer_fredholm_is_the_former_fraction_form(self, case):
+        # the criterion-8 fields, then seeded rational fields with 0,
+        # negatives and non-integers at every reachable site
+        if case < 5:
+            spec, field = _criterion_8_fields()[case]
+        else:
+            spec = [BridgeSpec(1, 6, 2), BridgeSpec(2, 6, 0), BridgeSpec(2, 4, 2)][case - 5]
+            values = [Fraction(v) for v in (0, -3, "-1/2", "1/3", "5/7", 2, "-7/4", 1)]
+            field = _rational_field(spec, case, values)
+        got = chaos_expansion_exact(spec, field)
+        assert type(got) is Fraction and got == _former_fredholm(spec, field)
 
     def test_mutated_kernel_weight_breaks_equality(self, monkeypatch):
         class Mutant(DiscreteKernelTable):

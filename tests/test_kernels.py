@@ -1,6 +1,8 @@
 """Correlation kernels against enumeration, closed forms, and quadrature."""
 
+import functools
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -31,8 +33,8 @@ from watermelon.kernels import (
 )
 from watermelon.chaos_polymer import reachable_sites
 from watermelon.rng import SeedRecord
-from watermelon.special_polys import _p_params, _p_tilde_params, hahn_exact
-from watermelon.walk_ensembles import BridgeSpec, _binom, enumerate_trajectories
+from watermelon.special_polys import HahnParams, _p_params, _p_tilde_params, hahn_exact
+from watermelon.walk_ensembles import BridgeSpec, _binom, enumerate_trajectories, log_binom
 
 
 def rho(t, z):
@@ -283,6 +285,132 @@ class TestDiscreteKernel:
         sites = [(4, -2), (4, 0), (4, 2)]
         val = discrete_psi_prob(spec, sites, "exact")
         assert val == 0
+
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_duplicate_sites_are_checked(self, mode):
+        # every site is checked as `entry` checks it before duplicates give 0
+        spec = BridgeSpec(2, 6, 0)
+        with pytest.raises(ParityError):
+            discrete_psi_prob(spec, [(100, 1), (100, 1)], mode)
+        with pytest.raises(DomainError):
+            discrete_psi_prob(spec, [(6, 0), (6, 0)], mode)
+        zero = discrete_psi_prob(spec, [(3, 1), (3, 1)], mode)
+        assert zero == 0 and type(zero) is (Fraction if mode == "exact" else float)
+
+
+def _former_hahn(p):
+    """The former float Hahn series: Kahan summation of the term ratios."""
+    j = p.j
+    x, a, b, M = float(p.x), float(p.alpha), float(p.beta), float(p.M)
+    term = total = 1.0
+    comp = 0.0
+    for m in range(1, j + 1):
+        num = (m - 1 - j) * (j + a + b + m) * (m - 1 - x)
+        if num == 0:
+            break
+        term = term * num / ((a + m) * (m - 1 - M) * m)
+        yk = term - comp
+        t = total + yk
+        comp = (t - total) - yk
+        total = t
+    return total
+
+
+def _former_hahn_exact(p):
+    """The former exact Hahn series on integer arguments: Horner over ints."""
+    j, x, a, b, M = p.j, p.x, p.alpha, p.beta, p.M
+    ratios = []
+    for m in range(1, j + 1):
+        num = (m - 1 - j) * (j + m + a + b) * (m - 1 - x)
+        if num == 0:
+            break
+        ratios.append((num, (a + m) * (m - 1 - M) * m))
+    top, bottom = 1, 1
+    for num, den in reversed(ratios):
+        top, bottom = den * bottom + num * top, den * bottom
+    return Fraction(top, bottom)
+
+
+def _former_p_params(j, n, x, d, n_star, x_star):
+    return HahnParams(j, (n + x) // 2, -(n_star + x_star) // 2 - d, -(n_star - x_star) // 2 - d,
+                      n + d - 1)
+
+
+def _former_p_tilde_params(j, n, x, d, n_star, x_star):
+    return HahnParams(j, (n_star - n + x - x_star) // 2, -(n_star - x_star) // 2 - d,
+                      -(n_star + x_star) // 2 - d, n_star - n + d - 1)
+
+
+def _former_exact_det(mat):
+    """The former k-point route: Bareiss over rows scaled from Fractions."""
+    a, scale = [], 1
+    for row in mat:
+        m = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+class TestFormerRoutes:
+    """The per-time Hahn series and the integer determinants against the
+    per-value routes they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_cached_factors_are_the_former_series(self, d):
+        checked = 0
+        for n_star in range(1, 13):
+            for x_star in range(-n_star, n_star + 1, 2):
+                spec = BridgeSpec(d, n_star, x_star)
+                exact = DiscreteKernelTable(spec, exact=True)
+                flt = DiscreteKernelTable(spec)
+                for n, x in reachable_sites(spec):
+                    sides = (
+                        (False, _former_p_params, d + n - 1, (n + x) // 2),
+                        (True, _former_p_tilde_params, n_star - n + d - 1,
+                         (n_star - n + x - x_star) // 2),
+                    )
+                    for tilde, params, top, k in sides:
+                        u, du = exact._factor(tilde, n, x)
+                        got = flt._factor(tilde, n, x)
+                        lb = log_binom(top, k)
+                        for j in range(d):
+                            p = params(j, n, x, d, n_star, x_star)
+                            weight = 1 if tilde else exact.f[j]
+                            want = weight * _former_hahn_exact(p) * _binom(top, k)
+                            assert Fraction(u[j], du) == want
+                            q = _former_hahn(p)
+                            if q == 0.0 or lb == -math.inf:
+                                assert got[j] == (0.0, -math.inf)
+                            else:
+                                assert got[j] == (math.copysign(1.0, q), math.log(abs(q)) + lb)
+                            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("spec", [BridgeSpec(2, 6, 2), BridgeSpec(3, 6, 0)])
+    def test_kpoint_is_the_former_fraction_determinant(self, spec):
+        table = DiscreteKernelTable(spec, exact=True)
+        entry = functools.cache(table.entry)
+        sites = reachable_sites(spec)
+        for k in (1, 2, 3):
+            for chosen in itertools.combinations(sites, k):
+                want = _former_exact_det([[entry(a, b) for b in chosen] for a in chosen])
+                got = discrete_psi_prob(spec, list(chosen), "exact", table)
+                assert type(got) is Fraction and got == want
 
 
 class TestRescaledPsi:

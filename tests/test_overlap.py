@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -323,7 +324,45 @@ def _determinant_pair_table(law, n1, n2):
     return out
 
 
+def _former_pair_counts(fwd, bwd, d, n1, n_last):
+    """The former pair transfer: every one of the 2^d moves of each marked
+    configuration, kept when it lands in the backward layer."""
+    signs = list(product((-1, 1), repeat=d))
+    marked = {}
+    for pos, cf in fwd[n1].items():
+        for x1 in pos:
+            marked.setdefault(x1, {})[pos] = cf
+    for n2 in range(n1 + 1, n_last + 1):
+        keep = bwd[n2]
+        counts = {}
+        for x1, layer in marked.items():
+            nxt = {}
+            for pos, w in layer.items():
+                for s in signs:
+                    y = tuple(p + q for p, q in zip(pos, s))
+                    if y in keep:
+                        nxt[y] = nxt.get(y, 0) + w
+            marked[x1] = nxt
+            for pos, w in nxt.items():
+                for x2 in pos:
+                    counts[x1, x2] = counts.get((x1, x2), 0) + w * keep[pos]
+        yield counts
+
+
 class TestPairSweep:
+    @pytest.mark.parametrize("d,n_star,x_star", [(2, 8, 0), (3, 8, -2)])
+    def test_successor_lists_match_the_former_transfer(self, d, n_star, x_star):
+        spec = BridgeSpec(d, n_star, x_star)
+        law = ExactBridgeLaw(spec)
+        fwd = chamber_path_sums(spec.start, n_star, spec.end)
+        bwd = chamber_path_sums(spec.end, n_star, spec.start)[::-1]
+        total = fwd[n_star][spec.end.positions]
+        for n1 in range(n_star):
+            former = _former_pair_counts(fwd, bwd, d, n1, n_star)
+            for n2, counts in zip(range(n1 + 1, n_star + 1), former):
+                want = {key: Fraction(c, total) for key, c in counts.items()}
+                assert law.pair_site_table(n1, n2) == want
+
     @pytest.mark.parametrize("d,n_star,x_star", [(1, 6, 0), (2, 8, 0), (2, 7, 1), (3, 8, -2)])
     def test_equals_determinant_reference(self, d, n_star, x_star):
         law = ExactBridgeLaw(BridgeSpec(d, n_star, x_star))

@@ -278,6 +278,66 @@ class TestChamberPathSums:
         with pytest.raises(DomainError):
             chamber_path_sums(spec.start, 2, spec.end)
 
+    def test_zero_steps_to_another_end_raises(self):
+        with pytest.raises(DomainError, match="no non-intersecting path"):
+            chamber_path_sums(delta_config(2, 0), 0, delta_config(2, 2))
+        assert chamber_path_sums(delta_config(2, 0), 0, delta_config(2, 0)) == [{(0, 2): 1}]
+
+    def test_end_with_other_walker_count_raises(self):
+        with pytest.raises(DomainError, match="configuration sizes differ"):
+            chamber_path_sums(delta_config(2, 0), 2, delta_config(3, 0))
+
+    def test_negative_steps_raises(self):
+        with pytest.raises(DomainError, match="need n >= 0"):
+            chamber_path_sums(delta_config(2, 0), -1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_former_sweep(self, d):
+        # starts: packed, and spread with one tight pair from d = 3; ends:
+        # none, and every shift of the start by up to steps + 3, either parity
+        starts = [delta_config(d, 0), WeylConfig((0, 4, 6, 10)[:d])]
+        compared = raised = 0
+        for start in starts:
+            for steps in range(11):
+                want = _former_chamber_path_sums(start, steps)
+                assert chamber_path_sums(start, steps) == want
+                for x in range(-steps - 3, steps + 4):
+                    end = WeylConfig(tuple(x + p - start.positions[0] for p in start.positions))
+                    try:
+                        want = _former_chamber_path_sums(start, steps, end)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            chamber_path_sums(start, steps, end)
+                        raised += 1
+                        continue
+                    if steps == 0 and end != start:
+                        continue  # the former sweep's 0-step answer ignored `end`
+                    assert chamber_path_sums(start, steps, end) == want
+                    compared += 1
+        assert compared > 0 and raised > 0
+
+
+def _former_chamber_path_sums(start, steps, end=None):
+    """The former sweep: every one of the 2^d moves per configuration, kept
+    when the walkers stay ordered and each is within reach of `end`."""
+    signs = [tuple(s) for s in _step_signs(start.d).tolist()]
+    layers = [{start.positions: 1}]
+    for n in range(1, steps + 1):
+        rem = steps - n
+        nxt = {}
+        for pos, w in layers[-1].items():
+            for s in signs:
+                y = tuple(p + q for p, q in zip(pos, s))
+                if any(b - a < 2 for a, b in zip(y, y[1:])):
+                    continue
+                if end is not None and any(abs(p - t) > rem for p, t in zip(y, end.positions)):
+                    continue
+                nxt[y] = nxt.get(y, 0) + w
+        layers.append(nxt)
+    if end is not None and not layers[-1]:
+        raise DomainError("no path")
+    return layers
+
 
 class TestMacmahon:
     def test_small_values(self):
