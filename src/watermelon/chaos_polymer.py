@@ -371,7 +371,16 @@ def smc_partition_estimates(
             vals = _field_values_batch(
                 distribution, field_key, rep_col, np.int64(n), paths
             )
-            logw += beta_n * vals.sum(axis=1)
+            # column adds in walker order: numpy sums rows shorter than 8 in
+            # that order too (longer ones pairwise), but slowly over the
+            # short axis of a (P, d) array
+            if d < 8:
+                site_sum = vals[:, 0].copy()
+                for i in range(1, d):
+                    site_sum += vals[:, i]
+            else:
+                site_sum = vals.sum(axis=1)
+            logw += beta_n * site_sum
         if n % block == 0 or n == n_star:
             lw = logw.reshape(replicas, particles)
             mx = lw.max(axis=1)

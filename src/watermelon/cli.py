@@ -300,7 +300,7 @@ def cmd_polymer(cfg: ExperimentConfig) -> Outcome:
 def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
     gen = cfg.rng().generator()
     # oracle cross-checks at desk scale; float weights send tau_lgv through
-    # log_tau_lgv, the DP the scaling run below uses
+    # log_tau_lgv, the one-matrix case of the DP the scaling run below uses
     lgv_ok = True
     for _ in range(5):
         n = int(gen.integers(2, 7))

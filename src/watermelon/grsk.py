@@ -166,35 +166,46 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
     """log tau for an n x m matrix of finite log-weights.
 
-    The single-path sums run in log space as an anti-diagonal wavefront:
-    cell (i, j) needs only (i-1, j) and (i, j-1), both on the previous
-    diagonal, so each diagonal is one ``logaddexp`` over a (d, n) array that
-    holds every start at once (-inf where a start has not begun or a cell
-    lies outside the matrix).  The ends lie on the last row of the last d
-    diagonals; their d x d log path sums go to :func:`signed_logdet`.
+    The one-matrix case of :func:`log_tau_lgv_batch`.
     """
     n, m = log_w.shape
+    return float(log_tau_lgv_batch(log_w.reshape(1, n, m), d)[0])
+
+
+def log_tau_lgv_batch(log_w: np.ndarray, d: int) -> np.ndarray:
+    """log tau of each n x m matrix of finite log-weights in an (R, n, m) stack.
+
+    The single-path sums run in log space as an anti-diagonal wavefront:
+    cell (i, j) needs only (i-1, j) and (i, j-1), both on the previous
+    diagonal, so each diagonal is one ``logaddexp`` over an (R, d, n) array
+    that holds every matrix and every start at once (-inf where a start has
+    not begun or a cell lies outside the matrix).  The ends lie on the last
+    row of the last d diagonals; their d x d log path sums go to one
+    batched :func:`signed_logdet`.  Every matrix gets the bits it would get
+    on its own.
+    """
+    R, n, m = log_w.shape
     if not 1 <= d <= min(n, m):
         raise DomainError("need 1 <= d <= min(n, m)")
     if not np.all(np.isfinite(log_w)):
         raise DomainError("log-weights must be finite (weights must be positive)")
-    rows = np.arange(n)
-    cols = np.arange(n + m - 1)[:, None] - rows
-    inside = (cols >= 0) & (cols < m)
-    # skewed[k, i] = log_w[i, k - i] on diagonal k, -inf off the matrix
-    skewed = np.where(inside, log_w[rows, np.clip(cols, 0, m - 1)], -np.inf)
     # column 0 stays -inf: the missing upper neighbour of row 0
-    front = np.full((d, n + 1), -np.inf)
-    logmat = np.empty((d, d))
+    front = np.full((R, d, n + 1), -np.inf)
+    logmat = np.empty((R, d, d))
     first_end = n + m - 1 - d
+    diag = np.empty((R, n))
     for k in range(n + m - 1):
-        front[:, 1:] = skewed[k] + np.logaddexp(front[:, :-1], front[:, 1:])
+        # diag[:, i] = log_w[:, i, k - i] on diagonal k, -inf off the matrix
+        rows = np.arange(max(0, k - m + 1), min(n, k + 1))
+        diag.fill(-np.inf)
+        diag[:, rows] = log_w[:, rows, k - rows]
+        front[:, :, 1:] = diag[:, None, :] + np.logaddexp(front[:, :, :-1], front[:, :, 1:])
         if k < d:
-            front[k, 1] = skewed[k, 0]  # start k enters at (1, k+1)
+            front[:, k, 1] = diag[:, 0]  # start k enters at (1, k+1)
         if k >= first_end:
-            logmat[:, k - first_end] = front[:, n]
+            logmat[:, :, k - first_end] = front[:, :, n]
     sign, logdet = signed_logdet(logmat)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise DomainError("nonpositive path-sum determinant")
     return logdet
 
@@ -338,9 +349,12 @@ def rescaled_tau_run(
             + 0.5 * d * d * math.log(N)
             - sum(math.lgamma(j + 1) for j in range(d))
         )
-        for r in range(replicas):
-            logw = -np.log(gen.gamma(theta, 1.0, size=(size, size)))
-            draws[r] = math.exp(log_tau_lgv(logw, d) + log_norm)
+        # one draw of every replica's weights, in the order of one draw each
+        logw = gen.gamma(theta, 1.0, size=(replicas, size, size))
+        np.log(logw, out=logw)
+        np.negative(logw, out=logw)
+        for r, log_tau in enumerate(log_tau_lgv_batch(logw, d).tolist()):
+            draws[r] = math.exp(log_tau + log_norm)
         q = np.percentile(draws, [5, 25, 50, 75, 95])
         levels.append(
             TauLevel(

@@ -358,10 +358,15 @@ def discrete_psi_prob(
     if exact:
         mat, dv, du = table.numerators(sites, sites)
         return Fraction(int_det(mat), math.prod(dv) * math.prod(du))
-    arr = np.empty((len(sites), len(sites)))
-    for i, a in enumerate(sites):
-        arr[i] = [table._float_entry(*a, *b) for b in sites]
-    return float(np.linalg.det(arr))
+    arr = [[table._float_entry(*a, *b) for b in sites] for a in sites]
+    # one and two sites in closed form: np.linalg.det goes through the LU
+    # factors and sign * exp(log|det|), which rounds even a 1 x 1 entry
+    if len(sites) == 1:
+        return arr[0][0]
+    if len(sites) == 2:
+        (a, b), (c, e) = arr
+        return a * e - b * c
+    return float(np.linalg.det(np.array(arr)))
 
 
 def rescaled_psi_k(

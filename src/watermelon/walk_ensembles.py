@@ -7,10 +7,10 @@ exact law; its integer core :func:`int_det` also takes the integer kernel
 matrices of `kernels` directly) and :func:`signed_logdet` (row-scaled
 doubles, for the large positive-entry LGV matrices of `grsk`).  The float
 kernel determinants of `kernels` (`continuum_psi_k`, float
-`discrete_psi_prob`) have O(1) gauged entries and call ``np.linalg.det``
-directly.  Exact path counts over the chamber go through one sweep,
-:func:`chamber_path_sums`, whose moves come from one table per d; the
-successor lists it records carry the pair-site transfer of
+`discrete_psi_prob` from three sites on) have O(1) gauged entries and call
+``np.linalg.det`` directly.  Exact path counts over the chamber go through
+one sweep, :func:`chamber_path_sums`, whose moves come from one table per
+d; the successor lists it records carry the pair-site transfer of
 `overlap.ExactBridgeLaw`.
 """
 
@@ -158,18 +158,18 @@ def exact_det(mat) -> Fraction:
     return Fraction(int_det(a), scale)
 
 
-def signed_logdet(logm: np.ndarray) -> tuple[float, float]:
+def signed_logdet(logm: np.ndarray):
     """(sign, log|det|) of the matrix whose entries are exp(logm).
 
     Each row is rescaled by its maximum before the determinant, so entries
     far outside the double range are fine.  A row that is all -inf (a zero
-    row) gives (0.0, -inf).
+    row) gives (0.0, -inf).  A stack (..., k, k) gives arrays of shape (...),
+    each matrix the same bits as on its own.
     """
-    row_max = logm.max(axis=1)
-    if np.any(row_max == -np.inf):
-        return 0.0, -math.inf
-    sign, logdet = np.linalg.slogdet(np.exp(logm - row_max[:, None]))
-    return float(sign), float(row_max.sum() + logdet)
+    row_max = logm.max(axis=-1)
+    row_max[row_max == -np.inf] = 0.0  # a zero row stays zero, and slogdet says so
+    sign, logdet = np.linalg.slogdet(np.exp(logm - row_max[..., None]))
+    return sign, row_max.sum(axis=-1) + logdet
 
 
 def _binom(n: int, k) -> int:
@@ -387,17 +387,22 @@ class BridgeStepper:
         (up) from that position, -inf where the move cannot reach delta(x*);
         every position outside the table is unreachable as well.
         """
+        lo, width = self._reach(n)
+        top = (width - 3) // 2
+        k = np.arange(top + 1)
+        logb = self.lg[top] - self.lg[k] - self.lg[top - k]
+        table = np.full((2, width), -np.inf)
+        table[0, 2::2] = logb
+        table[1, :-2:2] = logb
+        return lo, table
+
+    def _reach(self, n: int) -> tuple[int, int]:
+        """Position of column 0 of the table of step n, and its width."""
         spec = self.spec
         if not 0 <= n < spec.n_star:
             raise DomainError(f"step {n} outside 0..{spec.n_star - 1}")
         m = spec.n_star - n - 1
-        top = m + spec.d - 1
-        k = np.arange(top + 1)
-        logb = self.lg[top] - self.lg[k] - self.lg[top - k]
-        table = np.full((2, 2 * top + 3), -np.inf)
-        table[0, 2::2] = logb
-        table[1, :-2:2] = logb
-        return spec.x_star - m - 1, table
+        return spec.x_star - m - 1, 2 * (m + spec.d - 1) + 3
 
     def _unreachable(self, stuck: np.ndarray, paths: np.ndarray, n: int):
         bad = int(np.argmax(stuck))
@@ -425,10 +430,49 @@ class BridgeStepper:
         for i in range(d):
             term = table.take(idx[i], axis=1)
             logw = logw + term.reshape((1,) * (d - 1 - i) + (2,) + (1,) * i + (-1,))
-        logw = np.broadcast_to(logw, (2,) * d + (len(paths),))
         for i, j, shift in self._gap_shift:
             logw = logw + self._log_gap.take(paths[:, j] - paths[:, i] + shift)
         return logw.reshape(1 << d, len(paths))
+
+    def _batch_log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
+        """:meth:`_move_log_weights` of every row of `paths`, shape (2^d, P).
+
+        A row's weights depend only on its configuration.  The batch's
+        configurations lie in the box of per-walker ranges [lo_i, hi_i], on
+        a grid of step 2, since a walker's rows share one parity.  When that
+        box has far fewer cells than the batch has rows, the weights are
+        evaluated once per cell and each row gathers the column of its cell
+        key sum_i ((x_i - lo_i) >> 1) * stride_i; otherwise they are
+        evaluated on the rows.  Each column is the same sums in the same
+        order either way, so the two give the same bits.
+        """
+        d = self.spec.d
+        # walkers as rows: numpy reduces and broadcasts slowly over the short
+        # walker axis of a (P, d) array
+        cols = paths.T.copy()
+        lo, hi = cols.min(axis=1), cols.max(axis=1)
+        widths = (((hi - lo) >> 1) + 1).tolist()
+        # a batch outside the table takes the row route, whose bounds check
+        # names the unreachable row; the box of a row far outside would
+        # overflow an int64 product, not a product of Python ints
+        first, width = self._reach(n)
+        cells = math.prod(widths)
+        if not (4 * cells < len(paths) and lo.min() >= first and hi.max() < first + width):
+            return self._move_log_weights(paths, n)
+        cols -= lo[:, None]
+        if np.bitwise_or.reduce(cols, axis=None) & 1:  # a walker mixes parities
+            return self._move_log_weights(paths, n)
+        cols >>= 1
+        key, stride = cols[0], 1
+        for i in range(1, d):
+            stride *= widths[i - 1]
+            key += cols[i] * stride
+        # cell key -> configuration, walker 0 fastest
+        grid = lo[:, None] + 2 * np.indices(widths[::-1]).reshape(d, cells)[::-1]
+        # gather rows of a (cells, 2^d) copy: the result is the (2^d, P)
+        # weights, transposed
+        per_cell = np.ascontiguousarray(self._move_log_weights(grid.T, n).T)
+        return per_cell.take(key, axis=0).T
 
     def step(self, paths: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
         """Advance every row of `paths` from time n to n + 1.
@@ -438,7 +482,7 @@ class BridgeStepper:
         other step draws one uniform per candidate.  Raises UnreachableState
         when some row has no move that can still reach the endpoint.
         """
-        logw = self._move_log_weights(paths, n)
+        logw = self._batch_log_weights(paths, n)
         if n == self.spec.n_star - 1:
             score = logw
         else:
@@ -448,11 +492,17 @@ class BridgeStepper:
             np.negative(u, out=u)
             np.log(u, out=u)
             score = np.subtract(logw, u.T, order="C")
-        # first maximum over the moves, as np.argmax would pick it
-        choice = np.zeros(len(paths), dtype=np.intp)
+        # first maximum over the moves, as np.argmax would pick it: move c
+        # takes over where it is strictly above the best so far, and since c
+        # exceeds every earlier choice, that is a running maximum of
+        # c * (score[c] > best), which is much faster than a masked copy
+        code = np.min_scalar_type(len(score) - 1)
+        choice = np.zeros(len(paths), dtype=code)
         best = score[0].copy()
+        above = np.empty(len(paths), dtype=bool)
         for c in range(1, len(score)):
-            np.copyto(choice, c, where=score[c] > best)
+            np.greater(score[c], best, out=above)
+            np.maximum(choice, np.multiply(above, c, dtype=code), out=choice)
             np.maximum(best, score[c], out=best)
         # best is -inf exactly when the chosen move has weight -inf, unless a
         # draw u = 0 sent a finite move to -inf: decide on logw itself

@@ -5,7 +5,9 @@ default test paths.  These checks read perfbench/ and change nothing there:
 every attribute its tracer patches must exist on its owner, the smoke
 exact-oracles job must run with every check passing, the full-size one must
 give the pinned exact values, and the smoke CLI commands job, which passes
-every flag the benchmark uses, must run with every hard check passing.
+every flag the benchmark uses, must run with every hard check passing.  Both
+smoke jobs also run under the benchmark's tracer, so a call shape that breaks
+one of its counters fails here rather than in a traced benchmark run.
 """
 
 import hashlib
@@ -85,3 +87,26 @@ def test_smoke_cli_commands_job_is_correct(bench, tmp_path, monkeypatch):
     # failed verdicts are the program's statistical assertions, not faults of
     # the run (overlap's moments_bounded_in_N fails at these sizes)
     assert checks.correct, checks.hard_failures
+
+
+@pytest.mark.parametrize("workload", ["cli_commands", "exact_oracles"])
+def test_smoke_jobs_pass_traced(bench, tmp_path, monkeypatch, workload):
+    spans, workloads = bench
+    monkeypatch.setenv("WATERMELON_OUTPUT_ROOT", str(tmp_path))
+    checks = workloads.Checks()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for job in workloads.BY_NAME[workload].make(1, tmp_path, True):
+            job.reset()
+            tracer.run_job(job.run)
+            job.check(checks)
+    finally:
+        tracer.restore()
+    assert checks.attempted > 0
+    assert checks.correct, checks.hard_failures
+    counted = {key for job in tracer.counts for key in job}
+    want = ("walk_ensembles.BridgeStepper.step.path_steps", "grsk.log_tau_lgv.cells",
+            "rng.hash_mix.sites") if workload == "cli_commands" else (
+            "walk_ensembles.enumerate_trajectories.trajectories", "kernels.discrete_psi_prob.calls")
+    assert set(want) <= counted

@@ -18,6 +18,7 @@ from watermelon.grsk import (
     inverse_gamma_moments,
     inverse_gamma_sample,
     log_tau_lgv,
+    log_tau_lgv_batch,
     rescaled_tau_run,
     rotate_lambda,
     rotate_lambda_inverse,
@@ -121,6 +122,48 @@ class TestTau:
         )
         assert isinstance(exact, Fraction)
         assert abs(log_tau_lgv(np.log(w), d) - math.log(exact)) <= 1e-9
+
+    @staticmethod
+    def one_matrix_sweep(log_w, d):
+        """The former one-matrix wavefront, with a skewed copy of the whole
+        matrix and the row-scaled determinant written out."""
+        n, m = log_w.shape
+        rows = np.arange(n)
+        cols = np.arange(n + m - 1)[:, None] - rows
+        skewed = np.where((cols >= 0) & (cols < m), log_w[rows, np.clip(cols, 0, m - 1)], -np.inf)
+        front = np.full((d, n + 1), -np.inf)
+        logmat = np.empty((d, d))
+        for k in range(n + m - 1):
+            front[:, 1:] = skewed[k] + np.logaddexp(front[:, :-1], front[:, 1:])
+            if k < d:
+                front[k, 1] = skewed[k, 0]
+            if k >= n + m - 1 - d:
+                logmat[:, k - (n + m - 1 - d)] = front[:, n]
+        row_max = logmat.max(axis=1)
+        sign, logdet = np.linalg.slogdet(np.exp(logmat - row_max[:, None]))
+        assert sign > 0
+        return float(row_max.sum() + logdet)
+
+    @pytest.mark.parametrize(
+        "n, m, d",
+        [(n, m, d) for n, m in [(1, 1), (3, 3), (5, 8), (8, 5), (18, 18), (24, 11)]
+         for d in (1, 2, 3) if d <= min(n, m)],
+    )
+    def test_batch_matches_one_matrix_sweep(self, n, m, d):
+        gen = SeedRecord(n * 100 + m * 10 + d, 1).generator()
+        stack = -np.log(gen.gamma(4.0, 1.0, size=(9, n, m)))
+        got = log_tau_lgv_batch(stack, d)
+        assert got.shape == (9,)
+        for r in range(9):
+            assert got[r] == log_tau_lgv(stack[r], d) == self.one_matrix_sweep(stack[r], d)
+
+    def test_batch_rejects_what_one_matrix_rejects(self):
+        stack = np.zeros((3, 4, 4))
+        stack[1, 2, 2] = math.nan
+        with pytest.raises(DomainError):
+            log_tau_lgv_batch(stack, 2)
+        with pytest.raises(DomainError):
+            log_tau_lgv_batch(np.zeros((3, 4, 4)), 5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("d", [1, 2])
@@ -275,14 +318,14 @@ class TestRescaledRun:
     )
     def test_bad_level_fails_before_any_draw(self, monkeypatch, N_list, error):
         calls = []
-        monkeypatch.setattr(grsk, "log_tau_lgv", lambda *a: calls.append(a) or 0.0)
+        monkeypatch.setattr(grsk, "log_tau_lgv_batch", lambda *a: calls.append(a) or 0.0)
         with pytest.raises(error):
             rescaled_tau_run(1.0, N_list, 30, SeedRecord(0, 0))
         assert calls == []
 
     def test_nan_beta_fails_before_any_draw(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(grsk, "log_tau_lgv", lambda *a: calls.append(a) or 0.0)
+        monkeypatch.setattr(grsk, "log_tau_lgv_batch", lambda *a: calls.append(a) or 0.0)
         with pytest.raises(DomainError, match="theta = nan"):
             rescaled_tau_run(math.nan, [16], 4, SeedRecord(0, 0))
         assert calls == []

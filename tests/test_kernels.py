@@ -279,6 +279,23 @@ class TestDiscreteKernel:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("spec", [BridgeSpec(2, 8, 0), BridgeSpec(3, 9, 1)], ids=str)
+    def test_float_one_and_two_sites_in_closed_form(self, spec):
+        # one site is its entry, bit for bit; two sites are a*e - b*c of the
+        # entries, within 1e-12 of the exact determinant
+        table = DiscreteKernelTable(spec, exact=False)
+        exact = DiscreteKernelTable(spec, exact=True)
+        sites = reachable_sites(spec)
+        for s in sites:
+            p = discrete_psi_prob(spec, [s], "float", table)
+            assert type(p) is float and p == table._float_entry(*s, *s)
+        for a, b in itertools.combinations(sites[::3], 2):
+            (ka, kab), (kba, kb) = [[table._float_entry(*u, *v) for v in (a, b)] for u in (a, b)]
+            p = discrete_psi_prob(spec, [a, b], "float", table)
+            assert type(p) is float and p == ka * kb - kab * kba
+            want = float(discrete_psi_prob(spec, [a, b], "exact", exact))
+            assert abs(p - want) <= 1e-12
+
     def test_rank_deficiency_beyond_d(self):
         # more than d sites at one time level: exactly singular minor
         spec = BridgeSpec(2, 8, 0)

@@ -559,6 +559,45 @@ class TestBridgeStepper:
             with pytest.raises(UnreachableState):
                 stepper.step(np.array([row]), 4, gen)
 
+    @pytest.mark.parametrize("count", [1, 7, 3000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batch_weights_equal_row_weights(self, d, count):
+        # the per-cell table and the per-row route give the same bits; the
+        # table serves a step exactly when 4 * (cells of the box) < paths
+        spec = BridgeSpec(d, 16, 4)
+        stepper = BridgeStepper(spec)
+        traj = sample_bridges_lockstep(spec, count, SeedRecord(40 + d, count))
+        rows = stepper._move_log_weights
+        evaluated = []
+        stepper._move_log_weights = lambda paths, n: evaluated.append(len(paths)) or rows(paths, n)
+        small_box = []
+        for n in range(spec.n_star):
+            paths = traj[:, n]
+            assert np.array_equal(stepper._batch_log_weights(paths, n), rows(paths, n))
+            widths = (paths.max(axis=0) - paths.min(axis=0)) // 2 + 1
+            small_box.append(4 * math.prod(widths.tolist()) < count)
+        assert [size != count for size in evaluated] == small_box
+        assert any(small_box) == (count > 4)
+        assert not all(small_box) or count == 3000
+
+    def test_unreachable_row_in_a_large_batch_raises(self):
+        # one bad row among 400 good ones raises as it does alone: a stuck
+        # row inside the table (table route), a row of the wrong parity and
+        # rows outside the table (both row route)
+        spec = BridgeSpec(2, 6, 0)
+        stepper = BridgeStepper(spec)
+        gen = SeedRecord(1, 0).generator()
+        good = {1: [-1, 1], 4: [0, 2], 5: [1, 3]}
+        for n, bad in ((5, [3, 3]), (4, [1, 3]), (4, [4, 6]), (1, [-500, 500]),
+                       (1, [-(10**12), 10**12])):
+            with pytest.raises(UnreachableState) as alone:
+                stepper.step(np.array([bad]), n, gen)
+            paths = np.tile(good[n], (400, 1))
+            paths[123] = bad
+            with pytest.raises(UnreachableState) as batch:
+                stepper.step(paths, n, gen)
+            assert str(batch.value) == str(alone.value)
+
     def test_step_outside_window_raises(self):
         spec = BridgeSpec(2, 6, 0)
         stepper = BridgeStepper(spec)
