@@ -342,7 +342,6 @@ def rescaled_tau_run(
         mean, var = inverse_gamma_moments(theta)
         gen = rng.child(li).generator()
         size = N + d
-        draws = np.empty(replicas)
         log_norm = (
             -d * (2 * N + d) * math.log(mean)
             - d * (2 * N + d) * math.log(2.0)
@@ -353,8 +352,7 @@ def rescaled_tau_run(
         logw = gen.gamma(theta, 1.0, size=(replicas, size, size))
         np.log(logw, out=logw)
         np.negative(logw, out=logw)
-        for r, log_tau in enumerate(log_tau_lgv_batch(logw, d).tolist()):
-            draws[r] = math.exp(log_tau + log_norm)
+        draws = np.array([math.exp(v + log_norm) for v in log_tau_lgv_batch(logw, d).tolist()])
         q = np.percentile(draws, [5, 25, 50, 75, 95])
         levels.append(
             TauLevel(
