@@ -329,6 +329,20 @@ def _field_values_batch(
     return _distribution(distribution)[0](key_arr, rep, n, x)
 
 
+def _site_sums(vals: np.ndarray) -> np.ndarray:
+    """``vals.sum(axis=1)`` of a (P, d) array, bit for bit.
+
+    numpy adds a row shorter than 8 in order, so for d < 8 the same sum is
+    column adds in walker order, which avoid its slow short-axis reduction.
+    """
+    if vals.shape[1] >= 8:
+        return vals.sum(axis=1)
+    out = vals[:, 0].copy()
+    for i in range(1, vals.shape[1]):
+        out += vals[:, i]
+    return out
+
+
 def smc_partition_estimates(
     spec: BridgeSpec,
     beta_n: float,
@@ -371,16 +385,7 @@ def smc_partition_estimates(
             vals = _field_values_batch(
                 distribution, field_key, rep_col, np.int64(n), paths
             )
-            # column adds in walker order: numpy sums rows shorter than 8 in
-            # that order too (longer ones pairwise), but slowly over the
-            # short axis of a (P, d) array
-            if d < 8:
-                site_sum = vals[:, 0].copy()
-                for i in range(1, d):
-                    site_sum += vals[:, i]
-            else:
-                site_sum = vals.sum(axis=1)
-            logw += beta_n * site_sum
+            logw += beta_n * _site_sums(vals)
         if n % block == 0 or n == n_star:
             lw = logw.reshape(replicas, particles)
             mx = lw.max(axis=1)

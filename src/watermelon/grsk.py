@@ -312,6 +312,9 @@ class TauReport:
         }
 
 
+_TAU_CHUNK_WEIGHTS = 1 << 19  # weights per scaling-run draw: 4 MB, whatever the replica count
+
+
 def rescaled_tau_run(
     beta: float,
     N_list: Sequence[int],
@@ -348,11 +351,16 @@ def rescaled_tau_run(
             + 0.5 * d * d * math.log(N)
             - sum(math.lgamma(j + 1) for j in range(d))
         )
-        # one draw of every replica's weights, in the order of one draw each
-        logw = gen.gamma(theta, 1.0, size=(replicas, size, size))
-        np.log(logw, out=logw)
-        np.negative(logw, out=logw)
-        draws = np.array([math.exp(v + log_norm) for v in log_tau_lgv_batch(logw, d).tolist()])
+        # replicas in chunks of at most _TAU_CHUNK_WEIGHTS weights; gamma fills
+        # its output in order, so the chunks draw what one draw per replica would
+        chunk = max(1, _TAU_CHUNK_WEIGHTS // (size * size))
+        log_taus: list[float] = []
+        for r0 in range(0, replicas, chunk):
+            logw = gen.gamma(theta, 1.0, size=(min(chunk, replicas - r0), size, size))
+            np.log(logw, out=logw)
+            np.negative(logw, out=logw)
+            log_taus.extend(log_tau_lgv_batch(logw, d).tolist())
+        draws = np.array([math.exp(v + log_norm) for v in log_taus])
         q = np.percentile(draws, [5, 25, 50, 75, 95])
         levels.append(
             TauLevel(

@@ -446,6 +446,8 @@ class BridgeStepper:
         evaluated on the rows.  Each column is the same sums in the same
         order either way, so the two give the same bits.
         """
+        if len(paths) <= 4:  # a box has at least one cell
+            return self._move_log_weights(paths, n)
         d = self.spec.d
         # walkers as rows: numpy reduces and broadcasts slowly over the short
         # walker axis of a (P, d) array

@@ -450,6 +450,26 @@ class TestSmcEstimator:
         se = ests.std(ddof=1) / math.sqrt(len(ests))
         assert abs(ests.mean() - z_exact) <= 3 * se
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_site_sums_equal_the_reduction(self, d):
+        # magnitudes 1e-8..1e8, so that another order of adds rounds
+        # differently; numpy's reduction turns pairwise from 8 terms on
+        gen = SeedRecord(5, d).generator()
+        vals = gen.standard_normal((4096, d)) * 10.0 ** gen.integers(-8, 9, (4096, d))
+        sums = chaos_polymer._site_sums(vals)
+        assert np.array_equal(sums, vals.sum(axis=1))
+        in_order = vals[:, 0].copy()
+        for i in range(1, d):
+            in_order += vals[:, i]
+        assert np.array_equal(sums, in_order) == (d < 8)
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_estimates_equal_the_reduction_route(self, monkeypatch, d):
+        args = (BridgeSpec(d, 6, 0), 0.3, 3, 16, SeedRecord(7, d), "gaussian")
+        z = smc_partition_estimates(*args, block=2)
+        monkeypatch.setattr(chaos_polymer, "_site_sums", lambda vals: vals.sum(axis=1))
+        assert np.array_equal(z, smc_partition_estimates(*args, block=2))
+
     def test_replay_is_pinned(self):
         # (seed, stream) replay contract; printed at 10 significant digits so
         # that last-bit differences between exp/log builds do not count, while

@@ -330,6 +330,18 @@ class TestRescaledRun:
             rescaled_tau_run(math.nan, [16], 4, SeedRecord(0, 0))
         assert calls == []
 
+    @pytest.mark.parametrize("cap", [1, 7 * 18 * 18])
+    def test_chunked_levels_equal_one_draw(self, monkeypatch, cap):
+        # one chunk per level by default here; a cap of one weight gives one
+        # replica per chunk, 7 * 18^2 gives chunks of 7 (N = 16) and 3 (N = 25)
+        # with a short last one
+        whole = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        monkeypatch.setattr(grsk, "_TAU_CHUNK_WEIGHTS", cap)
+        chunked = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        for a, b in zip(whole.levels, chunked.levels):
+            assert np.array_equal(a.draws, b.draws)
+        assert chunked.ks_stats == whole.ks_stats
+
     def test_pinned_levels(self):
         # replay contract of the scaling run: figures of the per-cell loop DP
         # that preceded the wavefront; the two agree to ~1e-11 relative
