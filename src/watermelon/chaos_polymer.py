@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, hash_uniform
-from .walk_ensembles import BridgeSpec, PathEnsembleSample, exact_det, int_det
+from .walk_ensembles import BridgeSpec, exact_det, int_det
 # unused here; bound so that perfbench/spans.py can patch them on this module
 from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
@@ -128,23 +128,6 @@ def zeta_variance_ratio(beta: float, N: int, cumulant: CumulantSpec) -> float:
     """
     beta_n = beta * N ** -0.25
     return 2.0 * math.sqrt(N) * math.expm1(cumulant(2.0 * beta_n) - 2.0 * cumulant(beta_n))
-
-
-def zeta_values(field: DisorderField, N: int, beta_n: float, cumulant: CumulantSpec,
-                n: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Centered multiplicative disorder variables on lattice sites."""
-    lam = cumulant(beta_n)
-    w = field.values(n, x)
-    return (2.0 / math.sqrt(N)) * (np.exp(beta_n * w - lam) - 1.0)
-
-
-def energy(sample: PathEnsembleSample, field) -> float:
-    """Total field value collected along all walkers at interior times."""
-    traj = sample.trajectory
-    n_star = sample.spec.n_star
-    ns = np.repeat(np.arange(1, n_star), sample.spec.d)
-    xs = traj[1:n_star].reshape(-1)
-    return float(np.sum(field.values(ns, xs)))
 
 
 def reachable_sites(spec: BridgeSpec) -> list[tuple[int, int]]:
@@ -343,6 +326,19 @@ def _site_sums(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _systematic_picks(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row r, the number of entries of cum[r] at or below each u[r, j].
+
+    Rows of `cum` are nondecreasing, so the count is a right-sided search,
+    one per row: shifting the rows apart into one flat search would round
+    the floats and could flip a tie.
+    """
+    pick = np.empty(u.shape, dtype=np.intp)
+    for r in range(len(cum)):
+        pick[r] = np.searchsorted(cum[r], u[r], side="right")
+    return pick
+
+
 def smc_partition_estimates(
     spec: BridgeSpec,
     beta_n: float,
@@ -395,7 +391,7 @@ def smc_partition_estimates(
             cum = np.cumsum(wn, axis=1)
             cum /= cum[:, -1:]
             u = (gen.random((replicas, 1)) + np.arange(particles)) / particles
-            pick = (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
+            pick = _systematic_picks(cum, u)
             src = (np.arange(replicas)[:, None] * particles + pick).reshape(-1)
             paths = paths[src]
             logw = np.zeros(replicas * particles)

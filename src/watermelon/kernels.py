@@ -119,10 +119,6 @@ class LatticeRounding:
         x_star = nearest_parity(math.sqrt(N) * end.z_star, n_star % 2)
         return cls(N=N, t_star=end.t_star, z_star=end.z_star, n_star=n_star, x_star=x_star)
 
-    @property
-    def cell_volume(self) -> float:
-        return 2.0 / (self.N * math.sqrt(self.N))
-
     def bridge_spec(self, d: int) -> BridgeSpec:
         return BridgeSpec(d=d, n_star=self.n_star, x_star=self.x_star)
 
@@ -155,13 +151,6 @@ def _kernel(end: ContinuumEndpoint, d: int, t, z, tp, zp) -> np.ndarray:
     dt = np.where(fwd, tp - t, 1.0)
     heat = np.exp(-((zp - z) ** 2) / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     return val - np.where(fwd, heat, 0.0)
-
-
-def continuum_kernel(
-    end: ContinuumEndpoint, d: int, a: SpaceTimePoint, b: SpaceTimePoint
-) -> float:
-    """Correlation kernel K(a; b) of d non-intersecting Brownian bridges."""
-    return float(_kernel(end, d, a.t, a.z, b.t, b.z))
 
 
 def continuum_psi_k(end: ContinuumEndpoint, d: int, query: CorrelationQuery) -> float:

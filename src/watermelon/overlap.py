@@ -23,16 +23,8 @@ from .rng import SeedRecord
 from .walk_ensembles import (
     BridgeSpec,
     PathEnsembleSample,
-    WeylConfig,
     _chamber_sweep,
-    chamber_path_sums,
-    conditional_drift,
-    delta_config,
-    drift_bound,
-    free_step_weights,
     km_weight,  # unused here; perfbench's tracer patches overlap.km_weight by name
-    sample_free_walks_lockstep,
-    vandermonde,
     walk_bridges_lockstep,
 )
 # unused here; bound so that perfbench/spans.py can patch it on this module
@@ -46,19 +38,9 @@ class OverlapRecord:
     pairwise: tuple[tuple[int, ...], ...]  # d x d, [k][l] counts
     total: int
     window: tuple[int, int]
-    scale_n: int | None = None
-
-    @property
-    def rescaled(self) -> float:
-        if self.scale_n is None:
-            raise DomainError("no scale attached to this record")
-        return self.total / math.sqrt(self.scale_n)
 
 
-def overlap_time(
-    s1: PathEnsembleSample, s2: PathEnsembleSample, a: int, b: int,
-    scale_n: int | None = None,
-) -> OverlapRecord:
+def overlap_time(s1: PathEnsembleSample, s2: PathEnsembleSample, a: int, b: int) -> OverlapRecord:
     """Exact coincidence counts between two trajectories on [a, b]."""
     if s1.spec != s2.spec:
         raise SpecMismatch(f"{s1.spec} != {s2.spec}")
@@ -71,7 +53,7 @@ def overlap_time(
         tuple(int(np.sum(t1[:, k] == t2[:, l])) for l in range(d)) for k in range(d)
     )
     total = int(sum(sum(row) for row in pairwise))
-    return OverlapRecord(pairwise=pairwise, total=total, window=(a, b), scale_n=scale_n)
+    return OverlapRecord(pairwise=pairwise, total=total, window=(a, b))
 
 
 @dataclass(frozen=True)
@@ -129,98 +111,6 @@ def tanaka_check(
 ) -> int:
     """Residual of the discrete occupation-time identity; must be exactly 0."""
     return tanaka_decomposition(alpha, beta, a0, b0, n).residual
-
-
-def inverse_gap_sum(
-    trajectory: np.ndarray, a_idx: int, b_idx: int, t: float, N: int
-) -> float:
-    """Rescaled running sum of reciprocal gaps between two walkers.
-
-    Sums 1/(X_b(i) - X_a(i)) for i = 1..floor(t N) and divides by sqrt(N).
-    Gaps are at least 2 on valid ordered trajectories.  Needs t >= 0 and
-    N >= 1.
-    """
-    if not 1 <= a_idx < b_idx <= trajectory.shape[1]:
-        raise DomainError("need 1 <= a < b <= d")
-    if not (t >= 0 and N >= 1):
-        raise DomainError(f"need t >= 0 and N >= 1, got t={t}, N={N}")
-    steps = lattice_steps(t, N)
-    if steps >= trajectory.shape[0]:
-        raise DomainError("window longer than trajectory")
-    gaps = trajectory[1 : steps + 1, b_idx - 1] - trajectory[1 : steps + 1, a_idx - 1]
-    return float(np.sum(1.0 / gaps) / math.sqrt(N))
-
-
-@dataclass
-class InverseGapReport:
-    rows: list[dict]
-    ceiling: float
-
-
-_EXACT_STATE_BUDGET = 4096  # reachable states up to which the gap law is exact
-
-
-def expected_inverse_gap_check(
-    d: int,
-    a_idx: int,
-    b_idx: int,
-    n_list: Sequence[int],
-    start_configs: Sequence[WeylConfig],
-    rng: SeedRecord,
-    mc_samples: int = 20000,
-) -> InverseGapReport:
-    """Table of E[sqrt(n) / gap(n)] for the free ensemble, per (n, start).
-
-    Exact (the free-walk law from one chamber path-count sweep) when the
-    reachable state count stays within _EXACT_STATE_BUDGET, Monte Carlo
-    otherwise.
-    Asserts only finiteness and reports the empirical ceiling.
-    """
-    if d < 2:
-        raise DomainError("need at least two walkers for a gap")
-    if not 1 <= a_idx < b_idx <= d:
-        raise DomainError("need 1 <= a < b <= d")
-    if any(n < 0 for n in n_list):
-        raise DomainError(f"need every n >= 0, got {list(n_list)}")
-    rows = []
-    for si, x0 in enumerate(start_configs):
-        if x0.d != d:
-            raise DomainError("start config has wrong walker count")
-        for ni, n in enumerate(n_list):
-            exact = _reachable_count_estimate(d, n) <= _EXACT_STATE_BUDGET
-            if exact:
-                val = _exact_inverse_gap(x0, n, a_idx, b_idx)
-                se = 0.0
-            else:
-                walks = sample_free_walks_lockstep(
-                    x0, n, mc_samples, rng.child(si * 1000 + ni)
-                )
-                gaps = walks[:, n, b_idx - 1] - walks[:, n, a_idx - 1]
-                vals = math.sqrt(n) / gaps
-                val = float(vals.mean())
-                se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
-            rows.append(
-                {"n": int(n), "start": list(x0.positions), "value": float(val),
-                 "se": se, "exact": exact}
-            )
-    ceiling = max(r["value"] + 3 * r["se"] for r in rows)
-    return InverseGapReport(rows=rows, ceiling=ceiling)
-
-
-def _reachable_count_estimate(d: int, n: int) -> int:
-    # states after n steps of d ordered walkers: crude upper bound
-    return (2 * n + 1) ** d
-
-
-def _exact_inverse_gap(x0: WeylConfig, n: int, a_idx: int, b_idx: int) -> float:
-    # the free walk is the Vandermonde h-transform of the killed walk, so its
-    # n-step law is count(x0 -> y) V(y) / (V(x0) 2^{dn})
-    total = sum(
-        Fraction(c * vandermonde(y), y[b_idx - 1] - y[a_idx - 1])
-        for y, c in chamber_path_sums(x0, n)[n].items()
-    )
-    total /= vandermonde(x0.positions) * 2 ** (x0.d * n)
-    return float(total) * math.sqrt(n)
 
 
 @dataclass
@@ -578,76 +468,3 @@ def _squared_occupation_sums(
             for counts in law._pair_counts(n1, n_hi):
                 cross += sum(c * c for c in counts.values())
     return same, Fraction(cross, law.total**2)
-
-
-@dataclass
-class DriftSweepReport:
-    violations: int
-    checked: int
-    max_ratio: float
-    path_stat_moments: dict
-
-
-def drift_bound_sweep(
-    d: int,
-    gap_range: tuple[int, int],
-    rng: SeedRecord,
-    configs: int = 10000,
-    path_n: int = 256,
-    path_replicas: int = 2000,
-    t_grid: Sequence[float] = (0.1, 0.4, 1.0),
-) -> DriftSweepReport:
-    """Exact conditional-drift ceiling sweep plus the path-summed statistic.
-
-    Random configurations with gaps in gap_range are checked exactly; the
-    running sum (1/sqrt(N)) sum_n |E[step | position]| along sampled free
-    trajectories is summarized by its first two moments per t, a fraction
-    of path_n; a t outside [0, 1] raises DomainError.
-    """
-    if not 2 <= d <= 5:
-        # one walker has no gap, so its drift bound is 0
-        raise DomainError(f"sweep supports 2 <= d <= 5, got d={d}")
-    check_t_grid(t_grid, 1.0)
-    gen = rng.generator()
-    violations = 0
-    max_ratio = 0.0
-    for _ in range(configs):
-        gaps = gen.integers(gap_range[0], gap_range[1] + 1, size=d - 1) * 2
-        base = int(gen.integers(-50, 50)) * 2
-        pos = [base]
-        for g in gaps:
-            pos.append(pos[-1] + int(g))
-        cfg = WeylConfig(tuple(pos))
-        k = int(gen.integers(1, d + 1))
-        drift = conditional_drift(cfg, k)
-        bound = drift_bound(cfg, k)
-        ratio = abs(drift) / bound
-        max_ratio = max(max_ratio, float(ratio))
-        if abs(drift) > bound:
-            violations += 1
-    # path statistic via sampled free walks
-    walks = sample_free_walks_lockstep(delta_config(d, 0), path_n, path_replicas, rng.child(7))
-    moments = {}
-    for t in t_grid:
-        steps = lattice_steps(t, path_n)
-        stat = np.zeros(path_replicas)
-        for k in range(1, d + 1):
-            for n in range(1, steps + 1):
-                stat += np.abs(_vector_drift(walks[:, n], k))
-        stat /= math.sqrt(path_n)
-        moments[f"t={t}"] = {
-            "mean": float(stat.mean()),
-            "second_over_2": float((stat**2 / 2).mean()),
-        }
-    return DriftSweepReport(
-        violations=violations,
-        checked=configs,
-        max_ratio=max_ratio,
-        path_stat_moments=moments,
-    )
-
-
-def _vector_drift(configs: np.ndarray, k: int) -> np.ndarray:
-    """Conditional drift of walker k for a batch of configurations."""
-    cand, w = free_step_weights(configs)
-    return (w * (cand[:, :, k - 1] - configs[:, None, k - 1])).sum(axis=1)

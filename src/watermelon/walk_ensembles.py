@@ -709,49 +709,6 @@ def drift_bound(x: WeylConfig, k: int) -> Fraction:
     return Fraction(2**x.d) * s
 
 
-def drift_asymptote(x: WeylConfig, k: int) -> Fraction:
-    """Leading interaction term sum_{i != k} 1/(x_k - x_i)."""
-    xs = x.positions
-    return sum(
-        (Fraction(1, xs[k - 1] - xs[i]) for i in range(x.d) if i != k - 1),
-        Fraction(0),
-    )
-
-
-def free_step_weights(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Free-walk one-step law for a batch of configurations, shape (count, d).
-
-    Returns the 2^d candidate moves of each row, shape (count, 2^d, d), and
-    their probabilities V(y) / sum V, shape (count, 2^d); moves that leave
-    the chamber get probability zero.
-    """
-    d = configs.shape[1]
-    cand = configs[:, None, :] + _step_signs(d)[None, :, :]
-    h = np.ones(cand.shape[:2], dtype=np.float64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            h *= cand[:, :, j] - cand[:, :, i]
-    h = np.maximum(h, 0.0)  # collisions weight zero
-    return cand, h / h.sum(axis=1, keepdims=True)
-
-
-def sample_free_walks_lockstep(
-    x0: WeylConfig, steps: int, count: int, rng: SeedRecord
-) -> np.ndarray:
-    """Vectorized free-walk sampler, shape (count, steps+1, d)."""
-    gen = rng.generator()
-    paths = np.tile(np.array(x0.positions), (count, 1))
-    out = np.empty((count, steps + 1, x0.d), dtype=np.int64)
-    out[:, 0] = paths
-    for n in range(steps):
-        cand, w = free_step_weights(paths)
-        u = gen.random((count, 1))
-        choice = (np.cumsum(w, axis=1) < u).sum(axis=1)
-        paths = cand[np.arange(count), choice]
-        out[:, n + 1] = paths
-    return out
-
-
 # --- serialization (the CLI writes it) ---------------------------------------
 
 def sample_envelope(sample: PathEnsembleSample) -> dict:

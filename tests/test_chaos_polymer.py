@@ -18,12 +18,10 @@ from watermelon.chaos_polymer import (
     DisorderField,
     TableField,
     chaos_expansion_exact,
-    energy,
     intermediate_disorder_run,
     partition_product_exact,
     reachable_sites,
     smc_partition_estimates,
-    zeta_values,
     zeta_variance_ratio,
     _field_values_batch,
 )
@@ -35,7 +33,6 @@ from watermelon.walk_ensembles import (
     chamber_path_sums,
     enumerate_trajectories,
     exact_det,
-    sample_bridge,
 )
 
 
@@ -116,12 +113,6 @@ class TestZeta:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(2.0, abs=0.01)
 
-    def test_zeta_values_shape(self):
-        f = DisorderField("rademacher", 5)
-        cum = CumulantSpec.for_distribution("rademacher")
-        z = zeta_values(f, 64, 0.2, cum, np.arange(1, 11), np.zeros(10, dtype=int))
-        assert z.shape == (10,)
-
 
 def _boltzmann(spec, field, beta):
     """exp(beta * field) at every reachable site: its bridge average is the
@@ -166,24 +157,6 @@ _LGV_SIZES = [(d, n) for d in range(1, 5) for n in range(1, min(24 // d, 12) + 1
 
 
 class TestEnergyAndPartition:
-    def test_zero_field(self):
-        s = sample_bridge(BridgeSpec(2, 6, 0), SeedRecord(1, 0))
-        assert energy(s, TableField({}, default=0.0)) == 0.0
-
-    def test_single_interior_site(self):
-        s = sample_bridge(BridgeSpec(1, 2, 0), SeedRecord(2, 0))
-        x1 = int(s.trajectory[1][0])
-        f = TableField({(1, x1): 3.25}, default=0.0)
-        assert energy(s, f) == 3.25
-
-    def test_hand_sum(self):
-        s = sample_bridge(BridgeSpec(2, 4, 0), SeedRecord(3, 0))
-        f = DisorderField("gaussian", 9)
-        expected = sum(
-            f.value(n, int(s.trajectory[n][j])) for n in (1, 2, 3) for j in (0, 1)
-        )
-        assert energy(s, f) == pytest.approx(expected)
-
     def test_partition_beta_zero(self):
         spec = BridgeSpec(2, 6, 0)
         assert partition_product_exact(spec, _boltzmann(spec, DisorderField("gaussian", 0), 0.0)) == 1.0
@@ -469,6 +442,22 @@ class TestSmcEstimator:
         z = smc_partition_estimates(*args, block=2)
         monkeypatch.setattr(chaos_polymer, "_site_sums", lambda vals: vals.sum(axis=1))
         assert np.array_equal(z, smc_partition_estimates(*args, block=2))
+
+    def test_systematic_picks_equal_the_comparison_count(self):
+        # zero weights make flat runs in cum, and thresholds set to cumulative
+        # weights are ties, where the count includes every equal entry
+        gen = SeedRecord(11, 0).generator()
+        w = gen.random((64, 48))
+        w[w < 0.4] = 0.0
+        w[0, 1:] = 0.0
+        cum = np.cumsum(w, axis=1)
+        cum /= cum[:, -1:]
+        u = (gen.random((64, 1)) + np.arange(48)) / 48
+        u[:, ::5] = cum[:, 2::5]
+        u[:, -1] = 1.0
+        assert (np.diff(cum, axis=1) == 0).sum() > 500
+        want = (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
+        assert np.array_equal(chaos_polymer._systematic_picks(cum, u), want)
 
     def test_replay_is_pinned(self):
         # (seed, stream) replay contract; printed at 10 significant digits so

@@ -18,9 +18,6 @@ from watermelon.kernels import ContinuumEndpoint
 from watermelon.overlap import (
     ExactBridgeLaw,
     _squared_occupation_sums,
-    drift_bound_sweep,
-    expected_inverse_gap_check,
-    inverse_gap_sum,
     overlap_l2_bound_check,
     overlap_moment_diagnostics,
     overlap_time,
@@ -33,13 +30,11 @@ from watermelon.walk_ensembles import (
     PathEnsembleSample,
     WeylConfig,
     chamber_path_sums,
-    delta_config,
     enumerate_trajectories,
     free_step_law,
     km_weight,
     sample_bridge,
     sample_bridges_lockstep,
-    sample_free_walks_lockstep,
     vandermonde,
 )
 
@@ -79,11 +74,6 @@ class TestOverlapTime:
         s2 = sample_bridge(BridgeSpec(2, 6, 0), SeedRecord(3, 1))
         with pytest.raises(SpecMismatch):
             overlap_time(s1, s2, 0, 6)
-
-    def test_rescaled(self):
-        s = sample_bridge(BridgeSpec(1, 4, 0), SeedRecord(4, 0))
-        rec = overlap_time(s, s, 0, 4, scale_n=16)
-        assert rec.rescaled == rec.total / 4.0
 
 
 class TestTanaka:
@@ -162,77 +152,7 @@ class TestTanaka:
         assert tanaka_check(alpha, beta, a0, b0, n) == 0
 
 
-class TestInverseGapSum:
-    def test_constant_gap(self):
-        traj = np.array([[0, 2]] * 17)
-        traj[:, 0] = 0
-        traj[:, 1] = 2
-        # constant summand 1/2 over floor(tN) steps
-        val = inverse_gap_sum(traj, 1, 2, 1.0, 16)
-        assert val == pytest.approx((16 / 2) / 4.0)
-
-    def test_monotone_in_t(self):
-        walks = sample_free_walks_lockstep(delta_config(2, 0), 32, 1, SeedRecord(5, 0))
-        vals = [inverse_gap_sum(walks[0], 1, 2, t, 32) for t in (0.25, 0.5, 1.0)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_index_validation(self):
-        walks = sample_free_walks_lockstep(delta_config(2, 0), 8, 1, SeedRecord(6, 0))
-        with pytest.raises(DomainError):
-            inverse_gap_sum(walks[0], 2, 1, 0.5, 8)
-
-    @pytest.mark.parametrize("t,N", [(-0.05, 100), (0.5, 0), (0.5, -4)])
-    def test_rejects_negative_time_and_scale_below_one(self, t, N):
-        # a negative t would read gaps from the end of the trajectory
-        traj = sample_bridge(BridgeSpec(2, 20, 0), SeedRecord(1, 0)).trajectory
-        with pytest.raises(DomainError):
-            inverse_gap_sum(traj, 1, 2, t, N)
-
-    def test_moment_ceiling(self):
-        # k-th moment over k! within the square-root profile, constant fitted at k=1
-        walks = sample_free_walks_lockstep(delta_config(2, 0), 64, 4000, SeedRecord(7, 0))
-        t = 0.5
-        vals = np.array([inverse_gap_sum(w, 1, 2, t, 64) for w in walks])
-        c_fit = float(vals.mean()) / (math.sqrt(t) * math.sqrt(math.pi))
-        c_fit = max(c_fit, 1.0)
-        for k in (2, 3, 4):
-            lhs = float((vals**k).mean()) / math.factorial(k)
-            rhs = (c_fit * math.sqrt(t)) ** k * math.gamma(0.5) ** k / math.gamma(
-                k / 2 + 1
-            )
-            assert lhs <= rhs * 1.05
-
-
-class TestExpectedInverseGap:
-    def test_one_step_exact(self):
-        rep = expected_inverse_gap_check(
-            2, 1, 2, [1], [delta_config(2, 0)], SeedRecord(8, 0)
-        )
-        # four equally-weighted moves except the collision, gap in {2, 4}
-        assert rep.rows[0]["value"] == pytest.approx(3 / 8)
-        assert rep.rows[0]["exact"] is True
-
-    def test_uniform_ceiling(self):
-        rep = expected_inverse_gap_check(
-            2,
-            1,
-            2,
-            [4, 16, 64, 256],
-            [delta_config(2, 0), WeylConfig((0, 30))],
-            SeedRecord(9, 0),
-            mc_samples=8000,
-        )
-        assert all(math.isfinite(r["value"]) for r in rep.rows)
-        assert rep.ceiling < 1.0
-
-    def test_rejects_single_walker(self):
-        with pytest.raises(DomainError):
-            expected_inverse_gap_check(1, 1, 1, [4], [delta_config(1, 0)], SeedRecord(0, 0))
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(DomainError):
-            expected_inverse_gap_check(2, 1, 2, [4, -1], [delta_config(2, 0)], SeedRecord(0, 0))
-
+class TestFreeStepLaw:
     @pytest.mark.parametrize("x0", [(0, 2), (-3, 1), (0, 2, 4), (0, 4, 10)])
     def test_free_law_is_h_transformed_count(self, x0):
         # iterating the one-step law against count(x0 -> y) V(y) / (V(x0) 2^{dn})
@@ -252,9 +172,6 @@ class TestExpectedInverseGap:
             }
             assert law == dist
             assert sum(law.values()) == 1
-            want = sum(p * Fraction(1, y[1] - y[0]) for y, p in dist.items())
-            row = expected_inverse_gap_check(d, 1, 2, [n], [x0], SeedRecord(0, 0)).rows[0]
-            assert row["exact"] and row["value"] == float(want) * math.sqrt(n)
 
 
 class TestExactBridgeLaw:
@@ -573,41 +490,3 @@ class TestMomentDiagnostics:
         assert rep.decays_to_zero
         assert rep.tail_ratios
 
-
-class TestDriftSweep:
-    def test_no_violations_and_decaying_statistic(self):
-        rep = drift_bound_sweep(
-            3, (1, 40), SeedRecord(18, 0), configs=1500, path_n=64,
-            path_replicas=800, t_grid=(0.0, 0.1, 0.4, 1.0),
-        )
-        assert rep.violations == 0
-        assert rep.max_ratio <= 1.0
-        assert rep.path_stat_moments["t=0.0"]["mean"] == 0.0
-        means = [rep.path_stat_moments[f"t={t}"]["mean"] for t in (0.1, 0.4, 1.0)]
-        assert means[0] < means[1] < means[2]
-
-    def test_d_cap(self):
-        with pytest.raises(DomainError):
-            drift_bound_sweep(6, (1, 5), SeedRecord(19, 0), configs=1)
-
-    def test_window_rounds_like_the_other_overlap_sums(self):
-        # 0.29 * 100 = 28.999...; floor(t N + 1e-9) gives 29 steps, as in
-        # inverse_gap_sum, while int(t N) gave 28 and repeated the t = 0.28 row
-        rep = drift_bound_sweep(2, (1, 5), SeedRecord(19, 0), configs=1, path_n=100,
-                                path_replicas=10, t_grid=(0.28, 0.29))
-        rows = rep.path_stat_moments
-        assert rows["t=0.28"] != rows["t=0.29"]
-
-    @pytest.mark.parametrize("t", [-0.1, 1.5])
-    def test_rejects_times_outside_unit_interval(self, t):
-        # t is a fraction of path_n: below 0 the row was silently zero, above
-        # 1 it repeated the t = 1 row
-        with pytest.raises(DomainError):
-            drift_bound_sweep(2, (1, 5), SeedRecord(19, 0), configs=1, path_n=8,
-                              path_replicas=10, t_grid=(0.5, t))
-
-    @pytest.mark.parametrize("d", [0, 1])
-    def test_rejects_fewer_than_two_walkers(self, d):
-        # one walker has no gap: its drift bound is 0
-        with pytest.raises(DomainError):
-            drift_bound_sweep(d, (1, 5), SeedRecord(19, 0), configs=1)

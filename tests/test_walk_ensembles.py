@@ -28,7 +28,6 @@ from watermelon.walk_ensembles import (
     chamber_path_sums,
     conditional_drift,
     delta_config,
-    drift_asymptote,
     drift_bound,
     enumerate_bridges,
     enumerate_trajectories,
@@ -403,10 +402,6 @@ class TestDrift:
         cfg = WeylConfig(tuple(pos))
         k = data.draw(st.integers(1, cfg.d))
         assert abs(conditional_drift(cfg, k)) <= drift_bound(cfg, k)
-
-    def test_asymptote_helper(self):
-        cfg = WeylConfig((0, 2, 6))
-        assert drift_asymptote(cfg, 3) == Fraction(1, 4) + Fraction(1, 6)
 
 
 class TestHarmonicity:
