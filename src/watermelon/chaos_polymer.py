@@ -20,30 +20,30 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
-from .rng import SeedRecord, hash_mix, hash_uniform
+from .rng import SeedRecord, hash_mix, word_uniform
 from .walk_ensembles import BridgeSpec, exact_det, int_det
 # unused here; bound so that perfbench/spans.py can patch them on this module
 from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
 
-# Site values take (seed array, *coordinates) and hash them statelessly; the
-# log moment generating functions give the matching cumulant.
+# Each law maps hash words to site values: word j of a site is
+# hash_mix(key + j, *coords), with key + j an int64 array so that it wraps
+# like the array add.  The log moment generating functions give the matching
+# cumulant.
 
 
-def _rademacher(seed, *coords):
-    h = hash_mix(seed, *coords)
-    return np.where((h & np.uint64(1)).astype(bool), 1.0, -1.0)
+def _rademacher(h):
+    return (h & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
 
 
-def _gaussian(seed, *coords):
-    u1 = hash_uniform(seed, *coords)
-    u2 = hash_uniform(seed + 1, *coords)
+def _gaussian(h1, h2):
+    u1, u2 = word_uniform(h1), word_uniform(h2)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _shifted_exponential(seed, *coords):
+def _shifted_exponential(h):
     # Exp(1) - 1
-    return -np.log(hash_uniform(seed, *coords)) - 1.0
+    return -np.log(word_uniform(h)) - 1.0
 
 
 def _shifted_exponential_lmgf(b: float) -> float:
@@ -52,18 +52,29 @@ def _shifted_exponential_lmgf(b: float) -> float:
     return -b - math.log1p(-b)
 
 
-_DISTRIBUTIONS: dict[str, tuple[Callable, Callable[[float], float]]] = {
-    "rademacher": (_rademacher, lambda b: float(np.log(np.cosh(b)))),
-    "gaussian": (_gaussian, lambda b: 0.5 * b * b),
-    "shifted_exponential": (_shifted_exponential, _shifted_exponential_lmgf),
+# name -> (hash words per site, site values from the words, cumulant)
+_DISTRIBUTIONS: dict[str, tuple[int, Callable, Callable[[float], float]]] = {
+    "rademacher": (1, _rademacher, lambda b: float(np.log(np.cosh(b)))),
+    "gaussian": (2, _gaussian, lambda b: 0.5 * b * b),
+    "shifted_exponential": (1, _shifted_exponential, _shifted_exponential_lmgf),
 }
 DISTRIBUTIONS = tuple(_DISTRIBUTIONS)
 
 
-def _distribution(name: str) -> tuple[Callable, Callable[[float], float]]:
+def _distribution(name: str) -> tuple[int, Callable, Callable[[float], float]]:
     if name not in _DISTRIBUTIONS:
         raise DomainError(f"unknown distribution {name!r}")
     return _DISTRIBUTIONS[name]
+
+
+def _prefixes(words: int, key: np.ndarray, *coords: np.ndarray) -> list[np.ndarray]:
+    """Hash state of each word after (key + j, *coords), j < words."""
+    return [hash_mix(key + j, *coords) for j in range(words)]
+
+
+def _site_values(from_words: Callable, prefixes: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Site values at positions x, each word's hash continued from its prefix."""
+    return from_words(*(hash_mix(x, h=h) for h in prefixes))
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,9 @@ class DisorderField:
 
     def values(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=np.int64)
-        x = np.asarray(x, dtype=np.int64)
+        words, from_words, _ = _DISTRIBUTIONS[self.distribution]
         seed = np.full(n.shape, self.seed, dtype=np.int64)
-        return _DISTRIBUTIONS[self.distribution][0](seed, n, x)
+        return _site_values(from_words, _prefixes(words, seed, n), x)
 
     def value(self, n: int, x: int) -> float:
         return float(self.values(np.array([n]), np.array([x]))[0])
@@ -117,7 +128,7 @@ class CumulantSpec:
 
     @classmethod
     def for_distribution(cls, name: str) -> "CumulantSpec":
-        return cls(_distribution(name)[1])
+        return cls(_distribution(name)[2])
 
 
 def zeta_variance_ratio(beta: float, N: int, cumulant: CumulantSpec) -> float:
@@ -304,14 +315,6 @@ def freedman_diaconis(draws: np.ndarray) -> dict:
     return {"edges": edges.tolist(), "counts": counts.tolist()}
 
 
-def _field_values_batch(
-    distribution: str, key: int, rep: np.ndarray, n: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Per-replica iid site values, stateless in (key, replica, n, x)."""
-    key_arr = np.full(np.shape(rep), key, dtype=np.int64)
-    return _distribution(distribution)[0](key_arr, rep, n, x)
-
-
 def _site_sums(vals: np.ndarray) -> np.ndarray:
     """``vals.sum(axis=1)`` of a (P, d) array, bit for bit.
 
@@ -369,19 +372,25 @@ def smc_partition_estimates(
     gen = rng.generator()
     d, n_star = spec.d, spec.n_star
     fs = field_stream if field_stream is not None else rng
-    field_key = fs.seed ^ (982451653 * fs.stream)
-    rep_ids = np.repeat(np.arange(replicas, dtype=np.int64), particles)
-    rep_col = rep_ids[:, None]
+    field_key = np.array(fs.seed ^ (982451653 * fs.stream), dtype=np.int64)
+    words, from_words, _ = _distribution(distribution)
+    # hash state after (key + j, replica, n), shape (n_star + 1, R, 1, 1)
+    prefixes = _prefixes(
+        words, field_key,
+        np.arange(replicas, dtype=np.int64)[:, None, None],
+        np.arange(n_star + 1, dtype=np.int64)[:, None, None, None],
+    )
     paths = np.tile(np.array(spec.start.positions), (replicas * particles, 1))
     log_z = np.zeros(replicas)
     logw = np.zeros(replicas * particles)
     for n in range(1, n_star + 1):
         paths = stepper.step(paths, n - 1, gen)
         if n <= n_star - 1:
-            vals = _field_values_batch(
-                distribution, field_key, rep_col, np.int64(n), paths
+            # rows r * particles .. (r + 1) * particles - 1 belong to replica r
+            vals = _site_values(
+                from_words, [h[n] for h in prefixes], paths.reshape(replicas, particles, d)
             )
-            logw += beta_n * _site_sums(vals)
+            logw += beta_n * _site_sums(vals.reshape(-1, d))
         if n % block == 0 or n == n_star:
             lw = logw.reshape(replicas, particles)
             mx = lw.max(axis=1)

@@ -177,9 +177,9 @@ def log_tau_lgv_batch(log_w: np.ndarray, d: int) -> np.ndarray:
 
     The single-path sums run in log space as an anti-diagonal wavefront:
     cell (i, j) needs only (i-1, j) and (i, j-1), both on the previous
-    diagonal, so each diagonal is one ``logaddexp`` over an (R, d, n) array
-    that holds every matrix and every start at once (-inf where a start has
-    not begun or a cell lies outside the matrix).  The ends lie on the last
+    diagonal, so each diagonal is one ``logaddexp`` over the rows of an
+    (R, d, n) array that lie on the matrix, for every matrix and every start
+    at once (-inf where a start has not begun).  The ends lie on the last
     row of the last d diagonals; their d x d log path sums go to one
     batched :func:`signed_logdet`.  Every matrix gets the bits it would get
     on its own.
@@ -193,15 +193,16 @@ def log_tau_lgv_batch(log_w: np.ndarray, d: int) -> np.ndarray:
     front = np.full((R, d, n + 1), -np.inf)
     logmat = np.empty((R, d, d))
     first_end = n + m - 1 - d
-    diag = np.empty((R, n))
     for k in range(n + m - 1):
-        # diag[:, i] = log_w[:, i, k - i] on diagonal k, -inf off the matrix
-        rows = np.arange(max(0, k - m + 1), min(n, k + 1))
-        diag.fill(-np.inf)
-        diag[:, rows] = log_w[:, rows, k - rows]
-        front[:, :, 1:] = diag[:, None, :] + np.logaddexp(front[:, :, :-1], front[:, :, 1:])
+        # only rows lo..hi-1 of diagonal k lie on the matrix: rows above them
+        # are never read again and rows below them are still -inf
+        lo, hi = max(0, k - m + 1), min(n, k + 1)
+        rows = np.arange(lo, hi)
+        front[:, :, lo + 1 : hi + 1] = log_w[:, None, rows, k - rows] + np.logaddexp(
+            front[:, :, lo:hi], front[:, :, lo + 1 : hi + 1]
+        )
         if k < d:
-            front[:, k, 1] = diag[:, 0]  # start k enters at (1, k+1)
+            front[:, k, 1] = log_w[:, 0, k]  # start k enters at (1, k+1)
         if k >= first_end:
             logmat[:, :, k - first_end] = front[:, :, n]
     sign, logdet = signed_logdet(logmat)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Collection, Iterator, Sequence
 
 import numpy as np
@@ -148,19 +148,21 @@ def _pair_overlaps(
     count adds the walker pairs (k, l) that share a site at each time
     n_lo <= n < n_star (the pinned end configuration is never counted); a
     copy is kept at each time in `times`, so `{n: counts}` holds the overlap
-    on [n_lo, n].  Only the current positions are stored, so memory does
-    not grow with n_star.
+    on [n_lo, n].  The walk stops at min(max(times), n_star - 1).  Only the
+    current positions are stored, so memory does not grow with n_star.
     """
     count = np.zeros(replicas, dtype=np.int64)
     out = {}
+    last = min(max(times), spec.n_star - 1)
     walks = zip(*(walk_bridges_lockstep(spec, replicas, r) for r in rngs))
-    for n, (a, b) in enumerate(walks):
-        if n_lo <= n < spec.n_star:
+    for n, (a, b) in enumerate(islice(walks, last + 1)):
+        if n >= n_lo:
             for k in range(spec.d):
                 for l in range(spec.d):
                     count += a[:, k] == b[:, l]
         if n in times:
             out[n] = count.copy()
+    out.update((n, count.copy()) for n in times if n > last)
     return out
 
 

@@ -40,21 +40,33 @@ class SeedRecord:
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_START = np.uint64(0x8E51_2FB0_4C5A_11D7)
 
 
-def hash_mix(*parts: np.ndarray) -> np.ndarray:
-    """Mix integer arrays into uniform uint64 words, vectorized."""
+def hash_mix(*parts: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Mix integer arrays into uniform uint64 words, vectorized.
+
+    The parts fold left to right from the state `h` (a fixed constant when
+    omitted), so ``hash_mix(*a, *b)`` equals ``hash_mix(*b, h=hash_mix(*a))``
+    bit for bit: a prefix shared by many sites is hashed once.
+    """
+    if h is None:
+        h = _START
     with np.errstate(over="ignore"):
-        h = np.uint64(0x8E51_2FB0_4C5A_11D7)
         for p in parts:
-            h = h ^ (np.asarray(p).astype(np.int64).view(np.uint64) + _GOLDEN + (h << np.uint64(6)) + (h >> np.uint64(2)))
-            h = (h ^ (h >> np.uint64(30))) * _M1
-            h = (h ^ (h >> np.uint64(27))) * _M2
-            h = h ^ (h >> np.uint64(31))
+            p = np.asarray(p).astype(np.int64, copy=False).view(np.uint64)
+            # uint64 adds wrap, so summing h's terms first keeps the bits
+            t = p + (_GOLDEN + (h << np.uint64(6)) + (h >> np.uint64(2)))
+            t ^= h
+            t ^= t >> np.uint64(30)
+            t *= _M1
+            t ^= t >> np.uint64(27)
+            t *= _M2
+            t ^= t >> np.uint64(31)
+            h = t
     return h
 
 
-def hash_uniform(*parts: np.ndarray) -> np.ndarray:
-    """Uniform(0,1) doubles from hashed coordinates (53-bit mantissa)."""
-    h = hash_mix(*parts)
+def word_uniform(h: np.ndarray) -> np.ndarray:
+    """Uniform(0,1) doubles from hash words (their top 53 bits)."""
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53

@@ -23,17 +23,68 @@ from watermelon.chaos_polymer import (
     reachable_sites,
     smc_partition_estimates,
     zeta_variance_ratio,
-    _field_values_batch,
 )
 from watermelon.errors import BudgetExceeded, DomainError
 from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
-from watermelon.rng import SeedRecord
+from watermelon.rng import SeedRecord, hash_mix
 from watermelon.walk_ensembles import (
     BridgeSpec,
     chamber_path_sums,
     enumerate_trajectories,
     exact_det,
 )
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _reference_hash(*parts):
+    """The SplitMix64-style fold over all parts at once, written out."""
+    m1, m2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    with np.errstate(over="ignore"):
+        h = np.uint64(0x8E51_2FB0_4C5A_11D7)
+        for p in parts:
+            h = h ^ (np.asarray(p).astype(np.int64).view(np.uint64)
+                     + np.uint64(0x9E3779B97F4A7C15) + (h << np.uint64(6)) + (h >> np.uint64(2)))
+            h = (h ^ (h >> np.uint64(30))) * m1
+            h = (h ^ (h >> np.uint64(27))) * m2
+            h = h ^ (h >> np.uint64(31))
+    return h
+
+
+def _flat_field(distribution, key, rep, n, x):
+    """Site values hashed from (key + j, replica, n, x) in one fold per word."""
+    words, from_words, _ = chaos_polymer._DISTRIBUTIONS[distribution]
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (rep, n, x)))
+    seed = np.full(shape, key, dtype=np.int64)
+    return from_words(*(_reference_hash(seed + j, rep, n, x) for j in range(words)))
+
+
+class TestHashMix:
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_prefix_state_continues_the_fold(self, split):
+        # hash_mix(*a, *b) == hash_mix(*b, h=hash_mix(*a)), over broadcast
+        # shapes, negative coordinates and the int64 extremes
+        R, P, d = 5, 7, 3
+        gen = SeedRecord(3, split).generator()
+        x = gen.integers(-50, 50, (R, P, d))
+        x[0, 0] = [_I64.min, _I64.max, -1]
+        parts = (
+            np.array(_I64.max, dtype=np.int64),
+            np.arange(-2, R - 2, dtype=np.int64)[:, None, None],
+            np.int64(_I64.min),
+            x,
+        )
+        a, b = parts[:split], parts[split:]
+        whole = hash_mix(*parts)
+        assert whole.shape == (R, P, d)
+        assert np.array_equal(whole, hash_mix(*b, h=hash_mix(*a)))
+        assert np.array_equal(whole, _reference_hash(*parts))
+
+    def test_scalar_parts(self):
+        for parts in [(0,), (-1, 5), (_I64.min, _I64.max, 0)]:
+            assert hash_mix(*parts) == _reference_hash(*parts)
+            assert hash_mix(*parts[1:], h=hash_mix(parts[0])) == _reference_hash(*parts)
 
 
 class TestDisorderField:
@@ -54,7 +105,9 @@ class TestDisorderField:
         xs = np.tile(np.arange(-25, 25), 400)
         reps = np.arange(len(ns)) % 5
         # the SMC's per-replica field must have the same law as DisorderField
-        for vals in (f.values(ns, xs), _field_values_batch(dist, 7, reps, ns, xs)):
+        words, from_words, _ = chaos_polymer._DISTRIBUTIONS[dist]
+        prefixes = chaos_polymer._prefixes(words, np.array(7), reps, ns)
+        for vals in (f.values(ns, xs), chaos_polymer._site_values(from_words, prefixes, xs)):
             n = len(vals)
             assert abs(vals.mean()) < 4 / math.sqrt(n)
             assert abs(vals.var() - 1.0) < 5 * math.sqrt(max(vals.var() ** 2 * 2, 9) / n)
@@ -403,11 +456,7 @@ class TestSmcEstimator:
         key = field_stream.seed ^ (982451653 * field_stream.stream)
         table = {}
         for (n, x) in reachable_sites(spec):
-            table[(n, x)] = float(
-                _field_values_batch(
-                    "rademacher", key, np.array([0]), np.array([n]), np.array([x])
-                )[0]
-            )
+            table[(n, x)] = float(_flat_field("rademacher", key, 0, n, x))
         z_exact = partition_product_exact(spec, _boltzmann(spec, TableField(table), beta_n))
         ests = np.array(
             [
@@ -422,6 +471,30 @@ class TestSmcEstimator:
         )
         se = ests.std(ddof=1) / math.sqrt(len(ests))
         assert abs(ests.mean() - z_exact) <= 3 * se
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_field_equals_the_flat_hash(self, monkeypatch, dist):
+        # the positions hashed from each (key, replica, n) prefix give the
+        # values of hashing (key + j, replica, n, x) in one fold
+        spec, R, P = BridgeSpec(3, 12, 2), 4, 8
+        field_stream = SeedRecord(2**40 + 9, 5)
+        key = field_stream.seed ^ (982451653 * field_stream.stream)
+        seen = []
+        site_values = chaos_polymer._site_values
+
+        def record(from_words, prefixes, x):
+            vals = site_values(from_words, prefixes, x)
+            seen.append((x.copy(), vals))
+            return vals
+
+        monkeypatch.setattr(chaos_polymer, "_site_values", record)
+        smc_partition_estimates(spec, 0.3, R, P, SeedRecord(1, 2), dist, block=4,
+                                field_stream=field_stream)
+        assert len(seen) == spec.n_star - 1
+        rep = np.arange(R)[:, None, None]
+        for n, (x, vals) in enumerate(seen, start=1):
+            assert x.shape == vals.shape == (R, P, 3)
+            assert np.array_equal(vals, _flat_field(dist, key, rep, n, x))
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_site_sums_equal_the_reduction(self, d):
@@ -468,6 +541,21 @@ class TestSmcEstimator:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c006fc127e55b2232169668e30717a58f7e3ad796ed789b08ac415819f24a865"
         )
+
+    @pytest.mark.parametrize(
+        "dist, spec, digest",
+        [
+            ("gaussian", BridgeSpec(2, 40, 0),
+             "f6df331ad95855225d8dc8f85db90a3cbde8379da0ab02bf833a91d885326016"),
+            ("shifted_exponential", BridgeSpec(3, 30, 2),
+             "467ac87653cfe1fd77abbd02ed4c7f140f9a099e80a01ee0d2ac3fce648f158f"),
+        ],
+    )
+    def test_replay_is_pinned_per_law(self, dist, spec, digest):
+        # the same replay contract for the laws that read two words or a log
+        z = smc_partition_estimates(spec, 0.3, 6, 32, SeedRecord(7, 1), dist, block=8)
+        text = " ".join(f"{v:.10e}" for v in z)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestIntermediateDisorder:

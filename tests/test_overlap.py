@@ -36,6 +36,7 @@ from watermelon.walk_ensembles import (
     sample_bridge,
     sample_bridges_lockstep,
     vandermonde,
+    walk_bridges_lockstep,
 )
 
 
@@ -400,6 +401,46 @@ class TestMomentDiagnostics:
                         for m in range(n_lo, min(n, n_star - 1) + 1)
                     )
                     assert counts[r] == want
+
+    @staticmethod
+    def full_walk_overlaps(spec, replicas, rngs, n_lo, times):
+        """The pair walk run through n_star, counting n_lo <= n < n_star."""
+        count = np.zeros(replicas, dtype=np.int64)
+        out = {}
+        walks = zip(*(walk_bridges_lockstep(spec, replicas, r) for r in rngs))
+        for n, (a, b) in enumerate(walks):
+            if n_lo <= n < spec.n_star:
+                for k in range(spec.d):
+                    for l in range(spec.d):
+                        count += a[:, k] == b[:, l]
+            if n in times:
+                out[n] = count.copy()
+        return out
+
+    @pytest.mark.parametrize("spec", [BridgeSpec(1, 9, 1), BridgeSpec(3, 12, 2)])
+    @pytest.mark.parametrize("n_lo", [0, 1, 4])
+    def test_pair_walk_stops_at_the_last_reported_time(self, monkeypatch, spec, n_lo):
+        n_star, reps = spec.n_star, 16
+        rngs = (SeedRecord(21, 0), SeedRecord(21, 1))
+        steps = []
+        walk = overlap.walk_bridges_lockstep
+
+        def counted(*args):
+            for paths in walk(*args):
+                steps.append(paths)
+                yield paths
+
+        for times in ([n_star], [n_star - 3], [2, n_star - 1], [1, 5, n_star], [0]):
+            want = self.full_walk_overlaps(spec, reps, rngs, n_lo, times)
+            steps.clear()
+            monkeypatch.setattr(overlap, "walk_bridges_lockstep", counted)
+            got = overlap._pair_overlaps(spec, reps, rngs, n_lo, times)
+            monkeypatch.undo()
+            assert sorted(got) == sorted(want) == sorted(times)
+            for n in times:
+                assert np.array_equal(got[n], want[n])
+            # positions at times 0 .. min(max(times), n_star - 1), per ensemble
+            assert len(steps) == 2 * (min(max(times), n_star - 1) + 1)
 
     def test_peak_memory_does_not_grow_with_N(self):
         # the pair walk keeps the current positions only; two stored
