@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, word_uniform
 from .walk_ensembles import BridgeSpec, exact_det, int_det
@@ -206,7 +206,7 @@ def partition_product_exact(spec: BridgeSpec, field):
     return float(mean)
 
 
-def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fraction:
+def chaos_expansion_exact(spec: BridgeSpec, field) -> Fraction:
     """Multilinear chaos sum with kernel-determinant coefficients, exactly.
 
     Sums det[K(s_i; s_j)] * prod (field(s) - 1) over all finite subsets of
@@ -221,10 +221,6 @@ def chaos_expansion_exact(spec: BridgeSpec, field, site_budget: int = 20) -> Fra
     """
     values = {s: field.value(*s) for s in reachable_sites(spec)}
     live = [s for s, v in values.items() if v != 1]
-    if len(live) > site_budget:
-        raise BudgetExceeded(
-            f"{len(live)} contributing sites exceed budget {site_budget}"
-        )
     table = DiscreteKernelTable(spec, exact=True)
     f = [_exact_value(s, values[s]) - 1 for s in live]
     # det K = det A / prod s_i with s_i = dv_i du_i (DiscreteKernelTable.numerators);

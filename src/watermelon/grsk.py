@@ -36,14 +36,6 @@ class WeightMatrix:
                 if not v > 0:
                     raise DomainError("weights must be positive")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries[0])
-
     def at(self, i: int, j: int):
         return self.entries[i - 1][j - 1]
 

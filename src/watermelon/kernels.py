@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParityError
-from .rng import SeedRecord
 # hahn and hahn_exact are unused here; perfbench/spans.py patches them by name
 from .special_polys import (  # noqa: F401
     _lattice_family,
@@ -479,68 +478,3 @@ def convergence_grid(
                         )
                     )
     return pairs
-
-
-@dataclass
-class SeriesEstimate:
-    value: float
-    std_error: float
-    terms: dict[int, tuple[float, float]]  # k -> (norm^2 estimate, SE)
-
-
-def psi_l2_norm_mc(
-    end: ContinuumEndpoint,
-    d: int,
-    k: int,
-    mc_samples: int,
-    rng: SeedRecord,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the squared L2 norm of the k-point function.
-
-    Importance proposal: ordered times uniform on the simplex, positions
-    built as a Gaussian increment chain matching the heat-kernel envelope,
-    recentered along the line to (t_star, z_star).  The simplex accounts for
-    the k! between ordered and unordered integrals.
-    """
-    ts, zs = end.t_star, end.z_star
-    gen = rng.generator()
-    t = np.empty((mc_samples, k))
-    du = np.empty((mc_samples, k))
-    for i in range(mc_samples):
-        t[i] = np.sort(gen.uniform(0.0, ts, size=k))
-        du[i] = gen.normal(0.0, np.sqrt(np.diff(t[i], prepend=0.0)))
-    dt = np.diff(t, axis=1, prepend=0.0)
-    z = np.cumsum(du, axis=1) + zs * t / ts
-    log_simplex = k * math.log(ts) - math.lgamma(k + 1)
-    log_q = np.sum(-0.5 * np.log(2 * math.pi * dt) - du**2 / (2 * dt), axis=1) - log_simplex
-    # one k x k kernel matrix per sample, then one batched determinant
-    mat = _kernel(end, d, t[:, :, None], z[:, :, None], t[:, None, :], z[:, None, :])
-    psi = np.linalg.det(mat)
-    vals = psi * psi * np.exp(-log_q)
-    # ordered-simplex integral of psi^2 times k! = full-cube norm
-    est = float(vals.mean()) * math.factorial(k)
-    se = float(vals.std(ddof=1) / math.sqrt(mc_samples)) * math.factorial(k)
-    return est, se
-
-
-def psi_l2_series(
-    end: ContinuumEndpoint,
-    d: int,
-    beta: float,
-    k_max: int,
-    mc_samples: int,
-    rng: SeedRecord,
-) -> SeriesEstimate:
-    """Truncated sum 1 + sum_k (beta^k / k!) ||psi_k||^2, Monte Carlo."""
-    if k_max > 3:
-        raise DomainError("k_max above 3 is out of budget")
-    total = 1.0
-    var = 0.0
-    terms = {}
-    for k in range(1, k_max + 1):
-        norm, se = psi_l2_norm_mc(end, d, k, mc_samples, rng.child(k))
-        w = beta**k / math.factorial(k)
-        total += w * norm
-        var += (w * se) ** 2
-        terms[k] = (norm, se)
-    return SeriesEstimate(value=total, std_error=math.sqrt(var), terms=terms)

@@ -24,7 +24,7 @@ from watermelon.chaos_polymer import (
     smc_partition_estimates,
     zeta_variance_ratio,
 )
-from watermelon.errors import BudgetExceeded, DomainError
+from watermelon.errors import DomainError
 from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
 from watermelon.rng import SeedRecord, hash_mix
 from watermelon.walk_ensembles import (
@@ -439,13 +439,21 @@ class TestChaosExpansion:
         assert type(rhs) is Fraction
         assert type(lhs) is float and lhs == float(rhs)
 
-    def test_site_budget(self):
-        spec = BridgeSpec(2, 10, 0)
+    @pytest.mark.parametrize(
+        "spec",
+        [BridgeSpec(2, 12, 0), BridgeSpec(3, 12, 2)],
+        ids=lambda s: f"{s.d}-{s.n_star}-{s.x_star}",
+    )
+    def test_many_live_sites(self, spec):
+        # more than 30 live sites: one determinant of that order, not a sum
+        # over the subsets
+        gen = SeedRecord(45, spec.d).generator()
         field = TableField(
-            {s: Fraction(2) for s in reachable_sites(spec)}, default=Fraction(1)
+            {s: Fraction(int(gen.integers(0, 2)) * 2 - 1) for s in reachable_sites(spec)},
+            default=Fraction(1),
         )
-        with pytest.raises(BudgetExceeded):
-            chaos_expansion_exact(spec, field, site_budget=10)
+        assert sum(v == -1 for v in field.table.values()) > 30
+        assert chaos_expansion_exact(spec, field) == partition_product_exact(spec, field)
 
 
 class TestSmcEstimator:
@@ -582,22 +590,19 @@ class TestIntermediateDisorder:
         assert rep.levels[0].sigma_ratio_limit == 2.0
 
     def test_variance_matches_truncated_series(self):
-        # quenched variance against the truncated squared-norm series, small beta
-        from watermelon.kernels import psi_l2_series
-
+        # quenched variance against the truncated squared-norm series, small
+        # beta; at d = 1 the norms are ||psi_k||^2 = Gamma(1 + k/2) (Pitman 1999)
         beta = 0.4
         end = ContinuumEndpoint(1.0, 0.0)
         rep = intermediate_disorder_run(
             end, 1, beta, [256], 1500, SeedRecord(15, 0), inner_paths=128
         )
         lv = rep.levels[0]
-        series = psi_l2_series(end, 1, 2 * beta * beta, 3, 30_000, SeedRecord(16, 0))
-        predicted = series.value - 1.0
+        b = 2 * beta * beta
+        predicted = sum(b**k * math.gamma(1 + k / 2) / math.factorial(k) for k in (1, 2, 3))
         observed = lv.var_interior
-        spread = math.sqrt(
-            (3 * series.std_error) ** 2 + (6 * lv.var_interior / math.sqrt(1500)) ** 2
-        )
-        # finite-N bias allowance on top of both Monte Carlo errors
+        spread = 6 * lv.var_interior / math.sqrt(1500)
+        # finite-N bias allowance on top of the Monte Carlo error
         assert abs(observed - predicted) <= spread + 0.25 * predicted
 
     def test_reflection_symmetry(self):

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from watermelon.errors import DomainError, ParityError
 from watermelon.kernels import (
@@ -25,13 +24,10 @@ from watermelon.kernels import (
     discrete_psi_prob,
     kernel_convergence_study,
     nearest_parity,
-    psi_l2_norm_mc,
-    psi_l2_series,
     rescaled_psi_k,
     round_point2,
 )
 from watermelon.chaos_polymer import reachable_sites
-from watermelon.rng import SeedRecord
 from watermelon.special_polys import HahnParams, _p_params, _p_tilde_params, hahn_exact
 from watermelon.walk_ensembles import BridgeSpec, _binom, enumerate_trajectories, log_binom
 
@@ -498,56 +494,3 @@ class TestConvergence:
         with pytest.raises(DomainError):
             kernel_convergence_study(end, 1, grid, N_list)
 
-
-class TestL2Series:
-    def test_beta_zero(self):
-        end = ContinuumEndpoint(1.0, 0.0)
-        est = psi_l2_series(end, 1, 0.0, 1, 200, SeedRecord(1, 0))
-        assert est.value == pytest.approx(1.0)
-
-    def test_monotone_in_beta(self):
-        end = ContinuumEndpoint(1.0, 0.0)
-        est1 = psi_l2_series(end, 1, 0.5, 2, 400, SeedRecord(2, 0))
-        est2 = psi_l2_series(end, 1, 1.0, 2, 400, SeedRecord(2, 0))
-        assert est2.value > est1.value
-
-    def test_draw_stream_is_pinned(self):
-        # one uniform(k) then one normal(k) draw per sample, in order
-        end = ContinuumEndpoint(1.3, -0.4)
-        est, se = psi_l2_norm_mc(end, 3, 3, 3000, SeedRecord(6, 0))
-        assert est == pytest.approx(121.09141639285676, rel=1e-12)
-        assert se == pytest.approx(16.560449629314682, rel=1e-12)
-
-    def test_quadrature_oracle_d1_k1(self):
-        # squared single-point density integrated by deterministic quadrature
-        end = ContinuumEndpoint(1.0, 0.0)
-
-        def inner(t):
-            val, _ = integrate.quad(
-                lambda z: (rho(t, z) * rho(1 - t, -z) / rho(1, 0)) ** 2, -8, 8
-            )
-            return val
-
-        ref, _ = integrate.quad(inner, 1e-9, 1 - 1e-9, limit=200)
-        est, se = psi_l2_norm_mc(end, 1, 1, 20_000, SeedRecord(3, 0))
-        assert abs(est - ref) <= 3 * se
-
-    @pytest.mark.parametrize(
-        "k,seed",
-        [
-            (1, SeedRecord(12, 1)),
-            pytest.param(
-                2, SeedRecord(12, 2),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="0.911 +- 0.020 against 1: the importance weights "
-                    "have infinite variance, so the sample SE is no error bar",
-                ),
-            ),
-        ],
-    )
-    def test_closed_form_norm_d1(self, k, seed):
-        # one Brownian bridge on [0, 1]: ||psi_k||^2 = Gamma(1 + k/2)
-        end = ContinuumEndpoint(1.0, 0.0)
-        est, se = psi_l2_norm_mc(end, 1, k, 20_000, seed)
-        assert abs(est - math.gamma(1 + k / 2)) <= 3 * se

@@ -1,13 +1,14 @@
 """Every definition in src/ has a caller in the program.
 
-A top-level function or class, a method or a property of
-src/watermelon/*.py is called when its name appears as a `Name` or an
-`Attribute` in src/ outside its own definition, in code that is itself called
-(module-level code is), or when the benchmark in perfbench/*.py names it: as
-a `Name`, an `Attribute` or a dotted string such as the attributes its tracer
-patches.  Imports, docstrings, prose and tests do not count.  Dunder methods
-are called by the language: they are not checked, and what they call counts
-as called from their class.
+A top-level function or class of src/watermelon/*.py is called when its
+name appears as a `Name` or an `Attribute` in src/ outside its own
+definition, in code that is itself called (module-level code is), or when the
+benchmark in perfbench/*.py names it: as a `Name`, an `Attribute` or a dotted
+string such as the attributes its tracer patches.  A method or a property is
+called the same way, but only as an `Attribute` or a dotted string: a bare
+name that matches it is some other binding.  Imports, docstrings, prose and
+tests do not count.  Dunder methods are called by the language: they are not
+checked, and what they call counts as called from their class.
 
 Code that only tests call is a second program to keep up, so it goes.  The
 few oracles that tests compare the program against stay, each listed in KEPT
@@ -24,7 +25,6 @@ BENCH = ROOT / "perfbench"
 
 KEPT = {
     "overlap_time": "oracle of the streamed pair overlaps (test_streamed_overlaps_match_overlap_time)",
-    "psi_l2_series": "truncated norm series the polymer's quenched variance is tested against",
     "one_step_bridge_law": "the exact one-step bridge law the stepper samples from",
     "radon_nikodym": "closed product form of the bridge/free-walk density",
     "radon_nikodym_ratio": "direct ratio of the two laws that radon_nikodym factorises",
@@ -34,6 +34,9 @@ KEPT = {
     "_p_params": "one-value Hahn parameters the kernel's vectorised families are tested against",
     "_p_tilde_params": "one-value reflected Hahn parameters, the same oracle",
     "DisorderField": "one-value hashed field: the SMC's batch field is tested against its law",
+    "fwd": "the sweep's per-time dict view that test_forward_and_backward_layers_hold_the_same_configurations "
+    "and _determinant_pair_table compare against",
+    "bwd": "the same view of the backward counts, for the same two oracles",
     "chamber_path_sums": "chamber path counts: the exact laws' sweep and the free walk's h-transform are tested against them",
 }
 
@@ -56,9 +59,9 @@ def _src_definitions_and_uses():
                     inner = (module, f"{owner[1]}.{child.name}" if owner else child.name)
                     defs.append(inner)
             elif isinstance(child, ast.Name):
-                uses.append((child.id, owner))
+                uses.append((child.id, False, owner))
             elif isinstance(child, ast.Attribute):
-                uses.append((child.attr, owner))
+                uses.append((child.attr, True, owner))
             visit(child, module, inner)
 
     for path in sorted(SRC.glob("*.py")):
@@ -67,16 +70,18 @@ def _src_definitions_and_uses():
 
 
 def _bench_names():
+    """Names the benchmark uses, as (name, is_attribute): a dotted string's
+    parts count as attributes."""
     names = set()
     for path in sorted(BENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                names.add((node.id, False))
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                names.add((node.attr, True))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _DOTTED.fullmatch(node.value):
-                    names.update(node.value.split("."))
+                    names.update((part, True) for part in node.value.split("."))
     return names
 
 
@@ -88,19 +93,27 @@ def _uncalled(kept=()):
     """Definitions with no caller in the program, as "module.qualname"; the
     names in `kept` count as called."""
     defs, uses = _src_definitions_and_uses()
-    owners = {}
-    for used, owner in uses:
-        owners.setdefault(used, []).append(owner)
-    roots = _bench_names() | set(kept)
     name = lambda definition: definition[1].rsplit(".", 1)[-1]
-    live = {dfn for dfn in defs if name(dfn) in roots}
+    # a method or property is reached only as an attribute; a bare name that
+    # matches one is some other binding, such as a local variable
+    reaches = lambda attribute, definition: attribute or "." not in definition[1]
+    owners = {}
+    for used, attribute, owner in uses:
+        owners.setdefault(used, []).append((attribute, owner))
+    bench = _bench_names()
+    live = {
+        dfn for dfn in defs
+        if name(dfn) in kept
+        or any(used == name(dfn) and reaches(attribute, dfn) for used, attribute in bench)
+    }
     grew = True
     while grew:
         grew = False
         for dfn in defs:
             if dfn not in live and any(
-                owner is None or owner in live and not _inside(owner, dfn)
-                for owner in owners.get(name(dfn), ())
+                reaches(attribute, dfn)
+                and (owner is None or owner in live and not _inside(owner, dfn))
+                for attribute, owner in owners.get(name(dfn), ())
             ):
                 live.add(dfn)
                 grew = True
