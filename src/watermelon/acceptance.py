@@ -249,7 +249,7 @@ def crit_8_chaos_equality() -> tuple[bool, str]:
 
 def crit_9_sigma_ratio() -> tuple[bool, str]:
     """Variance-to-volume ratio approaches 2 monotonically, within 1% at N=1e6."""
-    cumulant = cp.CumulantSpec.for_distribution("rademacher")
+    cumulant = cp.cumulant("rademacher")
     values = [cp.zeta_variance_ratio(1.0, 10**k, cumulant) for k in range(2, 7)]
     final = values[-1]
     if abs(final - 2.0) > 0.02:

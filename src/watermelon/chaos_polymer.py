@@ -4,6 +4,8 @@ The partition function averages exponential weights of a disordered
 environment over the non-intersecting bridge measure.  Its exact multilinear
 expansion in centered disorder variables has the bridge k-point functions as
 coefficients; that identity is this module's central theorem-level test.
+The exact average is a Lindstroem-Gessel-Viennot determinant whose
+single-walk sums come from `grsk.path_sums` on the 45-degree rotated grid.
 The intermediate-disorder pipeline weakens the noise like N^{-1/4} while
 scaling space-time diffusively and tracks the centered partition function
 across N.
@@ -19,9 +21,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .grsk import path_sums, rotate_lambda_inverse
 from .kernels import ContinuumEndpoint, DiscreteKernelTable, LatticeRounding
 from .rng import SeedRecord, hash_mix, word_uniform
-from .walk_ensembles import BridgeSpec, exact_det, int_det
+from .walk_ensembles import BridgeSpec, BridgeStepper, int_det
 # unused here; bound so that perfbench/spans.py can patch them on this module
 from .walk_ensembles import enumerate_trajectories, sample_bridges_lockstep  # noqa: F401
 
@@ -111,27 +114,13 @@ class TableField:
     def value(self, n: int, x: int):
         return self.table.get((n, x), self.default)
 
-    def values(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.value(int(a), int(b)) for a, b in zip(np.ravel(n), np.ravel(x))]
-        ).reshape(np.shape(n))
 
-
-@dataclass(frozen=True)
-class CumulantSpec:
+def cumulant(name: str) -> Callable[[float], float]:
     """Log moment generating function of a single disorder variable."""
-
-    lambda_fn: Callable[[float], float]
-
-    def __call__(self, beta: float) -> float:
-        return self.lambda_fn(beta)
-
-    @classmethod
-    def for_distribution(cls, name: str) -> "CumulantSpec":
-        return cls(_distribution(name)[2])
+    return _distribution(name)[2]
 
 
-def zeta_variance_ratio(beta: float, N: int, cumulant: CumulantSpec) -> float:
+def zeta_variance_ratio(beta: float, N: int, cumulant: Callable[[float], float]) -> float:
     """Variance-to-cell-volume ratio of the centered exponential field.
 
     Exactly 2 sqrt(N) (exp(L(2 b_N) - 2 L(b_N)) - 1) with b_N = N^{-1/4} beta;
@@ -154,29 +143,6 @@ def reachable_sites(spec: BridgeSpec) -> list[tuple[int, int]]:
     return sorted(set(sites))
 
 
-def _walker_det(spec: BridgeSpec, weights: dict | None = None) -> Fraction:
-    """det[W], where W[i][j] sums, over the single +-1 walks from start site
-    a_i to end site b_j, the product of weights[n, x] at the interior times
-    (each walk counts 1 without `weights`).  Each sweep keeps only sites
-    that can still reach some end site."""
-    n_star, ends = spec.n_star, spec.end.positions
-    rows = []
-    for a in spec.start.positions:
-        layer = {a: 1}
-        for n in range(1, n_star + 1):
-            rem = n_star - n
-            nxt: dict[int, object] = {}
-            for x, w in layer.items():
-                for y in (x - 1, x + 1):
-                    if ends[0] - rem <= y <= ends[-1] + rem:
-                        nxt[y] = nxt.get(y, 0) + w
-            if weights is not None and n < n_star:
-                nxt = {y: w * weights[n, y] for y, w in nxt.items()}
-            layer = nxt
-        rows.append([layer.get(b, 0) for b in ends])
-    return exact_det(rows)
-
-
 def _exact_value(site: tuple[int, int], v) -> Fraction:
     """The field value v at `site` as an exact rational; NaN and infinities raise."""
     if isinstance(v, float) and not math.isfinite(v):
@@ -189,18 +155,35 @@ def partition_product_exact(spec: BridgeSpec, field):
 
     Walkers step by +-1 and keep even gaps, so two of them can only swap
     order by meeting at a site.  By the Lindstroem-Gessel-Viennot lemma the
-    sum over non-intersecting trajectories is then :func:`_walker_det` over
-    the field values, and their count the same determinant over unit
-    weights.  Floats enter as the exact binary fractions they are: the mean
-    is a Fraction when every field value is an int or a Fraction, else the
-    exact mean rounded once to a float.  An empty bridge or a NaN or
+    sum over non-intersecting trajectories is then the determinant of the
+    single-walk sums of the field values, and their count the same
+    determinant over unit weights.  :func:`grsk.rotate_lambda_inverse` maps
+    the sites onto the cells of a grid on which walker r's walk is an
+    up-right path from (r+1, d-r) to (U+r+1, D+d-r), U = (n* + x*)/2 and
+    D = (n* - x*)/2; one exact :func:`grsk.path_sums` gives both matrices.
+    Floats enter as the exact binary fractions they are: the mean is a
+    Fraction when every field value is an int or a Fraction, else the exact
+    mean rounded once to a float.  An empty bridge (|x*| > n*) or a NaN or
     infinite field value raises DomainError.
     """
-    count = _walker_det(spec)
-    if count == 0:
+    d, n_star, x_star = spec.d, spec.n_star, spec.x_star
+    if abs(x_star) > n_star:
         raise DomainError(f"no non-intersecting trajectory for {spec}")
     values = {s: field.value(*s) for s in reachable_sites(spec)}
-    mean = _walker_det(spec, {s: _exact_value(s, v) for s, v in values.items()}) / count
+    exact = {s: _exact_value(s, v) for s, v in values.items()}
+    # every walk visits n* - 1 interior sites, so the values times the lcm q
+    # of their denominators are ints that scale each walk sum by q^(n*-1)
+    q = math.lcm(*(v.denominator for v in exact.values()))
+    # layer 0 counts walks, layer 1 weighs them; start and end cells weigh 1,
+    # and row and column 0 (the cells are 1-indexed) lie on no path
+    w = np.ones((2, (n_star + x_star) // 2 + d + 1, (n_star - x_star) // 2 + d + 1), dtype=object)
+    for s, v in exact.items():
+        w[(1, *rotate_lambda_inverse(d, s))] = v.numerator * (q // v.denominator)
+    starts = [rotate_lambda_inverse(d, (0, a)) for a in spec.start.positions]
+    ends = [rotate_lambda_inverse(d, (n_star, b)) for b in spec.end.positions]
+    sums = path_sums(w, starts, ends, 0, np.add, np.multiply)
+    count, total = int_det(sums[0].tolist()), int_det(sums[1].tolist())
+    mean = Fraction(total, count * q ** (d * (n_star - 1)))
     if all(isinstance(v, (int, Fraction)) for v in values.values()):
         return mean
     return float(mean)
@@ -362,8 +345,6 @@ def smc_partition_estimates(
     Disorder values are a pure hash of (seed, replica, time, site), so a
     replica's field is consistent across particles and across reads.
     """
-    from .walk_ensembles import BridgeStepper
-
     stepper = BridgeStepper(spec)
     gen = rng.generator()
     d, n_star = spec.d, spec.n_star
@@ -431,13 +412,13 @@ def intermediate_disorder_run(
         raise DomainError(f"need at least 1 inner path, got {inner_paths}")
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    cumulant = CumulantSpec.for_distribution(distribution)
+    lmgf = cumulant(distribution)
     levels = []
     for li, N in enumerate(N_list):
         rounding = LatticeRounding.of(N, end)
         spec = rounding.bridge_spec(d)
         beta_n = beta * N ** -0.25
-        lam = cumulant(beta_n)
+        lam = lmgf(beta_n)
         stream = rng.child(1000 + li)
         draws = smc_partition_estimates(
             spec, beta_n, replicas, inner_paths, stream, distribution
@@ -455,7 +436,7 @@ def intermediate_disorder_run(
                 var_interior=float(centered_interior.var(ddof=1)),
                 mean_theorem=float(centered_theorem.mean()),
                 se_theorem=float(centered_theorem.std(ddof=1) / math.sqrt(replicas)),
-                sigma_ratio=zeta_variance_ratio(beta, N, cumulant),
+                sigma_ratio=zeta_variance_ratio(beta, N, lmgf),
                 sigma_ratio_limit=2.0 * beta * beta,
                 histogram=freedman_diaconis(centered_interior),
                 draws_interior=centered_interior,

@@ -3,9 +3,10 @@
 tau_{m,d}(n) sums products of vertex weights over d-tuples of vertex-disjoint
 up-right lattice paths; ratios of consecutive tau's define the array entries.
 tau is evaluated by exhaustive enumeration (the oracle) and by the
-determinant of single-path sums, exactly for rational weights and by a
-log-space DP otherwise; the enumeration tests validate the determinant for
-this vertex-weight geometry.
+determinant of single-path sums, exactly for rational weights and in log
+space otherwise; the enumeration tests validate the determinant for this
+vertex-weight geometry.  Both routes, and the exact polymer average on the
+rotated grid, take their single-path sums from one wavefront, :func:`path_sums`.
 """
 
 from __future__ import annotations
@@ -46,32 +47,6 @@ class WeightMatrix:
     @classmethod
     def from_array(cls, arr) -> "WeightMatrix":
         return cls(tuple(tuple(row) for row in arr))
-
-
-def single_path_sum(w: WeightMatrix, start: tuple[int, int], end: tuple[int, int]):
-    """Sum over monotone up-right paths of the product of vertex weights.
-
-    Dynamic programming over the rectangle spanned by start and end;
-    unreachable endpoints give 0.
-    """
-    (i0, j0), (i1, j1) = start, end
-    if i1 < i0 or j1 < j0:
-        return 0
-    rows, cols = i1 - i0 + 1, j1 - j0 + 1
-    prev = [0] * cols
-    for di in range(rows):
-        cur = [0] * cols
-        for dj in range(cols):
-            g = w.at(i0 + di, j0 + dj)
-            if di == 0 and dj == 0:
-                cur[dj] = g
-                continue
-            inc = prev[dj] if di > 0 else 0
-            if dj > 0:
-                inc = inc + cur[dj - 1]
-            cur[dj] = g * inc
-        prev = cur
-    return prev[-1]
 
 
 def _path_endpoints(d: int, n: int, m: int) -> tuple[list, list]:
@@ -152,7 +127,12 @@ def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
     if not all(isinstance(v, (int, Fraction)) for row in window for v in row):
         return math.exp(log_tau_lgv(np.log(np.array(window, dtype=np.float64)), d))
     starts, ends = _path_endpoints(d, n, m)
-    return exact_det([[single_path_sum(w, s, e) for e in ends] for s in starts])
+    sums = path_sums(
+        np.array([window], dtype=object),
+        [(i - 1, j - 1) for i, j in starts], [(i - 1, j - 1) for i, j in ends],
+        0, np.add, np.multiply,
+    )
+    return exact_det(sums[0].tolist())
 
 
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
@@ -164,39 +144,57 @@ def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
     return float(log_tau_lgv_batch(log_w.reshape(1, n, m), d)[0])
 
 
+def path_sums(w: np.ndarray, starts, ends, zero, plus, times) -> np.ndarray:
+    """Single-path sums from each start cell to each end cell of every matrix
+    in an (R, n, m) stack, as an (R, len(starts), len(ends)) array.
+
+    Cells are 0-indexed (row, column).  A path steps from (i, j) to (i+1, j)
+    or (i, j+1); it contributes the `times`-product of its weights, `plus`
+    adds paths and `zero` is the empty sum: ``(-inf, np.logaddexp, np.add)``
+    in log space, ``(0, np.add, np.multiply)`` exactly on object arrays.
+    The sums run as an anti-diagonal wavefront from the first start to the
+    last end: (i, j) needs only (i-1, j) and (i, j-1), on the previous
+    diagonal, so a diagonal is one `plus` and one `times` over its rows on
+    the matrix, for every matrix and start at once (`zero` where a start has
+    not begun).  Every matrix gets the bits it would get on its own.
+    """
+    R, n, m = w.shape
+    # column 0 stays `zero`: the missing upper neighbour of row 0
+    front = np.full((R, len(starts), n + 1), zero, dtype=w.dtype)
+    out = np.full((R, len(starts), len(ends)), zero, dtype=w.dtype)
+    for k in range(min(i + j for i, j in starts), max(i + j for i, j in ends) + 1):
+        # only rows lo..hi-1 of diagonal k lie on the matrix: rows above them
+        # are never read again and rows below them are still `zero`
+        lo, hi = max(0, k - m + 1), min(n, k + 1)
+        rows = np.arange(lo, hi)
+        front[:, :, lo + 1 : hi + 1] = times(
+            w[:, None, rows, k - rows], plus(front[:, :, lo:hi], front[:, :, lo + 1 : hi + 1])
+        )
+        for s, (i, j) in enumerate(starts):
+            if i + j == k:
+                front[:, s, i + 1] = w[:, i, j]
+        for e, (i, j) in enumerate(ends):
+            if i + j == k:
+                out[:, :, e] = front[:, :, i + 1]
+    return out
+
+
 def log_tau_lgv_batch(log_w: np.ndarray, d: int) -> np.ndarray:
     """log tau of each n x m matrix of finite log-weights in an (R, n, m) stack.
 
-    The single-path sums run in log space as an anti-diagonal wavefront:
-    cell (i, j) needs only (i-1, j) and (i, j-1), both on the previous
-    diagonal, so each diagonal is one ``logaddexp`` over the rows of an
-    (R, d, n) array that lie on the matrix, for every matrix and every start
-    at once (-inf where a start has not begun).  The ends lie on the last
-    row of the last d diagonals; their d x d log path sums go to one
-    batched :func:`signed_logdet`.  Every matrix gets the bits it would get
-    on its own.
+    The d x d log single-path sums, from the first row to the last, come
+    from one log-space :func:`path_sums` over the stack and go to one batched
+    :func:`signed_logdet`.
     """
     R, n, m = log_w.shape
     if not 1 <= d <= min(n, m):
         raise DomainError("need 1 <= d <= min(n, m)")
     if not np.all(np.isfinite(log_w)):
         raise DomainError("log-weights must be finite (weights must be positive)")
-    # column 0 stays -inf: the missing upper neighbour of row 0
-    front = np.full((R, d, n + 1), -np.inf)
-    logmat = np.empty((R, d, d))
-    first_end = n + m - 1 - d
-    for k in range(n + m - 1):
-        # only rows lo..hi-1 of diagonal k lie on the matrix: rows above them
-        # are never read again and rows below them are still -inf
-        lo, hi = max(0, k - m + 1), min(n, k + 1)
-        rows = np.arange(lo, hi)
-        front[:, :, lo + 1 : hi + 1] = log_w[:, None, rows, k - rows] + np.logaddexp(
-            front[:, :, lo:hi], front[:, :, lo + 1 : hi + 1]
-        )
-        if k < d:
-            front[:, k, 1] = log_w[:, 0, k]  # start k enters at (1, k+1)
-        if k >= first_end:
-            logmat[:, :, k - first_end] = front[:, :, n]
+    logmat = path_sums(
+        log_w, [(0, r) for r in range(d)], [(n - 1, m - d + r) for r in range(d)],
+        -np.inf, np.logaddexp, np.add,
+    )
     sign, logdet = signed_logdet(logmat)
     if np.any(sign <= 0):
         raise DomainError("nonpositive path-sum determinant")

@@ -14,10 +14,10 @@ from scipy.integrate import quad
 from watermelon import chaos_polymer
 from watermelon.chaos_polymer import (
     DISTRIBUTIONS,
-    CumulantSpec,
     DisorderField,
     TableField,
     chaos_expansion_exact,
+    cumulant,
     intermediate_disorder_run,
     partition_product_exact,
     reachable_sites,
@@ -115,11 +115,11 @@ class TestDisorderField:
 
 class TestCumulant:
     def test_closed_forms(self):
-        assert CumulantSpec.for_distribution("gaussian")(0.7) == pytest.approx(0.245)
-        assert CumulantSpec.for_distribution("rademacher")(0.7) == pytest.approx(
+        assert cumulant("gaussian")(0.7) == pytest.approx(0.245)
+        assert cumulant("rademacher")(0.7) == pytest.approx(
             math.log(math.cosh(0.7))
         )
-        lam = CumulantSpec.for_distribution("shifted_exponential")
+        lam = cumulant("shifted_exponential")
         assert lam(0.5) == pytest.approx(-0.5 - math.log(0.5))
         with pytest.raises(DomainError):
             lam(1.0)
@@ -135,18 +135,18 @@ class TestCumulant:
         gaussian = lambda w: -w * w / 2 - 0.5 * math.log(2 * math.pi)
         shifted_exponential = lambda w: -(w + 1)
         for b in (0.3, 0.7, 0.9):
-            assert CumulantSpec.for_distribution("gaussian")(b) == pytest.approx(
+            assert cumulant("gaussian")(b) == pytest.approx(
                 log_mgf(gaussian, -math.inf, math.inf, b), abs=1e-10
             )
-            assert CumulantSpec.for_distribution("shifted_exponential")(b) == pytest.approx(
+            assert cumulant("shifted_exponential")(b) == pytest.approx(
                 log_mgf(shifted_exponential, -1.0, math.inf, b), abs=1e-10
             )
-            assert CumulantSpec.for_distribution("rademacher")(b) == pytest.approx(
+            assert cumulant("rademacher")(b) == pytest.approx(
                 math.log(0.5 * math.exp(b) + 0.5 * math.exp(-b)), abs=1e-15
             )
 
     def test_small_beta_expansion(self):
-        lam = CumulantSpec.for_distribution("rademacher")
+        lam = cumulant("rademacher")
         b = 1e-4
         assert lam(b) == pytest.approx(b * b / 2, rel=1e-4)
 
@@ -154,14 +154,14 @@ class TestCumulant:
 class TestZeta:
     def test_exact_mean_zero_rademacher(self):
         # algebraic identity: E[exp(b w) / exp(L(b))] = 1
-        cum = CumulantSpec.for_distribution("rademacher")
+        cum = cumulant("rademacher")
         b = 0.37
         lam = cum(b)
         mean = 0.5 * (math.exp(b - lam) - 1) + 0.5 * (math.exp(-b - lam) - 1)
         assert abs(mean) < 1e-14
 
     def test_variance_ratio_limit(self):
-        cum = CumulantSpec.for_distribution("rademacher")
+        cum = cumulant("rademacher")
         vals = [zeta_variance_ratio(1.0, 10**k, cum) for k in (2, 3, 4, 5, 6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(2.0, abs=0.01)
@@ -575,7 +575,7 @@ class TestIntermediateDisorder:
         for lv in rep.levels:
             assert abs(lv.mean_interior - 1.0) <= 3 * lv.se_interior
             # the asymptotic centering differs by exp(-d * Lambda(beta_N))
-            lam = CumulantSpec.for_distribution("rademacher")(lv.beta_n)
+            lam = cumulant("rademacher")(lv.beta_n)
             assert lv.mean_theorem == pytest.approx(
                 lv.mean_interior * math.exp(-1 * lam), rel=1e-12
             )

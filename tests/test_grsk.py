@@ -19,10 +19,10 @@ from watermelon.grsk import (
     inverse_gamma_sample,
     log_tau_lgv,
     log_tau_lgv_batch,
+    path_sums,
     rescaled_tau_run,
     rotate_lambda,
     rotate_lambda_inverse,
-    single_path_sum,
     tau_enumerate,
     tau_lgv,
 )
@@ -30,33 +30,60 @@ from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import macmahon_count
 
 
+def exact_path_sum(weights, start, end):
+    """path_sums in exact arithmetic from one 0-indexed start to one end."""
+    w = np.array([weights], dtype=object)
+    return path_sums(w, [start], [end], 0, np.add, np.multiply)[0, 0, 0]
+
+
 class TestSinglePathSum:
     def test_one_by_one(self):
-        assert single_path_sum(WeightMatrix(((5.0,),)), (1, 1), (1, 1)) == 5.0
+        assert exact_path_sum([[5.0]], (0, 0), (0, 0)) == 5.0
 
     def test_all_ones_counts_paths(self):
-        w = WeightMatrix.constant(4, 5)
-        assert single_path_sum(w, (1, 1), (4, 5)) == math.comb(4 + 5 - 2, 3)
+        assert exact_path_sum([[1] * 5] * 4, (0, 0), (3, 4)) == math.comb(4 + 5 - 2, 3)
 
     def test_two_by_two(self):
-        w = WeightMatrix(((1, 2), (3, 4)))
-        assert single_path_sum(w, (1, 1), (2, 2)) == 1 * 2 * 4 + 1 * 3 * 4
+        assert exact_path_sum([[1, 2], [3, 4]], (0, 0), (1, 1)) == 1 * 2 * 4 + 1 * 3 * 4
 
     def test_unreachable(self):
-        w = WeightMatrix.constant(3, 3)
-        assert single_path_sum(w, (2, 2), (1, 3)) == 0
+        # the end is a row before the start: no path reaches it
+        assert exact_path_sum([[1] * 3] * 3, (1, 1), (0, 2)) == 0
 
     @given(st.integers(2, 4), st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_weights(self, n, m, data):
         base = [[Fraction(data.draw(st.integers(1, 5))) for _ in range(m)] for _ in range(n)]
-        w = WeightMatrix(tuple(tuple(r) for r in base))
-        v0 = single_path_sum(w, (1, 1), (n, m))
+        v0 = exact_path_sum(base, (0, 0), (n - 1, m - 1))
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(0, m - 1))
         base[i][j] += 1
-        v1 = single_path_sum(WeightMatrix(tuple(tuple(r) for r in base)), (1, 1), (n, m))
-        assert v1 > v0
+        assert exact_path_sum(base, (0, 0), (n - 1, m - 1)) > v0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_path_enumeration_between_two_antidiagonals(self, seed):
+        # starts on one anti-diagonal and ends on a later one, as the polymer's
+        # walkers map onto the grid; every (start, end) pair against the
+        # products over its enumerated paths, in Fractions
+        gen = SeedRecord(seed, 0).generator()
+        n, m = int(gen.integers(2, 7)), int(gen.integers(2, 7))
+        d = int(gen.integers(1, 4))
+        k0 = int(gen.integers(0, n + m - 1))
+        k1 = int(gen.integers(k0, n + m - 1))
+        on = lambda k: [(i, k - i) for i in range(n) if 0 <= k - i < m]
+        pick = lambda cells: [cells[i] for i in sorted(gen.permutation(len(cells))[:d])]
+        starts, ends = pick(on(k0)), pick(on(k1))
+        weights = [
+            [Fraction(int(gen.integers(1, 8)), int(gen.integers(1, 5))) for _ in range(m)]
+            for _ in range(n)
+        ]
+        got = path_sums(np.array([weights], dtype=object), starts, ends, 0, np.add, np.multiply)
+        assert got.shape == (1, len(starts), len(ends))
+        for a, (i0, j0) in enumerate(starts):
+            for b, (i1, j1) in enumerate(ends):
+                paths = grsk._enumerate_paths((i0 + 1, j0 + 1), (i1 + 1, j1 + 1))
+                want = sum(math.prod(weights[i - 1][j - 1] for i, j in p) for p in paths)
+                assert got[0, a, b] == want
 
 
 class TestTau:
@@ -67,8 +94,8 @@ class TestTau:
 
     def test_d1_reduces_to_path_sum(self):
         w = WeightMatrix.constant(3, 4, Fraction(1))
-        assert tau_enumerate(w, 1, 3, 4) == single_path_sum(w, (1, 1), (3, 4))
-        assert tau_lgv(w, 1, 3, 4) == single_path_sum(w, (1, 1), (3, 4))
+        assert tau_enumerate(w, 1, 3, 4) == math.comb(3 + 4 - 2, 2)
+        assert tau_lgv(w, 1, 3, 4) == math.comb(3 + 4 - 2, 2)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -90,9 +117,8 @@ class TestTau:
     def test_all_ones_d2_binomial_determinant(self):
         n = m = 5
         w = WeightMatrix.constant(n, m, Fraction(1))
-        counts = [
-            [single_path_sum(w, (1, r), (n, m + s - 2)) for s in (1, 2)] for r in (1, 2)
-        ]
+        # paths from (1, r) to (n, m + s - 2): n - 1 steps down, m + s - 2 - r right
+        counts = [[math.comb(n - 1 + m + s - 2 - r, n - 1) for s in (1, 2)] for r in (1, 2)]
         det = counts[0][0] * counts[1][1] - counts[0][1] * counts[1][0]
         assert tau_lgv(w, 2, n, m) == det
 

@@ -6,9 +6,13 @@ definition, in code that is itself called (module-level code is), or when the
 benchmark in perfbench/*.py names it: as a `Name`, an `Attribute` or a dotted
 string such as the attributes its tracer patches.  A method or a property is
 called the same way, but only as an `Attribute` or a dotted string: a bare
-name that matches it is some other binding.  Imports, docstrings, prose and
-tests do not count.  Dunder methods are called by the language: they are not
-checked, and what they call counts as called from their class.
+name that matches it is some other binding.  A call of that attribute counts
+only when its arguments can bind to the method's parameters: `.values()`
+calls some other `values` than `values(self, n, x)`.  And `self.x` in a
+method of a class that defines `x` reaches that `x` only.  Imports,
+docstrings, prose and tests do not count.  Dunder methods are called by the
+language: they are not checked, and what they call counts as called from
+their class.
 
 Code that only tests call is a second program to keep up, so it goes.  The
 few oracles that tests compare the program against stay, each listed in KEPT
@@ -29,8 +33,7 @@ KEPT = {
     "radon_nikodym": "closed product form of the bridge/free-walk density",
     "radon_nikodym_ratio": "direct ratio of the two laws that radon_nikodym factorises",
     "grsk_array": "gRSK array entries tau_j / tau_(j-1); the multi-layer Z_1..Z_d are to call it",
-    "rotate_lambda": "45-degree rotation from grid to walk coordinates, for the same planned caller",
-    "rotate_lambda_inverse": "its inverse, for the same planned caller",
+    "rotate_lambda": "45-degree rotation from grid to walk coordinates: the oracle of its inverse",
     "_p_params": "one-value Hahn parameters the kernel's vectorised families are tested against",
     "_p_tilde_params": "one-value reflected Hahn parameters, the same oracle",
     "DisorderField": "one-value hashed field: the SMC's batch field is tested against its law",
@@ -44,44 +47,80 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _src_definitions_and_uses():
-    """Definitions as (module, qualname), and uses as (name, owner), where the
-    owner is the (module, qualname) of the definition around the use, or None
-    at module level."""
-    defs, uses = [], []
+def _calls(tree):
+    """Each called expression in `tree`, mapped to its call."""
+    return {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
-    def visit(node, module, owner):
+
+def _binds(call, method):
+    """Whether the arguments of `call` can bind to the parameters of `method`
+    after self or cls.  A call that unpacks * or ** arguments may bind."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None for k in call.keywords):
+        return True
+    params = method.args
+    static = any(getattr(dec, "id", None) == "staticmethod" for dec in method.decorator_list)
+    positional = (params.posonlyargs + params.args)[0 if static else 1 :]
+    if len(call.args) > len(positional) and params.vararg is None:
+        return False
+    given = {k.arg for k in call.keywords}
+    named = {p.arg for p in positional[len(call.args) :] + params.kwonlyargs}
+    if params.kwarg is None and not given <= named:
+        return False
+    required = positional[len(call.args) : len(positional) - len(params.defaults)] + [
+        p for p, default in zip(params.kwonlyargs, params.kw_defaults) if default is None
+    ]
+    return all(p.arg in given for p in required)
+
+
+def _src_definitions_and_uses():
+    """Definitions as (module, qualname) mapped to their node, and uses as
+    (name, is_attribute, call, receiver, owner).  The call is the ast.Call of
+    a called attribute, the receiver the (module, qualname) of the class
+    whose method reads it from `self` or `cls`, each else None; the owner is
+    the (module, qualname) of the definition around the use, or None at
+    module level."""
+    defs, uses = {}, []
+
+    def visit(node, module, owner, calls):
         for child in ast.iter_child_nodes(node):
             inner = owner
             if isinstance(child, _DEFS):
                 dunder = child.name.startswith("__") and child.name.endswith("__")
                 if not dunder and (owner is None or isinstance(node, ast.ClassDef)):
                     inner = (module, f"{owner[1]}.{child.name}" if owner else child.name)
-                    defs.append(inner)
+                    defs[inner] = child
             elif isinstance(child, ast.Name):
-                uses.append((child.id, False, owner))
+                uses.append((child.id, False, None, None, owner))
             elif isinstance(child, ast.Attribute):
-                uses.append((child.attr, True, owner))
-            visit(child, module, inner)
+                receiver = None
+                if getattr(child.value, "id", None) in ("self", "cls") and owner and "." in owner[1]:
+                    receiver = (module, owner[1].rsplit(".", 1)[0])
+                uses.append((child.attr, True, calls.get(child), receiver, owner))
+            visit(child, module, inner, calls)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
+        tree = ast.parse(path.read_text())
+        visit(tree, path.stem, None, _calls(tree))
     return defs, uses
 
 
 def _bench_names():
-    """Names the benchmark uses, as (name, is_attribute): a dotted string's
-    parts count as attributes."""
+    """Names the benchmark uses, as (name, is_attribute, call, receiver) with
+    no receiver: a dotted string's parts count as attributes, with no call."""
     names = set()
     for path in sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        calls = _calls(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names.add((node.id, False))
+                names.add((node.id, False, None, None))
             elif isinstance(node, ast.Attribute):
-                names.add((node.attr, True))
+                names.add((node.attr, True, calls.get(node), None))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _DOTTED.fullmatch(node.value):
-                    names.update((part, True) for part in node.value.split("."))
+                    names.update((part, True, None, None) for part in node.value.split("."))
     return names
 
 
@@ -94,26 +133,36 @@ def _uncalled(kept=()):
     names in `kept` count as called."""
     defs, uses = _src_definitions_and_uses()
     name = lambda definition: definition[1].rsplit(".", 1)[-1]
-    # a method or property is reached only as an attribute; a bare name that
-    # matches one is some other binding, such as a local variable
-    reaches = lambda attribute, definition: attribute or "." not in definition[1]
+
+    def reaches(attribute, call, receiver, definition):
+        # a method or property is reached only as an attribute; a bare name
+        # that matches one is some other binding, such as a local variable, and
+        # a call whose arguments cannot bind to the method calls another method
+        if "." not in definition[1]:
+            return True
+        own = receiver and (receiver[0], f"{receiver[1]}.{name(definition)}")
+        if own in defs and own != definition:
+            return False
+        node = defs[definition]
+        return attribute and (call is None or isinstance(node, ast.ClassDef) or _binds(call, node))
+
     owners = {}
-    for used, attribute, owner in uses:
-        owners.setdefault(used, []).append((attribute, owner))
+    for used, *how, owner in uses:
+        owners.setdefault(used, []).append((how, owner))
     bench = _bench_names()
     live = {
         dfn for dfn in defs
         if name(dfn) in kept
-        or any(used == name(dfn) and reaches(attribute, dfn) for used, attribute in bench)
+        or any(used == name(dfn) and reaches(*how, dfn) for used, *how in bench)
     }
     grew = True
     while grew:
         grew = False
         for dfn in defs:
             if dfn not in live and any(
-                reaches(attribute, dfn)
+                reaches(*how, dfn)
                 and (owner is None or owner in live and not _inside(owner, dfn))
-                for attribute, owner in owners.get(name(dfn), ())
+                for how, owner in owners.get(name(dfn), ())
             ):
                 live.add(dfn)
                 grew = True
