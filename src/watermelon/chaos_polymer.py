@@ -158,8 +158,8 @@ def partition_product_exact(spec: BridgeSpec, field):
     sum over non-intersecting trajectories is then the determinant of the
     single-walk sums of the field values, and their count the same
     determinant over unit weights.  :func:`grsk.rotate_lambda_inverse` maps
-    the sites onto the cells of a grid on which walker r's walk is an
-    up-right path from (r+1, d-r) to (U+r+1, D+d-r), U = (n* + x*)/2 and
+    the sites onto the cells of a (U+d) x (D+d) grid on which walker r's walk
+    is an up-right path from (r, d-1-r) to (U+r, D+d-1-r), U = (n* + x*)/2 and
     D = (n* - x*)/2; one exact :func:`grsk.path_sums` gives both matrices.
     Floats enter as the exact binary fractions they are: the mean is a
     Fraction when every field value is an int or a Fraction, else the exact
@@ -174,9 +174,8 @@ def partition_product_exact(spec: BridgeSpec, field):
     # every walk visits n* - 1 interior sites, so the values times the lcm q
     # of their denominators are ints that scale each walk sum by q^(n*-1)
     q = math.lcm(*(v.denominator for v in exact.values()))
-    # layer 0 counts walks, layer 1 weighs them; start and end cells weigh 1,
-    # and row and column 0 (the cells are 1-indexed) lie on no path
-    w = np.ones((2, (n_star + x_star) // 2 + d + 1, (n_star - x_star) // 2 + d + 1), dtype=object)
+    # layer 0 counts walks, layer 1 weighs them; start and end cells weigh 1
+    w = np.ones((2, (n_star + x_star) // 2 + d, (n_star - x_star) // 2 + d), dtype=object)
     for s, v in exact.items():
         w[(1, *rotate_lambda_inverse(d, s))] = v.numerator * (q // v.denominator)
     starts = [rotate_lambda_inverse(d, (0, a)) for a in spec.start.positions]

@@ -306,14 +306,12 @@ def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
         n = int(gen.integers(2, 7))
         m = int(gen.integers(2, 7))
         d = int(gen.integers(1, min(3, n, m) + 1))
-        w = grsk.WeightMatrix.from_array(gen.uniform(0.5, 2.0, size=(n, m)))
-        te = grsk.tau_enumerate(w, d, n, m)
-        tl = grsk.tau_lgv(w, d, n, m)
+        w = gen.uniform(0.5, 2.0, size=(n, m))
+        te = grsk.tau_enumerate(w, d)
+        tl = grsk.tau_lgv(w, d)
         lgv_ok &= bool(abs(tl - te) <= 1e-9 * abs(te))
-    ones = grsk.WeightMatrix.constant(cfg.d + 2, cfg.d + 2, 1.0)
-    mm_ok = abs(
-        grsk.tau_lgv(ones, cfg.d, cfg.d + 2, cfg.d + 2) - we.macmahon_count(2, cfg.d)
-    ) < 1e-9 * we.macmahon_count(2, cfg.d)
+    count = we.macmahon_count(2, cfg.d)
+    mm_ok = abs(grsk.tau_lgv(np.ones((cfg.d + 2, cfg.d + 2)), cfg.d) - count) < 1e-9 * count
     report = grsk.rescaled_tau_run(cfg.beta, cfg.N_list, cfg.replicas, cfg.rng(1), d=cfg.d)
     return Outcome(
         files={"grsk_report.json": report.to_json_dict()},

@@ -7,13 +7,16 @@ determinant of single-path sums, exactly for rational weights and in log
 space otherwise; the enumeration tests validate the determinant for this
 vertex-weight geometry.  Both routes, and the exact polymer average on the
 rotated grid, take their single-path sums from one wavefront, :func:`path_sums`.
+
+Weights are plain 2-D arrays and grid cells are 0-indexed (row, column): the
+paper's vertex (i, j) is cell (i-1, j-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -23,40 +26,30 @@ from .rng import SeedRecord
 from .walk_ensembles import exact_det, signed_logdet
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Finite window of strictly positive weights, 1-indexed as entries[i-1][j-1]."""
+_ENUMERATION_BUDGET = 14  # largest n + m that tau_enumerate walks through
 
-    entries: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != len(self.entries[0]):
-                raise DomainError("ragged weight matrix")
-            for v in row:
-                if not v > 0:
-                    raise DomainError("weights must be positive")
+def _check_weights(w) -> np.ndarray:
+    """w as a 2-D array whose every weight is > 0 (NaN fails), else DomainError.
 
-    def at(self, i: int, j: int):
-        return self.entries[i - 1][j - 1]
-
-    @classmethod
-    def constant(cls, n: int, m: int, value=1) -> "WeightMatrix":
-        return cls(tuple(tuple(value for _ in range(m)) for _ in range(n)))
-
-    @classmethod
-    def from_array(cls, arr) -> "WeightMatrix":
-        return cls(tuple(tuple(row) for row in arr))
+    Integer arrays come back as Python ints, which do not overflow.
+    """
+    w = np.asarray(w)
+    if w.ndim != 2 or not np.all(w > 0):
+        raise DomainError("weights must be a 2-D array of positive numbers")
+    return w.astype(object) if w.dtype.kind in "iu" else w
 
 
 def _path_endpoints(d: int, n: int, m: int) -> tuple[list, list]:
-    starts = [(1, r) for r in range(1, d + 1)]
-    ends = [(n, m + r - d) for r in range(1, d + 1)]
-    return starts, ends
+    """Start and end cells of the d paths on an n x m grid: path r runs from
+    (0, r) to (n-1, m-d+r)."""
+    if not 1 <= d <= min(n, m):
+        raise DomainError("need 1 <= d <= min(n, m)")
+    return [(0, r) for r in range(d)], [(n - 1, m - d + r) for r in range(d)]
 
 
 def _enumerate_paths(start: tuple[int, int], end: tuple[int, int]):
-    """All up-right paths start -> end as frozensets of visited vertices."""
+    """All up-right paths start -> end as frozensets of visited cells."""
     out = []
     path = [start]
 
@@ -79,23 +72,17 @@ def _enumerate_paths(start: tuple[int, int], end: tuple[int, int]):
     return out
 
 
-def tau_enumerate(w: WeightMatrix, d: int, n: int, m: int, budget: int = 14):
+def tau_enumerate(w, d: int):
     """Exhaustive sum over vertex-disjoint path tuples (the oracle route)."""
-    if n + m > budget or d > 3:
-        raise BudgetExceeded(f"n+m = {n + m} (budget {budget}) or d = {d} > 3")
-    if not 1 <= d <= min(n, m):
-        raise DomainError("need 1 <= d <= min(n, m)")
+    w = _check_weights(w)
+    n, m = w.shape
+    if n + m > _ENUMERATION_BUDGET or d > 3:
+        raise BudgetExceeded(f"n+m = {n + m} (budget {_ENUMERATION_BUDGET}) or d = {d} > 3")
     starts, ends = _path_endpoints(d, n, m)
     per_route = [_enumerate_paths(s, e) for s, e in zip(starts, ends)]
 
     total = 0
     used: list[frozenset] = []
-
-    def weight_of(cells: frozenset):
-        prod = 1
-        for (i, j) in cells:
-            prod = prod * w.at(i, j)
-        return prod
 
     def rec(r: int, acc):
         nonlocal total
@@ -106,32 +93,26 @@ def tau_enumerate(w: WeightMatrix, d: int, n: int, m: int, budget: int = 14):
             if any(cells & u for u in used):
                 continue
             used.append(cells)
-            rec(r + 1, acc * weight_of(cells))
+            rec(r + 1, acc * math.prod(w[c] for c in cells))
             used.pop()
 
     rec(0, 1)
     return total
 
 
-def tau_lgv(w: WeightMatrix, d: int, n: int, m: int):
+def tau_lgv(w, d: int):
     """tau via the determinant of single-path sums between endpoint lists.
 
     Vertex weights need no inclusion-exclusion correction in this geometry;
     the enumeration equivalence test asserts it rather than assuming it.
-    Exact (a Fraction) when every weight of the n x m window is an int or a
-    Fraction; other weights go through :func:`log_tau_lgv`.
+    Exact (a Fraction) when every weight is an int or a Fraction; other
+    weights go through :func:`log_tau_lgv`.
     """
-    if not 1 <= d <= min(n, m):
-        raise DomainError("need 1 <= d <= min(n, m)")
-    window = [[w.at(i, j) for j in range(1, m + 1)] for i in range(1, n + 1)]
-    if not all(isinstance(v, (int, Fraction)) for row in window for v in row):
-        return math.exp(log_tau_lgv(np.log(np.array(window, dtype=np.float64)), d))
-    starts, ends = _path_endpoints(d, n, m)
-    sums = path_sums(
-        np.array([window], dtype=object),
-        [(i - 1, j - 1) for i, j in starts], [(i - 1, j - 1) for i, j in ends],
-        0, np.add, np.multiply,
-    )
+    w = _check_weights(w)
+    starts, ends = _path_endpoints(d, *w.shape)
+    if not all(isinstance(v, Rational) for v in w.flat):
+        return math.exp(log_tau_lgv(np.log(w.astype(np.float64)), d))
+    sums = path_sums(w[None], starts, ends, 0, np.add, np.multiply)
     return exact_det(sums[0].tolist())
 
 
@@ -186,26 +167,24 @@ def log_tau_lgv_batch(log_w: np.ndarray, d: int) -> np.ndarray:
     from one log-space :func:`path_sums` over the stack and go to one batched
     :func:`signed_logdet`.
     """
-    R, n, m = log_w.shape
-    if not 1 <= d <= min(n, m):
-        raise DomainError("need 1 <= d <= min(n, m)")
+    starts, ends = _path_endpoints(d, *log_w.shape[1:])
     if not np.all(np.isfinite(log_w)):
         raise DomainError("log-weights must be finite (weights must be positive)")
-    logmat = path_sums(
-        log_w, [(0, r) for r in range(d)], [(n - 1, m - d + r) for r in range(d)],
-        -np.inf, np.logaddexp, np.add,
-    )
+    logmat = path_sums(log_w, starts, ends, -np.inf, np.logaddexp, np.add)
     sign, logdet = signed_logdet(logmat)
     if np.any(sign <= 0):
         raise DomainError("nonpositive path-sum determinant")
     return logdet
 
 
-def grsk_array(w: WeightMatrix, d_max: int, n: int, m: int) -> list[dict]:
-    """Array entries z_{m,j}(n) = tau_{m,j}(n) / tau_{m,j-1}(n), j <= d_max."""
+def grsk_array(w, d_max: int) -> list[dict]:
+    """Array entries z_{m,j}(n) = tau_{m,j}(n) / tau_{m,j-1}(n), j <= d_max,
+    of an n x m weight array."""
+    w = _check_weights(w)
+    n, m = w.shape
     taus = [1]
     for j in range(1, d_max + 1):
-        taus.append(tau_lgv(w, j, n, m))
+        taus.append(tau_lgv(w, j))
     out = []
     for j in range(1, d_max + 1):
         if not taus[j - 1] > 0:
@@ -215,31 +194,29 @@ def grsk_array(w: WeightMatrix, d_max: int, n: int, m: int) -> list[dict]:
 
 
 def forced_points(d: int, N: int) -> set[tuple[int, int]]:
-    """Vertices common to every path tuple on the (N+d) x (N+d) window.
+    """Cells common to every path tuple on the (N+d) x (N+d) grid.
 
     Path r is pinned through a staircase triangle at each corner; the set has
-    d(d+1) points.
+    d(d+1) cells.
     """
     pts: set[tuple[int, int]] = set()
-    for ell in range(1, d + 1):
-        for i in range(1, d - ell + 2):
-            pts.add((i, ell))
-        for i in range(d - ell + 1, d + 1):
-            pts.add((N + i, N + ell))
+    for ell in range(d):
+        pts.update((i, ell) for i in range(d - ell))
+        pts.update((N + i, N + ell) for i in range(d - 1 - ell, d))
     return pts
 
 
-def rotate_lambda(d: int, point: tuple[int, int]) -> tuple[int, int]:
-    """45-degree rotation from grid coordinates to walk (time, space)."""
-    n, m = point
-    return (n + m - d - 1, n - m + d - 1)
+def rotate_lambda(d: int, cell: tuple[int, int]) -> tuple[int, int]:
+    """45-degree rotation from grid cells to walk (time, space)."""
+    i, j = cell
+    return (i + j + 1 - d, i - j + d - 1)
 
 
 def rotate_lambda_inverse(d: int, tz: tuple[int, int]) -> tuple[int, int]:
     t, s = tz
     if (t + s) % 2 != 0:
         raise DomainError("point not in the image lattice")
-    return ((t + s) // 2 + 1, (t - s) // 2 + d)
+    return ((t + s) // 2, (t - s) // 2 + d - 1)
 
 
 def inverse_gamma_sample(theta: float, rng: SeedRecord | np.random.Generator, size=None):

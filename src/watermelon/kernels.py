@@ -367,16 +367,14 @@ def rescaled_psi_k(
 
     (sqrt(N)/2)^k times the float joint occupation probability of the
     rounded cells; piecewise constant on tessellation cells, zero when two
-    query points round to the same cell.
+    query points round to the same cell.  A query time that rounds outside
+    the open window (0, n*) raises DomainError.
     """
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
     sites = [rounding.round_query_point(p) for p in query.points]
     if len(set(sites)) != len(sites):
         return 0.0
-    for n, x in sites:
-        if not 0 < n < spec.n_star:
-            raise DomainError(f"query time {n} outside the open bridge window")
     prob = discrete_psi_prob(spec, sites, "float")
     return prob * (math.sqrt(N) / 2.0) ** len(sites)
 

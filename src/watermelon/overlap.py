@@ -275,8 +275,8 @@ class ExactBridgeLaw:
     chamber configurations a, b within reach in n steps and never collide),
     so the successor lists hold every path of the bridge: the counts to
     delta(x*) run back along them, and pair counts run forward along them.
-    `fwd[n]` and `bwd[n]` map each configuration to its two counts.  A time
-    outside 0 <= n <= n_star raises DomainError.
+    `_fwd[n]` and `_bwd[n]` hold the two counts of each configuration, in the
+    order of `configs[n]`.  A time outside 0 <= n <= n_star raises DomainError.
     """
 
     def __init__(self, spec: BridgeSpec):
@@ -289,14 +289,6 @@ class ExactBridgeLaw:
         self._bwd = bwd[::-1]
         self.total = self._fwd[spec.n_star][0]
         self._marginals: dict[int, dict[int, int]] = {}
-
-    @property
-    def fwd(self) -> list[dict[tuple[int, ...], int]]:
-        return [dict(zip(c, w)) for c, w in zip(self.configs, self._fwd)]
-
-    @property
-    def bwd(self) -> list[dict[tuple[int, ...], int]]:
-        return [dict(zip(c, w)) for c, w in zip(self.configs, self._bwd)]
 
     def _check_time(self, n: int) -> None:
         if not 0 <= n <= self.spec.n_star:

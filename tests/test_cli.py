@@ -353,6 +353,22 @@ class TestGrskCommand:
             "lgv_equals_enumeration": True, "all_ones_count_matches": True,
         }
 
+    def test_report_is_pinned(self, tmp_path):
+        # replay contract: the same seed and config give the same report
+        # bits.  The report holds floats from numpy's gamma sampler and the
+        # log-space DP, so the pin is that of one numpy build.
+        out = tmp_path / "g"
+        assert run(["grsk", "--seed", "3", "--d", "2", "--N-list", "9", "16",
+                    "--replicas", "8", "--out-dir", str(out)]) == 0
+        report = (out / "grsk_report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "be9fbecd26f7269bef71834357fe82b9ce8323962c6b319df099555d20d4e543"
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["assertions"] == {
+            "lgv_equals_enumeration": True, "all_ones_count_matches": True,
+        }
+
     def test_wrong_log_dp_fails(self, tmp_path, monkeypatch):
         # float weights send tau_lgv through the DP, so enumeration catches it
         real = grsk.log_tau_lgv

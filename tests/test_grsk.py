@@ -12,7 +12,6 @@ from watermelon import grsk
 from watermelon.errors import BudgetExceeded, DomainError
 from watermelon.grsk import (
     TauReport,
-    WeightMatrix,
     forced_points,
     grsk_array,
     inverse_gamma_moments,
@@ -81,25 +80,25 @@ class TestSinglePathSum:
         assert got.shape == (1, len(starts), len(ends))
         for a, (i0, j0) in enumerate(starts):
             for b, (i1, j1) in enumerate(ends):
-                paths = grsk._enumerate_paths((i0 + 1, j0 + 1), (i1 + 1, j1 + 1))
-                want = sum(math.prod(weights[i - 1][j - 1] for i, j in p) for p in paths)
+                paths = grsk._enumerate_paths((i0, j0), (i1, j1))
+                want = sum(math.prod(weights[i][j] for i, j in p) for p in paths)
                 assert got[0, a, b] == want
 
 
 class TestTau:
     def test_fully_packed(self):
         # d = m = n: the single tuple uses every vertex
-        w = WeightMatrix(((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7))))
-        assert tau_enumerate(w, 2, 2, 2) == 2 * 3 * 5 * 7
+        w = np.array([[Fraction(2), Fraction(3)], [Fraction(5), Fraction(7)]], dtype=object)
+        assert tau_enumerate(w, 2) == 2 * 3 * 5 * 7
 
     def test_d1_reduces_to_path_sum(self):
-        w = WeightMatrix.constant(3, 4, Fraction(1))
-        assert tau_enumerate(w, 1, 3, 4) == math.comb(3 + 4 - 2, 2)
-        assert tau_lgv(w, 1, 3, 4) == math.comb(3 + 4 - 2, 2)
+        w = np.full((3, 4), Fraction(1), dtype=object)
+        assert tau_enumerate(w, 1) == math.comb(3 + 4 - 2, 2)
+        assert tau_lgv(w, 1) == math.comb(3 + 4 - 2, 2)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            tau_enumerate(WeightMatrix.constant(8, 8), 2, 8, 8)
+            tau_enumerate(np.ones((8, 8), dtype=int), 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lgv_equals_enumeration_exact(self, seed):
@@ -107,31 +106,33 @@ class TestTau:
         n = int(gen.integers(2, 7))
         m = int(gen.integers(2, 7))
         d = int(gen.integers(1, min(3, n, m) + 1))
-        entries = tuple(
-            tuple(Fraction(int(gen.integers(1, 8)), int(gen.integers(1, 5))) for _ in range(m))
-            for _ in range(n)
+        w = np.array(
+            [
+                [Fraction(int(gen.integers(1, 8)), int(gen.integers(1, 5))) for _ in range(m)]
+                for _ in range(n)
+            ],
+            dtype=object,
         )
-        w = WeightMatrix(entries)
-        assert tau_lgv(w, d, n, m) == tau_enumerate(w, d, n, m)
+        assert tau_lgv(w, d) == tau_enumerate(w, d)
 
     def test_all_ones_d2_binomial_determinant(self):
         n = m = 5
-        w = WeightMatrix.constant(n, m, Fraction(1))
-        # paths from (1, r) to (n, m + s - 2): n - 1 steps down, m + s - 2 - r right
-        counts = [[math.comb(n - 1 + m + s - 2 - r, n - 1) for s in (1, 2)] for r in (1, 2)]
+        w = np.full((n, m), Fraction(1), dtype=object)
+        # paths from (0, r) to (n - 1, m - 2 + s): n - 1 steps down, m - 2 + s - r right
+        counts = [[math.comb(n - 1 + m - 2 + s - r, n - 1) for s in (0, 1)] for r in (0, 1)]
         det = counts[0][0] * counts[1][1] - counts[0][1] * counts[1][0]
-        assert tau_lgv(w, 2, n, m) == det
+        assert tau_lgv(w, 2) == det
 
     def test_integer_weights_are_exact(self):
-        tau = tau_lgv(WeightMatrix.constant(4, 4), 2, 4, 4)
+        tau = tau_lgv(np.ones((4, 4), dtype=int), 2)
         assert isinstance(tau, Fraction) and tau == macmahon_count(2, 2) == 20
-        assert isinstance(tau_lgv(WeightMatrix.constant(4, 4, 1.0), 2, 4, 4), float)
+        assert isinstance(tau_lgv(np.ones((4, 4)), 2), float)
 
     def test_log_dp_matches_direct(self):
         # direct enumeration of the disjoint path pairs, in doubles
         gen = SeedRecord(3, 0).generator()
         logw = np.log(gen.uniform(0.5, 2.0, size=(6, 6)))
-        direct = tau_enumerate(WeightMatrix.from_array(np.exp(logw)), 2, 6, 6)
+        direct = tau_enumerate(np.exp(logw), 2)
         assert log_tau_lgv(logw, 2) == pytest.approx(math.log(direct), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -143,9 +144,7 @@ class TestTau:
     def test_log_dp_matches_exact(self, n, m, d):
         # determinant cancellation at d = 4, n = 12 costs ~4e-10 in log tau
         w = SeedRecord(n * 100 + m * 10 + d, 0).generator().uniform(0.5, 2.0, size=(n, m))
-        exact = tau_lgv(
-            WeightMatrix(tuple(tuple(Fraction(float(v)) for v in row) for row in w)), d, n, m
-        )
+        exact = tau_lgv(np.array([[Fraction(float(v)) for v in row] for row in w], dtype=object), d)
         assert isinstance(exact, Fraction)
         assert abs(log_tau_lgv(np.log(w), d) - math.log(exact)) <= 1e-9
 
@@ -207,9 +206,9 @@ class TestTau:
     @pytest.mark.parametrize(
         "route",
         [
-            lambda d: tau_lgv(WeightMatrix.constant(3, 3), d, 3, 3),
+            lambda d: tau_lgv(np.ones((3, 3), dtype=int), d),
             lambda d: log_tau_lgv(np.zeros((3, 3)), d),
-            lambda d: tau_enumerate(WeightMatrix.constant(3, 3), d, 3, 3),
+            lambda d: tau_enumerate(np.ones((3, 3), dtype=int), d),
         ],
         ids=["tau_lgv", "log_tau_lgv", "tau_enumerate"],
     )
@@ -217,27 +216,43 @@ class TestTau:
         with pytest.raises(DomainError):
             route(d)
 
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.ones(3),
+            np.ones((2, 3, 3)),
+            np.array([[1, 1], [1, 0]]),
+            np.array([[1.0, -0.5], [1.0, 1.0]]),
+            np.array([[1.0, 1.0], [math.nan, 1.0]]),
+        ],
+        ids=["1d", "3d", "zero", "negative", "nan"],
+    )
+    @pytest.mark.parametrize("route", [tau_lgv, tau_enumerate, grsk_array])
+    def test_rejects_bad_weights(self, route, w):
+        with pytest.raises(DomainError):
+            route(w, 1)
+
 
 class TestArray:
     def test_reconstruction(self):
         gen = SeedRecord(9, 0).generator()
-        w = WeightMatrix.from_array(gen.uniform(0.5, 2.0, size=(4, 4)))
-        rows = grsk_array(w, 3, 4, 4)
+        w = gen.uniform(0.5, 2.0, size=(4, 4))
+        rows = grsk_array(w, 3)
         prod = 1.0
         for j, row in enumerate(rows, start=1):
             assert row["value"] > 0
             prod *= row["value"]
-            assert prod == pytest.approx(tau_lgv(w, j, 4, 4), rel=1e-12)
+            assert prod == pytest.approx(tau_lgv(w, j), rel=1e-12)
 
     def test_d_max_one(self):
-        w = WeightMatrix.constant(3, 3, 2.0)
-        rows = grsk_array(w, 1, 3, 3)
-        assert rows[0]["value"] == pytest.approx(tau_lgv(w, 1, 3, 3))
+        w = np.full((3, 3), 2.0)
+        rows = grsk_array(w, 1)
+        assert rows[0]["value"] == pytest.approx(tau_lgv(w, 1))
 
 
 class TestForcedPointsAndRotation:
     def test_d1_corners(self):
-        assert forced_points(1, 5) == {(1, 1), (6, 6)}
+        assert forced_points(1, 5) == {(0, 0), (5, 5)}
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_cardinality(self, d):
@@ -261,22 +276,22 @@ class TestForcedPointsAndRotation:
         assert tuples == macmahon_count(N, d)
 
     def test_rotation_examples(self):
-        assert rotate_lambda(2, (1, 2)) == (0, 0)
+        assert rotate_lambda(2, (0, 1)) == (0, 0)
         # image parity: time + space is even
-        for p in ((1, 1), (2, 5), (4, 3)):
+        for p in ((0, 0), (1, 4), (3, 2)):
             t, s = rotate_lambda(3, p)
             assert (t + s) % 2 == 0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_round_trip(self, d):
-        pts = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        pts = [(i, j) for i in range(6) for j in range(6)]
         for p in pts:
             assert rotate_lambda_inverse(d, rotate_lambda(d, p)) == p
 
     def test_free_region_maps_to_packed_walk_endpoints(self):
         d, N = 3, 4
-        starts = [(d + 1 - ell, ell) for ell in range(1, d + 1)]
-        ends = [(N + d + 1 - ell, N + ell) for ell in range(1, d + 1)]
+        starts = [(d - 1 - ell, ell) for ell in range(d)]
+        ends = [(N + d - 1 - ell, N + ell) for ell in range(d)]
         assert sorted(rotate_lambda(d, p) for p in starts) == [(0, 0), (0, 2), (0, 4)]
         assert sorted(rotate_lambda(d, p) for p in ends) == [(2 * N, 0), (2 * N, 2), (2 * N, 4)]
 
@@ -392,8 +407,7 @@ class TestRescaledRun:
         d, N = 2, 2
         n = m = N + d
         c = 1.7
-        w = WeightMatrix.constant(n, m, c)
-        tau = tau_lgv(w, d, n, m)
+        tau = tau_lgv(np.full((n, m), c), d)
         assert tau / c ** (d * (2 * N + d)) == pytest.approx(
             macmahon_count(N, d), rel=1e-12
         )

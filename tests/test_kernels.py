@@ -432,6 +432,15 @@ class TestRescaledPsi:
         )
         assert rescaled_psi_k(100, end, 2, q) == 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_time_outside_open_window_raises(self, t, k):
+        # t = 0 and t = t* round to the bridge's end times 0 and n*
+        end = ContinuumEndpoint(1.0, 0.0)
+        pts = (SpaceTimePoint(t, 0.0), SpaceTimePoint(0.5, 0.3))[:k]
+        with pytest.raises(DomainError):
+            rescaled_psi_k(100, end, 2, CorrelationQuery(pts))
+
     def test_single_walker_binomial_oracle(self):
         # (sqrt(N)/2) P(simple bridge at 0 at midstep)
         N = 100

@@ -179,7 +179,7 @@ class TestExactBridgeLaw:
     def test_site_probs_count_particles(self):
         law = ExactBridgeLaw(BridgeSpec(2, 8, 0))
         for n in (1, 4, 7):
-            sites = sorted({x for pos in law.fwd[n] for x in pos})
+            sites = sorted({x for pos in law.configs[n] for x in pos})
             assert sum(law.site_prob(n, x) for x in sites) == 2
 
     def test_pair_table_counts_particles(self):
@@ -187,19 +187,25 @@ class TestExactBridgeLaw:
         assert sum(law.pair_site_table(2, 5).values()) == 4
 
     def test_forward_and_backward_layers_hold_the_same_configurations(self):
-        # site_prob, config_dist and the pair sweep look up bwd[n] by every
-        # key of fwd[n] without a guard; the mirrored bwd equals the sweep
-        # run from the endpoint back to the start
+        # site_prob, config_dist and the pair sweep read _bwd[n] at every
+        # index of configs[n] without a guard; the forward counts equal the
+        # sweep from the start, the mirrored backward counts the sweep run
+        # from the endpoint back to the start
         layers = 0
         for d in range(1, 5):
             for n_star in range(1, 13):
                 for x_star in range(-n_star, n_star + 1, 2):
                     spec = BridgeSpec(d, n_star, x_star)
                     law = ExactBridgeLaw(spec)
-                    assert law.bwd == chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
-                    assert len(law.fwd) == len(law.bwd) == n_star + 1
-                    for fwd, bwd in zip(law.fwd, law.bwd):
-                        assert fwd.keys() == bwd.keys()
+                    fwd = chamber_path_sums(spec.start, spec.n_star, spec.end)
+                    bwd = chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
+                    lists = (law.configs, law._fwd, law._bwd, fwd, bwd)
+                    assert [len(v) for v in lists] == [n_star + 1] * 5
+                    for n, (f, b) in enumerate(zip(fwd, bwd)):
+                        assert len(law.configs[n]) == len(law._fwd[n]) == len(law._bwd[n])
+                        assert dict(zip(law.configs[n], law._fwd[n])) == f
+                        assert dict(zip(law.configs[n], law._bwd[n])) == b
+                        assert f.keys() == b.keys()
                     layers += n_star + 1
         assert layers == 3272
 
@@ -227,11 +233,10 @@ def _determinant_pair_table(law, n1, n2):
     pair of configurations: the reference for the transfer sweep."""
     out = {}
     scale = 2 ** ((n2 - n1) * law.spec.d)
-    for pos1, cf in law.fwd[n1].items():
-        cb1 = law.bwd[n1].get(pos1, 0)
+    for pos1, cf, cb1 in zip(law.configs[n1], law._fwd[n1], law._bwd[n1]):
         if cb1 == 0:
             continue
-        for pos2, cb in law.bwd[n2].items():
+        for pos2, cb in zip(law.configs[n2], law._bwd[n2]):
             mid = km_weight(n2 - n1, WeylConfig(pos1), WeylConfig(pos2), "exact")
             if mid == 0:
                 continue

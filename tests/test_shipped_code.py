@@ -37,9 +37,6 @@ KEPT = {
     "_p_params": "one-value Hahn parameters the kernel's vectorised families are tested against",
     "_p_tilde_params": "one-value reflected Hahn parameters, the same oracle",
     "DisorderField": "one-value hashed field: the SMC's batch field is tested against its law",
-    "fwd": "the sweep's per-time dict view that test_forward_and_backward_layers_hold_the_same_configurations "
-    "and _determinant_pair_table compare against",
-    "bwd": "the same view of the backward counts, for the same two oracles",
     "chamber_path_sums": "chamber path counts: the exact laws' sweep and the free walk's h-transform are tested against them",
 }
 
