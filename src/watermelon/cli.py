@@ -234,18 +234,22 @@ def cmd_sample(cfg: ExperimentConfig) -> Outcome:
     spec = we.BridgeSpec(cfg.d, cfg.n_star, cfg.x_star)
     outcome = Outcome()
     if cfg.enumerate_all:
-        samples = we.enumerate_bridges(spec, budget=cfg.step_budget)
-        outcome.assertions["enumeration_count"] = len(samples)
+        trajs = we.enumerate_trajectories(spec, budget=cfg.step_budget)
+        outcome.assertions["enumeration_count"] = len(trajs)
+        seeds = [None] * len(trajs)
     else:
-        samples = [
-            we.sample_bridge(spec, cfg.rng(i)) for i in range(cfg.count)
-        ]
+        if cfg.count < 1:
+            raise WatermelonError(f"--count must be >= 1, got {cfg.count}")
+        seeds = [cfg.rng(i) for i in range(cfg.count)]
+        trajs = np.stack([we.sample_bridges_lockstep(spec, 1, r)[0] for r in seeds])
+    we.check_trajectories(spec, trajs)
     header = ["step"] + [f"walker_{i + 1}" for i in range(spec.d)]
-    for i, s in enumerate(samples):
-        s.validate()
-        rows = [[n, *row] for n, row in enumerate(s.trajectory.tolist())]
+    spec_dict = {"d": spec.d, "n_star": spec.n_star, "x_star": spec.x_star}
+    for i, (traj, rng) in enumerate(zip(trajs, seeds)):
+        rows = [[n, *row] for n, row in enumerate(traj.tolist())]
         outcome.files[f"trajectory_{i:05d}.csv"] = (header, rows)
-        outcome.files[f"trajectory_{i:05d}.json"] = we.sample_envelope(s)
+        outcome.files[f"trajectory_{i:05d}.json"] = {
+            "spec": spec_dict, "seed_record": rng.as_dict() if rng else None}
     outcome.assertions["all_valid"] = True
     return outcome
 
@@ -298,18 +302,8 @@ def cmd_polymer(cfg: ExperimentConfig) -> Outcome:
 
 
 def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
-    gen = cfg.rng().generator()
-    # oracle cross-checks at desk scale; float weights send tau_lgv through
-    # log_tau_lgv, the one-matrix case of the DP the scaling run below uses
-    lgv_ok = True
-    for _ in range(5):
-        n = int(gen.integers(2, 7))
-        m = int(gen.integers(2, 7))
-        d = int(gen.integers(1, min(3, n, m) + 1))
-        w = gen.uniform(0.5, 2.0, size=(n, m))
-        te = grsk.tau_enumerate(w, d)
-        tl = grsk.tau_lgv(w, d)
-        lgv_ok &= bool(abs(tl - te) <= 1e-9 * abs(te))
+    # oracle cross-checks at desk scale
+    lgv_ok = grsk.lgv_mismatch(cfg.rng().generator(), 5, 6) is None
     count = we.macmahon_count(2, cfg.d)
     mm_ok = abs(grsk.tau_lgv(np.ones((cfg.d + 2, cfg.d + 2)), cfg.d) - count) < 1e-9 * count
     report = grsk.rescaled_tau_run(cfg.beta, cfg.N_list, cfg.replicas, cfg.rng(1), d=cfg.d)

@@ -30,4 +30,4 @@ class BudgetExceeded(WatermelonError):
 
 
 class SpecMismatch(WatermelonError):
-    """Two samples that must share a bridge specification do not."""
+    """Two trajectories that must share a bridge specification do not."""

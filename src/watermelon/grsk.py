@@ -116,6 +116,26 @@ def tau_lgv(w, d: int):
     return exact_det(sums[0].tolist())
 
 
+def lgv_mismatch(gen: np.random.Generator, trials: int, max_side: int) -> int | None:
+    """The first of `trials` random instances on which :func:`tau_lgv` and
+    :func:`tau_enumerate` differ by more than 1e-9 relative, or None.
+
+    Each instance draws its sides n, m from 2..max_side, then d from
+    1..min(3, n, m), then n x m weights uniform on [0.5, 2).  Float weights
+    send tau_lgv through :func:`log_tau_lgv`, the one-matrix case of the DP
+    of the scaling run.
+    """
+    for trial in range(trials):
+        n = int(gen.integers(2, max_side + 1))
+        m = int(gen.integers(2, max_side + 1))
+        d = int(gen.integers(1, min(3, n, m) + 1))
+        w = gen.uniform(0.5, 2.0, size=(n, m))
+        te = tau_enumerate(w, d)
+        if not abs(tau_lgv(w, d) - te) <= 1e-9 * abs(te):
+            return trial
+    return None
+
+
 def log_tau_lgv(log_w: np.ndarray, d: int) -> float:
     """log tau for an n x m matrix of finite log-weights.
 

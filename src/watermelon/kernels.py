@@ -56,10 +56,6 @@ class CorrelationQuery:
         if len(self.points) < 1:
             raise DomainError("query needs at least one point")
 
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
 
 def alpha_factor(t_star: float, t):
     """The argument rescaling sqrt(t_star / (2 t (t_star - t))), elementwise."""

@@ -22,7 +22,6 @@ from .kernels import ContinuumEndpoint, LatticeRounding, lattice_steps
 from .rng import SeedRecord
 from .walk_ensembles import (
     BridgeSpec,
-    PathEnsembleSample,
     _chamber_sweep,
     km_weight,  # unused here; perfbench's tracer patches overlap.km_weight by name
     walk_bridges_lockstep,
@@ -40,15 +39,15 @@ class OverlapRecord:
     window: tuple[int, int]
 
 
-def overlap_time(s1: PathEnsembleSample, s2: PathEnsembleSample, a: int, b: int) -> OverlapRecord:
-    """Exact coincidence counts between two trajectories on [a, b]."""
-    if s1.spec != s2.spec:
-        raise SpecMismatch(f"{s1.spec} != {s2.spec}")
-    if not 0 <= a <= b <= s1.spec.n_star:
+def overlap_time(t1: np.ndarray, t2: np.ndarray, a: int, b: int) -> OverlapRecord:
+    """Exact coincidence counts between two (n_star + 1, d) trajectories on [a, b]."""
+    if t1.shape != t2.shape:
+        raise SpecMismatch(f"trajectory shapes {t1.shape} != {t2.shape}")
+    if not 0 <= a <= b <= len(t1) - 1:
         raise DomainError("window outside [0, n_star]")
-    d = s1.spec.d
-    t1 = s1.trajectory[a : b + 1]
-    t2 = s2.trajectory[a : b + 1]
+    d = t1.shape[1]
+    t1 = t1[a : b + 1]
+    t2 = t2[a : b + 1]
     pairwise = tuple(
         tuple(int(np.sum(t1[:, k] == t2[:, l])) for l in range(d)) for k in range(d)
     )

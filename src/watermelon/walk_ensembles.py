@@ -85,28 +85,20 @@ class BridgeSpec:
         return delta_config(self.d, self.x_star)
 
 
-@dataclass(frozen=True)
-class PathEnsembleSample:
-    """One realized trajectory of d non-intersecting bridge walkers."""
-
-    spec: BridgeSpec
-    trajectory: np.ndarray  # (n_star + 1, d) integers
-    seed_record: SeedRecord | None = None
-
-    def validate(self) -> None:
-        traj = self.trajectory
-        spec = self.spec
-        if traj.shape != (spec.n_star + 1, spec.d):
-            raise DomainError("trajectory shape does not match spec")
-        if tuple(traj[0]) != spec.start.positions:
-            raise DomainError("trajectory does not start at delta(0)")
-        if tuple(traj[-1]) != spec.end.positions:
-            raise DomainError("trajectory does not end at delta(x_star)")
-        steps = np.diff(traj, axis=0)
-        if not np.all(np.abs(steps) == 1):
-            raise DomainError("walkers must move by +-1 each step")
-        if not np.all(np.diff(traj, axis=1) >= 2):
-            raise DomainError("walkers must stay strictly ordered")
+def check_trajectories(spec: BridgeSpec, trajs: np.ndarray) -> None:
+    """Raise DomainError unless every row of the (count, n_star + 1, d) stack
+    `trajs` is a bridge trajectory of `spec`: from delta(0) to delta(x_star)
+    in +-1 steps, with every neighbour gap at least 2."""
+    if trajs.shape[1:] != (spec.n_star + 1, spec.d):
+        raise DomainError("trajectory shape does not match spec")
+    if np.any(trajs[:, 0] != spec.start.positions):
+        raise DomainError("trajectory does not start at delta(0)")
+    if np.any(trajs[:, -1] != spec.end.positions):
+        raise DomainError("trajectory does not end at delta(x_star)")
+    if not np.all(np.abs(np.diff(trajs, axis=1)) == 1):
+        raise DomainError("walkers must move by +-1 each step")
+    if not np.all(np.diff(trajs, axis=2) >= 2):
+        raise DomainError("walkers must stay strictly ordered")
 
 
 def vandermonde(positions: Sequence[int]) -> int:
@@ -554,20 +546,6 @@ def sample_bridges_lockstep(
     return out
 
 
-def sample_bridge(spec: BridgeSpec, rng: SeedRecord) -> PathEnsembleSample:
-    """Draw one trajectory: the one-row case of :func:`sample_bridges_lockstep`."""
-    traj = sample_bridges_lockstep(spec, 1, rng)[0]
-    return PathEnsembleSample(spec=spec, trajectory=traj, seed_record=rng)
-
-
-def enumerate_bridges(spec: BridgeSpec, budget: int = 24) -> list[PathEnsembleSample]:
-    """Exhaustive, duplicate-free list of all valid trajectories."""
-    return [
-        PathEnsembleSample(spec=spec, trajectory=traj)
-        for traj in enumerate_trajectories(spec, budget)
-    ]
-
-
 def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     """All bridge trajectories as one array of shape (count, n_star+1, d).
 
@@ -707,18 +685,3 @@ def drift_bound(x: WeylConfig, k: int) -> Fraction:
     xs = x.positions
     s = sum(Fraction(1, abs(xs[k - 1] - xs[i])) for i in range(x.d) if i != k - 1)
     return Fraction(2**x.d) * s
-
-
-# --- serialization (the CLI writes it) ---------------------------------------
-
-def sample_envelope(sample: PathEnsembleSample) -> dict:
-    """JSON envelope carrying spec and seed record."""
-    return {
-        "spec": {
-            "d": sample.spec.d,
-            "n_star": sample.spec.n_star,
-            "x_star": sample.spec.x_star,
-        },
-        "seed_record": sample.seed_record.as_dict() if sample.seed_record else None,
-    }
-

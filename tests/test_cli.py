@@ -12,13 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from watermelon import acceptance, cli, grsk, kernels
 from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
 from watermelon.rng import SeedRecord
-from watermelon.walk_ensembles import BridgeSpec, sample_bridge
+from watermelon import walk_ensembles
+from watermelon.walk_ensembles import BridgeSpec, sample_bridges_lockstep
 
 
 def run(args):
@@ -94,8 +96,8 @@ class TestSample:
             assert [int(r[0]) for r in rows] == list(range(7))
             envelope = json.loads((out / f"trajectory_{i:05d}.json").read_text())
             spec = BridgeSpec(**envelope["spec"])
-            s = sample_bridge(spec, SeedRecord(**envelope["seed_record"]))
-            assert s.trajectory.tolist() == [[int(v) for v in r[1:]] for r in rows]
+            traj = sample_bridges_lockstep(spec, 1, SeedRecord(**envelope["seed_record"]))[0]
+            assert traj.tolist() == [[int(v) for v in r[1:]] for r in rows]
 
     def test_deterministic_given_seed(self, tmp_path):
         outs = []
@@ -156,9 +158,12 @@ class TestBadInputs:
         ({}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "16", "--replicas", "1"]),
         ({}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "16", "--replicas", "4",
               "--beta", "nan"]),
+        ({}, ["sample", "--d", "2", "--n-star", "4", "--count", "-3", "--seed", "1"]),
+        ({}, ["sample", "--d", "2", "--n-star", "4", "--count", "0", "--seed", "1"]),
     ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
             "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica",
-            "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta"])
+            "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta",
+            "sample_negative_count", "sample_zero_count"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
 
@@ -193,6 +198,19 @@ class TestBadInputs:
         code = run(["kernels", "--d", "1", "--N-list", "50", "--out-dir", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_checks_its_trajectories(self, tmp_path, capsys, monkeypatch):
+        # a sampler whose walkers jump by 3 from delta(0) and back
+        def jumping(spec, count, rng):
+            return np.array([[[0, 2], [3, 5], [0, 2]]] * count, dtype=np.int64)
+
+        monkeypatch.setattr(walk_ensembles, "sample_bridges_lockstep", jumping)
+        out = tmp_path / "s"
+        code = run(["sample", "--d", "2", "--n-star", "2", "--count", "2", "--seed", "1",
+                    "--out-dir", str(out)])
+        assert code == 2
+        assert "walkers must move by +-1 each step" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [

@@ -27,13 +27,11 @@ from watermelon.overlap import (
 from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
-    PathEnsembleSample,
     WeylConfig,
     chamber_path_sums,
     enumerate_trajectories,
     free_step_law,
     km_weight,
-    sample_bridge,
     sample_bridges_lockstep,
     vandermonde,
     walk_bridges_lockstep,
@@ -42,18 +40,14 @@ from watermelon.walk_ensembles import (
 
 class TestOverlapTime:
     def test_full_self_overlap(self):
-        s = sample_bridge(BridgeSpec(2, 8, 0), SeedRecord(1, 0))
+        s = sample_bridges_lockstep(BridgeSpec(2, 8, 0), 1, SeedRecord(1, 0))[0]
         rec = overlap_time(s, s, 0, 8)
         assert rec.total == 2 * 9
         assert all(rec.pairwise[k][k] == 9 for k in range(2))
 
     def test_opposite_phase_zigzags(self):
-        import numpy as np
-        from watermelon.walk_ensembles import PathEnsembleSample
-
-        spec = BridgeSpec(1, 4, 0)
-        up_first = PathEnsembleSample(spec, np.array([[0], [1], [0], [1], [0]]))
-        down_first = PathEnsembleSample(spec, np.array([[0], [-1], [0], [-1], [0]]))
+        up_first = np.array([[0], [1], [0], [1], [0]])
+        down_first = np.array([[0], [-1], [0], [-1], [0]])
         rec = overlap_time(up_first, down_first, 1, 4)
         # they agree only at the shared even-time zeros inside the window
         assert rec.total == 2
@@ -61,20 +55,26 @@ class TestOverlapTime:
         assert rec_interior.total == 0
 
     def test_hand_recount(self):
-        s1 = sample_bridge(BridgeSpec(2, 8, 0), SeedRecord(2, 0))
-        s2 = sample_bridge(BridgeSpec(2, 8, 0), SeedRecord(2, 1))
+        s1 = sample_bridges_lockstep(BridgeSpec(2, 8, 0), 1, SeedRecord(2, 0))[0]
+        s2 = sample_bridges_lockstep(BridgeSpec(2, 8, 0), 1, SeedRecord(2, 1))[0]
         rec = overlap_time(s1, s2, 0, 8)
         manual = sum(
-            len(set(map(int, s1.trajectory[n])) & set(map(int, s2.trajectory[n])))
+            len(set(map(int, s1[n])) & set(map(int, s2[n])))
             for n in range(9)
         )
         assert rec.total == manual
 
     def test_spec_mismatch(self):
-        s1 = sample_bridge(BridgeSpec(2, 8, 0), SeedRecord(3, 0))
-        s2 = sample_bridge(BridgeSpec(2, 6, 0), SeedRecord(3, 1))
+        s1 = sample_bridges_lockstep(BridgeSpec(2, 8, 0), 1, SeedRecord(3, 0))[0]
+        s2 = sample_bridges_lockstep(BridgeSpec(2, 6, 0), 1, SeedRecord(3, 1))[0]
         with pytest.raises(SpecMismatch):
             overlap_time(s1, s2, 0, 6)
+
+    @pytest.mark.parametrize("a,b", [(-1, 4), (0, 9), (5, 4)])
+    def test_window_outside_trajectory(self, a, b):
+        s = sample_bridges_lockstep(BridgeSpec(2, 8, 0), 1, SeedRecord(3, 0))[0]
+        with pytest.raises(DomainError, match="window outside"):
+            overlap_time(s, s, a, b)
 
 
 class TestTanaka:
@@ -397,12 +397,10 @@ class TestMomentDiagnostics:
             got = overlap._pair_overlaps(spec, reps, rngs, n_lo, range(n_star + 1))
             assert sorted(got) == list(range(n_star + 1))
             for r in range(reps):
-                s1 = PathEnsembleSample(spec, p1[r])
-                s2 = PathEnsembleSample(spec, p2[r])
                 for n, counts in got.items():
                     assert counts.dtype == np.int64 and counts.shape == (reps,)
                     want = sum(
-                        overlap_time(s1, s2, m, m).total
+                        overlap_time(p1[r], p2[r], m, m).total
                         for m in range(n_lo, min(n, n_star - 1) + 1)
                     )
                     assert counts[r] == want

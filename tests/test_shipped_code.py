@@ -9,7 +9,9 @@ called the same way, but only as an `Attribute` or a dotted string: a bare
 name that matches it is some other binding.  A call of that attribute counts
 only when its arguments can bind to the method's parameters: `.values()`
 calls some other `values` than `values(self, n, x)`.  And `self.x` in a
-method of a class that defines `x` reaches that `x` only.  Imports,
+method of a class that defines `x` reaches that `x` only, and in a class
+that holds a data attribute `x` (a class-level annotated field, or a
+`self.x =` in `__init__`) it reaches no definition.  Imports,
 docstrings, prose and tests do not count.  Dunder methods are called by the
 language: they are not checked, and what they call counts as called from
 their class.
@@ -121,6 +123,22 @@ def _bench_names():
     return names
 
 
+def _data_attributes(cls):
+    """Names of the data attributes of the class `cls`: its class-level
+    annotated fields and each `self.x` that its `__init__` assigns."""
+    names = {
+        s.target.id for s in cls.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    }
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            for node in ast.walk(init):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and getattr(node.value, "id", None) == "self":
+                    names.add(node.attr)
+    return names
+
+
 def _inside(owner, definition):
     return owner[0] == definition[0] and f"{owner[1]}.".startswith(f"{definition[1]}.")
 
@@ -130,15 +148,18 @@ def _uncalled(kept=()):
     names in `kept` count as called."""
     defs, uses = _src_definitions_and_uses()
     name = lambda definition: definition[1].rsplit(".", 1)[-1]
+    data = {dfn: _data_attributes(node) for dfn, node in defs.items()
+            if isinstance(node, ast.ClassDef)}
 
     def reaches(attribute, call, receiver, definition):
         # a method or property is reached only as an attribute; a bare name
         # that matches one is some other binding, such as a local variable, and
-        # a call whose arguments cannot bind to the method calls another method
+        # a call whose arguments cannot bind to the method calls another method;
+        # `self.x` reaches the receiver's own method or data attribute x only
         if "." not in definition[1]:
             return True
         own = receiver and (receiver[0], f"{receiver[1]}.{name(definition)}")
-        if own in defs and own != definition:
+        if own in defs and own != definition or name(definition) in data.get(receiver, ()):
             return False
         node = defs[definition]
         return attribute and (call is None or isinstance(node, ast.ClassDef) or _binds(call, node))

@@ -28,8 +28,8 @@ from watermelon.walk_ensembles import (
     chamber_path_sums,
     conditional_drift,
     delta_config,
+    check_trajectories,
     drift_bound,
-    enumerate_bridges,
     enumerate_trajectories,
     exact_det,
     free_step_law,
@@ -38,7 +38,6 @@ from watermelon.walk_ensembles import (
     one_step_bridge_law,
     radon_nikodym,
     radon_nikodym_ratio,
-    sample_bridge,
     sample_bridges_lockstep,
     signed_logdet,
     vandermonde,
@@ -149,21 +148,35 @@ class TestBridgeTransition:
 
 class TestEnumeration:
     def test_three_trajectories(self):
-        assert len(enumerate_bridges(BridgeSpec(2, 2, 0))) == 3
+        assert len(enumerate_trajectories(BridgeSpec(2, 2, 0))) == 3
 
     def test_single_walk_count(self):
-        assert len(enumerate_bridges(BridgeSpec(1, 4, 2))) == math.comb(4, 3)
+        assert len(enumerate_trajectories(BridgeSpec(1, 4, 2))) == math.comb(4, 3)
 
     def test_forced_corner(self):
-        assert len(enumerate_bridges(BridgeSpec(2, 2, 2))) == 1
+        assert len(enumerate_trajectories(BridgeSpec(2, 2, 2))) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_bridges(BridgeSpec(4, 40, 0))
+            enumerate_trajectories(BridgeSpec(4, 40, 0))
 
     def test_all_samples_valid(self):
-        for s in enumerate_bridges(BridgeSpec(2, 4, 0)):
-            s.validate()
+        spec = BridgeSpec(2, 4, 0)
+        check_trajectories(spec, enumerate_trajectories(spec))
+
+    # one valid d = 2, n* = 2 trajectory, broken one rule at a time
+    @pytest.mark.parametrize("trajs,message", [
+        ([[[0, 2], [1, 3]]], "shape does not match"),
+        ([[[2, 4], [1, 3], [0, 2]]], "does not start at delta"),
+        ([[[0, 2], [1, 3], [2, 4]]], "does not end at delta"),
+        ([[[0, 2], [3, 5], [0, 2]]], "move by \\+-1"),
+        ([[[0, 2], [1, 1], [0, 2]]], "strictly ordered"),
+    ], ids=["shape", "start", "end", "steps", "gaps"])
+    def test_check_rejects(self, trajs, message):
+        spec = BridgeSpec(2, 2, 0)
+        check_trajectories(spec, np.array([[[0, 2], [1, 3], [0, 2]]]))
+        with pytest.raises(DomainError, match=message):
+            check_trajectories(spec, np.array(trajs))
 
     @staticmethod
     def brute_force(spec):
@@ -427,7 +440,7 @@ class TestHarmonicity:
 class TestSamplers:
     def test_two_step_bridge_uniform(self):
         spec = BridgeSpec(1, 2, 0)
-        mids = [sample_bridge(spec, SeedRecord(5, i)).trajectory[1][0] for i in range(400)]
+        mids = [sample_bridges_lockstep(spec, 1, SeedRecord(5, i))[0][1][0] for i in range(400)]
         up = sum(1 for m in mids if m == 1)
         # two trajectories at probability 1/2: binomial 3.5-sigma window
         assert abs(up - 200) < 3.5 * math.sqrt(400 * 0.25)
@@ -435,7 +448,7 @@ class TestSamplers:
     def test_empty_bridge(self):
         for spec in (BridgeSpec(1, 2, 4), BridgeSpec(3, 6, 8)):
             with pytest.raises(EmptyBridge):
-                sample_bridge(spec, SeedRecord(0, 0))
+                sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
             with pytest.raises(EmptyBridge):
                 sample_bridges_lockstep(spec, 3, SeedRecord(0, 0))
             # on the call itself, before any next(): a plain generator
@@ -459,24 +472,15 @@ class TestSamplers:
             else:
                 sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
 
-    @pytest.mark.parametrize(
-        "spec", [BridgeSpec(1, 9, 3), BridgeSpec(2, 8, 0), BridgeSpec(4, 12, -2)]
-    )
-    def test_sample_bridge_is_one_lockstep_row(self, spec):
-        s = sample_bridge(spec, SeedRecord(41, 2))
-        assert np.array_equal(s.trajectory, sample_bridges_lockstep(spec, 1, SeedRecord(41, 2))[0])
-        assert s.seed_record == SeedRecord(41, 2)
-
     def test_deterministic_replay(self):
         spec = BridgeSpec(2, 6, 0)
-        a = sample_bridge(spec, SeedRecord(123, 7))
-        b = sample_bridge(spec, SeedRecord(123, 7))
-        assert np.array_equal(a.trajectory, b.trajectory)
-        assert a.seed_record == SeedRecord(123, 7)
+        a = sample_bridges_lockstep(spec, 1, SeedRecord(123, 7))[0]
+        b = sample_bridges_lockstep(spec, 1, SeedRecord(123, 7))[0]
+        assert np.array_equal(a, b)
 
     def test_rows_are_weyl_configs(self):
-        s = sample_bridge(BridgeSpec(3, 6, 0), SeedRecord(9, 0))
-        for row in s.trajectory:
+        traj = sample_bridges_lockstep(BridgeSpec(3, 6, 0), 1, SeedRecord(9, 0))[0]
+        for row in traj:
             WeylConfig(tuple(int(v) for v in row))
 
     @pytest.mark.parametrize("n_star", [2, 4])
@@ -499,8 +503,8 @@ class TestSamplers:
         keys = {t.tobytes(): i for i, t in enumerate(trajs)}
         scalar = np.zeros(len(trajs))
         for i in range(1500):
-            s = sample_bridge(spec, SeedRecord(77, i))
-            scalar[keys[s.trajectory.tobytes()]] += 1
+            traj = sample_bridges_lockstep(spec, 1, SeedRecord(77, i))[0]
+            scalar[keys[traj.tobytes()]] += 1
         expected = 1500 / len(trajs)
         chi2 = float(((scalar - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(1 - 0.001, df=len(trajs) - 1)
