@@ -220,66 +220,6 @@ def chaos_expansion_exact(spec: BridgeSpec, field) -> Fraction:
 # --- intermediate disorder pipeline ------------------------------------------
 
 
-@dataclass
-class PolymerLevel:
-    """Summary of the centered partition function at one lattice scale."""
-
-    N: int
-    n_star: int
-    x_star: int
-    beta_n: float
-    mean_interior: float
-    se_interior: float
-    var_interior: float
-    mean_theorem: float
-    se_theorem: float
-    sigma_ratio: float
-    sigma_ratio_limit: float
-    histogram: dict
-    draws_interior: np.ndarray
-
-
-@dataclass
-class PolymerReport:
-    d: int
-    beta: float
-    end: ContinuumEndpoint
-    distribution: str
-    replicas: int
-    inner_paths: int
-    seed: SeedRecord
-    levels: list[PolymerLevel]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "beta": self.beta,
-            "t_star": self.end.t_star,
-            "z_star": self.end.z_star,
-            "distribution": self.distribution,
-            "replicas": self.replicas,
-            "inner_paths": self.inner_paths,
-            "seed": self.seed.as_dict(),
-            "levels": [
-                {
-                    "N": lv.N,
-                    "n_star": lv.n_star,
-                    "x_star": lv.x_star,
-                    "beta_N": lv.beta_n,
-                    "centered_mean_interior_sites": lv.mean_interior,
-                    "centered_se_interior_sites": lv.se_interior,
-                    "centered_var_interior_sites": lv.var_interior,
-                    "centered_mean_theorem": lv.mean_theorem,
-                    "centered_se_theorem": lv.se_theorem,
-                    "sigma_ratio": lv.sigma_ratio,
-                    "sigma_ratio_limit": lv.sigma_ratio_limit,
-                    "histogram": lv.histogram,
-                }
-                for lv in self.levels
-            ],
-        }
-
-
 def freedman_diaconis(draws: np.ndarray) -> dict:
     q75, q25 = np.percentile(draws, [75, 25])
     iqr = q75 - q25
@@ -392,16 +332,17 @@ def intermediate_disorder_run(
     rng: SeedRecord,
     distribution: str = "rademacher",
     inner_paths: int = 64,
-) -> PolymerReport:
+) -> tuple[dict, list[np.ndarray]]:
     """Centered partition function statistics across lattice scales.
 
     Each disorder replica carries a fresh environment; the quenched partition
     function is estimated by :func:`smc_partition_estimates` with
     `inner_paths` particles.  Two centerings are reported: interior-site
     (d(n_star - 1) sites, exactly mean-one for the unbiased estimator) and
-    the asymptotic one (d * n_star sites).  An empty N_list, fewer than two
-    replicas, fewer than one inner path or a non-finite beta raises
-    DomainError.
+    the asymptotic one (d * n_star sites).  Returns the JSON report, one
+    entry of its "levels" per N, and per N the array of interior-centered
+    draws.  An empty N_list, fewer than two replicas, fewer than one inner
+    path or a non-finite beta raises DomainError.
     """
     if not N_list:
         raise DomainError("N_list is empty")
@@ -412,7 +353,7 @@ def intermediate_disorder_run(
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
     lmgf = cumulant(distribution)
-    levels = []
+    levels, draws_interior = [], []
     for li, N in enumerate(N_list):
         rounding = LatticeRounding.of(N, end)
         spec = rounding.bridge_spec(d)
@@ -424,30 +365,31 @@ def intermediate_disorder_run(
         )
         centered_interior = draws * math.exp(-d * (spec.n_star - 1) * lam)
         centered_theorem = draws * math.exp(-d * spec.n_star * lam)
-        levels.append(
-            PolymerLevel(
-                N=N,
-                n_star=spec.n_star,
-                x_star=spec.x_star,
-                beta_n=beta_n,
-                mean_interior=float(centered_interior.mean()),
-                se_interior=float(centered_interior.std(ddof=1) / math.sqrt(replicas)),
-                var_interior=float(centered_interior.var(ddof=1)),
-                mean_theorem=float(centered_theorem.mean()),
-                se_theorem=float(centered_theorem.std(ddof=1) / math.sqrt(replicas)),
-                sigma_ratio=zeta_variance_ratio(beta, N, lmgf),
-                sigma_ratio_limit=2.0 * beta * beta,
-                histogram=freedman_diaconis(centered_interior),
-                draws_interior=centered_interior,
-            )
-        )
-    return PolymerReport(
-        d=d,
-        beta=beta,
-        end=end,
-        distribution=distribution,
-        replicas=replicas,
-        inner_paths=inner_paths,
-        seed=rng,
-        levels=levels,
-    )
+        levels.append({
+            "N": N,
+            "n_star": spec.n_star,
+            "x_star": spec.x_star,
+            "beta_N": beta_n,
+            "centered_mean_interior_sites": float(centered_interior.mean()),
+            "centered_se_interior_sites":
+                float(centered_interior.std(ddof=1) / math.sqrt(replicas)),
+            "centered_var_interior_sites": float(centered_interior.var(ddof=1)),
+            "centered_mean_theorem": float(centered_theorem.mean()),
+            "centered_se_theorem": float(centered_theorem.std(ddof=1) / math.sqrt(replicas)),
+            "sigma_ratio": zeta_variance_ratio(beta, N, lmgf),
+            "sigma_ratio_limit": 2.0 * beta * beta,
+            "histogram": freedman_diaconis(centered_interior),
+        })
+        draws_interior.append(centered_interior)
+    report = {
+        "d": d,
+        "beta": beta,
+        "t_star": end.t_star,
+        "z_star": end.z_star,
+        "distribution": distribution,
+        "replicas": replicas,
+        "inner_paths": inner_paths,
+        "seed": rng.as_dict(),
+        "levels": levels,
+    }
+    return report, draws_interior

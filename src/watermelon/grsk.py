@@ -15,7 +15,6 @@ paper's vertex (i, j) is cell (i-1, j-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
 
@@ -239,12 +238,11 @@ def rotate_lambda_inverse(d: int, tz: tuple[int, int]) -> tuple[int, int]:
     return ((t + s) // 2, (t - s) // 2 + d - 1)
 
 
-def inverse_gamma_sample(theta: float, rng: SeedRecord | np.random.Generator, size=None):
+def inverse_gamma_sample(theta: float, rng: SeedRecord, size=None):
     """Reciprocal of a unit-scale Gamma(theta) draw."""
     if not theta > 0:
         raise DomainError("theta must be positive")
-    gen = rng.generator() if isinstance(rng, SeedRecord) else rng
-    return 1.0 / gen.gamma(theta, 1.0, size=size)
+    return 1.0 / rng.generator().gamma(theta, 1.0, size=size)
 
 
 def inverse_gamma_moments(theta: float) -> tuple[float, float]:
@@ -258,48 +256,6 @@ def inverse_gamma_moments(theta: float) -> tuple[float, float]:
     return mean, var
 
 
-@dataclass
-class TauLevel:
-    N: int
-    theta: float
-    variance_ratio: float
-    mean: float
-    std: float
-    quantiles: dict
-    draws: np.ndarray
-
-
-@dataclass
-class TauReport:
-    beta: float
-    d: int
-    replicas: int
-    seed: SeedRecord
-    levels: list[TauLevel]
-    ks_stats: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "d": self.d,
-            "replicas": self.replicas,
-            "seed": self.seed.as_dict(),
-            "levels": [
-                {
-                    "N": lv.N,
-                    "theta": lv.theta,
-                    "variance_ratio": lv.variance_ratio,
-                    "variance_ratio_limit": self.beta,
-                    "mean": lv.mean,
-                    "std": lv.std,
-                    "quantiles": lv.quantiles,
-                }
-                for lv in self.levels
-            ],
-            "ks_between_consecutive_levels": self.ks_stats,
-        }
-
-
 _TAU_CHUNK_WEIGHTS = 1 << 19  # weights per scaling-run draw: 4 MB, whatever the replica count
 
 
@@ -309,13 +265,15 @@ def rescaled_tau_run(
     replicas: int,
     rng: SeedRecord,
     d: int = 2,
-) -> TauReport:
+) -> tuple[dict, list[np.ndarray]]:
     """Distribution of the rescaled square-window path sum across scales.
 
     Weights are inverse-Gamma with parameter beta^{-1} sqrt(N); the
     normalization divides by the exact mean to the power d(2N+d), by
-    2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.  An empty
-    N_list or fewer than two replicas raises DomainError.
+    2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.  Returns the
+    JSON report, one entry of its "levels" per N, and per N the array of
+    rescaled draws.  An empty N_list or fewer than two replicas raises
+    DomainError.
     """
     if not N_list:
         raise DomainError("N_list is empty")
@@ -327,7 +285,7 @@ def rescaled_tau_run(
             raise DomainError(f"theta = {theta} is not above 2 at N = {N}; variance undefined")
         if N > 400:
             raise BudgetExceeded("N above 400 is out of the determinant budget")
-    levels = []
+    levels, all_draws = [], []
     for li, N in enumerate(N_list):
         theta = math.sqrt(N) / beta
         mean, var = inverse_gamma_moments(theta)
@@ -350,21 +308,26 @@ def rescaled_tau_run(
             log_taus.extend(log_tau_lgv_batch(logw, d).tolist())
         draws = np.array([math.exp(v + log_norm) for v in log_taus])
         q = np.percentile(draws, [5, 25, 50, 75, 95])
-        levels.append(
-            TauLevel(
-                N=N,
-                theta=theta,
-                variance_ratio=math.sqrt(N) * var / (mean * mean),
-                mean=float(draws.mean()),
-                std=float(draws.std(ddof=1)),
-                quantiles={"q05": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q95": q[4]},
-                draws=draws,
-            )
-        )
-    ks = []
-    for a, b in zip(levels, levels[1:]):
-        ks.append(_ks_statistic(a.draws, b.draws))
-    return TauReport(beta=beta, d=d, replicas=replicas, seed=rng, levels=levels, ks_stats=ks)
+        levels.append({
+            "N": N,
+            "theta": theta,
+            "variance_ratio": math.sqrt(N) * var / (mean * mean),
+            "variance_ratio_limit": beta,
+            "mean": float(draws.mean()),
+            "std": float(draws.std(ddof=1)),
+            "quantiles": {"q05": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q95": q[4]},
+        })
+        all_draws.append(draws)
+    report = {
+        "beta": beta,
+        "d": d,
+        "replicas": replicas,
+        "seed": rng.as_dict(),
+        "levels": levels,
+        "ks_between_consecutive_levels":
+            [_ks_statistic(a, b) for a, b in zip(all_draws, all_draws[1:])],
+    }
+    return report, all_draws
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

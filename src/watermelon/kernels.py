@@ -375,47 +375,20 @@ def rescaled_psi_k(
     return prob * (math.sqrt(N) / 2.0) ** len(sites)
 
 
-@dataclass
-class ConvergenceRow:
-    N: int
-    pair_id: int
-    t: float
-    z: float
-    t_prime: float
-    z_prime: float
-    k_n: float
-    k_limit: float
-    abs_err: float
-
-
-@dataclass
-class ConvergenceReport:
-    rows: list[ConvergenceRow]
-    sup_error: dict[int, float]
-    slope: float
-    decreasing: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sup_error": {str(k): v for k, v in self.sup_error.items()},
-            "slope": self.slope,
-            "decreasing": self.decreasing,
-            "note": "the N^{-1/2} rate window is an empirical local-CLT expectation, not a proven rate",
-        }
-
-
 def kernel_convergence_study(
     end: ContinuumEndpoint,
     d: int,
     grid: Sequence[tuple[SpaceTimePoint, SpaceTimePoint]],
     N_list: Sequence[int],
-) -> ConvergenceReport:
+) -> tuple[dict, list[tuple]]:
     """Sup-errors |K^(N) - K| over a fixed grid of point pairs, per N.
 
     K^(N) is (sqrt(N)/2) times the lattice kernel at the rounded coordinates
     of each pair, from one kernel table per N.  Flags a violation when the
     sup-error fails to decrease monotonically from the smallest to the
-    largest N; fewer than two distinct N raise DomainError.
+    largest N.  Returns the JSON summary, its "sup_error" keyed by str(N),
+    and the rows (N, pair_id, t, z, t', z', K_N, K, abs_err).  Fewer than
+    two distinct N raise DomainError.
     """
     if len(set(N_list)) < 2:
         raise DomainError(f"the convergence study needs two or more N, got {list(N_list)}")
@@ -432,15 +405,17 @@ def kernel_convergence_study(
             kn = math.sqrt(N) / 2.0 * entry
             err = abs(kn - limits[pid])
             worst = max(worst, err)
-            rows.append(
-                ConvergenceRow(N, pid, a.t, a.z, b.t, b.z, kn, limits[pid], err)
-            )
+            rows.append((N, pid, a.t, a.z, b.t, b.z, kn, limits[pid], err))
         sup[N] = worst
     ns = sorted(sup)
     errs = [sup[n] for n in ns]
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
-    decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    return ConvergenceReport(rows=rows, sup_error=sup, slope=slope, decreasing=decreasing)
+    summary = {
+        "sup_error": {str(n): e for n, e in sup.items()},
+        "slope": float(np.polyfit(np.log(ns), np.log(errs), 1)[0]),
+        "decreasing": all(errs[i + 1] < errs[i] for i in range(len(errs) - 1)),
+        "note": "the N^{-1/2} rate window is an empirical local-CLT expectation, not a proven rate",
+    }
+    return summary, rows
 
 
 def convergence_grid(

@@ -112,30 +112,6 @@ def tanaka_check(
     return tanaka_decomposition(alpha, beta, a0, b0, n).residual
 
 
-@dataclass
-class MomentRow:
-    N: int
-    t: float
-    k: int
-    moment_over_kfact: float
-    se: float
-
-
-@dataclass
-class OverlapMomentReport:
-    rows: list[MomentRow]
-    bounded_in_n: bool
-    decays_to_zero: bool
-    tail_ratios: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bounded_in_N": self.bounded_in_n,
-            "decays_to_zero_as_t_to_0": self.decays_to_zero,
-            "tail_ratios": self.tail_ratios,
-        }
-
-
 def _pair_overlaps(
     spec: BridgeSpec, replicas: int, rngs: tuple[SeedRecord, SeedRecord],
     n_lo: int, times: Collection[int],
@@ -176,9 +152,11 @@ def check_t_grid(t_grid: Sequence[float], t_star: float) -> None:
 
 def check_window(window: Sequence[float], t_star: float) -> None:
     """Raise DomainError unless both window ends are numbers with
-    0 <= window[0] and window[1] <= t_star."""
+    0 <= window[0] < window[1] <= t_star."""
     if not (0 <= window[0] and window[1] <= t_star):
         raise DomainError(f"window {tuple(window)} outside [0, {t_star}]")
+    if not window[0] < window[1]:
+        raise DomainError(f"window {tuple(window)} is empty")
 
 
 def overlap_moment_diagnostics(
@@ -189,14 +167,15 @@ def overlap_moment_diagnostics(
     k_max: int,
     replicas: int,
     rng: SeedRecord,
-) -> OverlapMomentReport:
+) -> tuple[dict, list[tuple]]:
     """Monte Carlo moments of the rescaled overlap time across scales.
 
     For each N, walks independent bridge pairs once and reads the overlap
     on every [0, t] window from one running count.  Asserts finite-sample
     versions of uniform boundedness in N and decay as t -> 0; the tail ratio
-    of successive moment terms is reported, not asserted.  An empty N_list
-    or t_grid, a time outside [0, t_star] or fewer than two replicas raises
+    of successive moment terms is reported, not asserted.  Returns the JSON
+    summary and the rows (N, t, k, moment / k!, se).  An empty N_list or
+    t_grid, a time outside [0, t_star] or fewer than two replicas raises
     DomainError.
     """
     if replicas < 2:  # no standard error from one replica
@@ -224,7 +203,7 @@ def overlap_moment_diagnostics(
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
                 m, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
-                rows.append(MomentRow(N=N, t=float(t), k=k, moment_over_kfact=m, se=se))
+                rows.append((N, float(t), k, m, se))
                 table[(N, float(t), k)] = (m, se)
     ts = sorted(set(float(t) for t in t_grid))
     bounded = True
@@ -255,9 +234,8 @@ def overlap_moment_diagnostics(
                 for i in range(len(terms) - 1)
             ]
             tails[f"N={N},t={t}"] = ratios
-    return OverlapMomentReport(
-        rows=rows, bounded_in_n=bounded, decays_to_zero=decays, tail_ratios=tails
-    )
+    summary = {"bounded_in_N": bounded, "decays_to_zero_as_t_to_0": decays, "tail_ratios": tails}
+    return summary, rows
 
 
 # --- squared-correlation cell sums vs overlap moments -------------------------
@@ -357,28 +335,6 @@ class ExactBridgeLaw:
             yield counts
 
 
-@dataclass
-class L2BoundReport:
-    k: int
-    window: tuple[int, int]
-    lhs_cell_sum: float
-    rhs_mc: float
-    rhs_se: float
-    rhs_exact: float
-    holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "window_steps": list(self.window),
-            "lhs_cell_sum": self.lhs_cell_sum,
-            "rhs_mc": self.rhs_mc,
-            "rhs_se": self.rhs_se,
-            "rhs_exact": self.rhs_exact,
-            "holds": self.holds,
-        }
-
-
 def overlap_l2_bound_check(
     end: ContinuumEndpoint,
     d: int,
@@ -387,7 +343,7 @@ def overlap_l2_bound_check(
     k: int,
     rng: SeedRecord,
     replicas: int = 20000,
-) -> L2BoundReport:
+) -> dict:
     """Squared-correlation cell sum against the overlap moment bound.
 
     LHS: exact sum over ordered interior lattice time tuples and positions of
@@ -396,9 +352,10 @@ def overlap_l2_bound_check(
     same interior lattice steps max(1, floor(Ns)) .. min(n_star-1, floor(Ns'))
     (the pinned endpoint configs coincide deterministically and are excluded),
     which makes k = 1 an exact equality and k >= 2 an inequality whose slack
-    is exactly the discarded equal-time diagonal.  A window reaching outside
-    [0, t_star] or fewer than two replicas raise DomainError; a window with
-    window[1] <= window[0] is empty.
+    is exactly the discarded equal-time diagonal.  Returns the JSON report.
+    A window reaching outside [0, t_star], an empty window (window[1] <=
+    window[0], or no interior lattice step) or fewer than two replicas raise
+    DomainError before any sampling.
     """
     if replicas < 2:  # no standard error from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
@@ -407,12 +364,10 @@ def overlap_l2_bound_check(
     check_window(window, end.t_star)
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
-    if window[1] <= window[0]:
-        # empty ordered-time domain: both sides vanish
-        return L2BoundReport(k=k, window=(0, -1), lhs_cell_sum=0.0, rhs_mc=0.0,
-                             rhs_se=0.0, rhs_exact=0.0, holds=True)
     n_lo = max(1, lattice_steps(window[0], N))
     n_hi = min(lattice_steps(window[1], N), spec.n_star - 1)
+    if n_lo > n_hi:
+        raise DomainError(f"window {tuple(window)} holds no interior lattice step at N = {N}")
     law = ExactBridgeLaw(spec)
     # integral = sum psi_k^2 * vol^k with psi_k = (sqrt(N)/2)^k P and
     # vol = 2 N^{-3/2}, i.e. 2^{-k} N^{-k/2} times the sum of P^2
@@ -430,11 +385,15 @@ def overlap_l2_bound_check(
     # probabilities, with each pair of distinct times counted in both orders
     moment = same if k == 1 else same + 2 * cross
     exact_rhs = float(moment / N ** (k / 2) / (2**k * math.factorial(k)))
-    holds = lhs <= rhs + 3 * se
-    return L2BoundReport(
-        k=k, window=(n_lo, n_hi), lhs_cell_sum=lhs, rhs_mc=rhs, rhs_se=se,
-        rhs_exact=exact_rhs, holds=holds,
-    )
+    return {
+        "k": k,
+        "window_steps": [n_lo, n_hi],
+        "lhs_cell_sum": lhs,
+        "rhs_mc": rhs,
+        "rhs_se": se,
+        "rhs_exact": exact_rhs,
+        "holds": lhs <= rhs + 3 * se,
+    }
 
 
 def _squared_occupation_sums(

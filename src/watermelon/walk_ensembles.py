@@ -554,12 +554,14 @@ def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     walker i up), keeping moves with every neighbour gap >= 2 and every
     walker within reach of delta(x*).  Survivors are gathered parent-major,
     so the rows come out in lexicographic order of their per-step sign
-    indices.
+    indices.  An empty bridge (|x*| > n*) raises EmptyBridge.
     """
     if spec.d * spec.n_star > budget:
         raise BudgetExceeded(
             f"d*n_star = {spec.d * spec.n_star} exceeds budget {budget}"
         )
+    if abs(spec.x_star) > spec.n_star:
+        raise EmptyBridge(f"no trajectory for {spec}")
     d, n_star = spec.d, spec.n_star
     # positions and the target stay within n_star + |x*| of 0 .. 2(d-1)
     small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
@@ -602,13 +604,7 @@ def macmahon_count(N: int, d: int) -> int:
 
 
 def rising(x, m: int):
-    """Rising factorial (x)_m = x (x+1) ... (x+m-1).
-
-    Supports m = -1 through the reflection (x)_{-1} = 1/(x-1), which is the
-    convention that makes the degree-0 kernel weight reduce correctly.
-    """
-    if m == -1:
-        return Fraction(1, x - 1)
+    """Rising factorial (x)_m = x (x+1) ... (x+m-1)."""
     out = Fraction(1)
     for i in range(m):
         out *= x + i

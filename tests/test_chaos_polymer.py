@@ -568,51 +568,51 @@ class TestSmcEstimator:
 
 class TestIntermediateDisorder:
     def test_centered_mean_small(self):
-        rep = intermediate_disorder_run(
+        rep, _ = intermediate_disorder_run(
             ContinuumEndpoint(1.0, 0.0), 1, 0.5, [32, 64], 300, SeedRecord(12, 0),
             inner_paths=32,
         )
-        for lv in rep.levels:
-            assert abs(lv.mean_interior - 1.0) <= 3 * lv.se_interior
+        for lv in rep["levels"]:
+            mean = lv["centered_mean_interior_sites"]
+            assert abs(mean - 1.0) <= 3 * lv["centered_se_interior_sites"]
             # the asymptotic centering differs by exp(-d * Lambda(beta_N))
-            lam = cumulant("rademacher")(lv.beta_n)
-            assert lv.mean_theorem == pytest.approx(
-                lv.mean_interior * math.exp(-1 * lam), rel=1e-12
+            lam = cumulant("rademacher")(lv["beta_N"])
+            assert lv["centered_mean_theorem"] == pytest.approx(
+                mean * math.exp(-1 * lam), rel=1e-12
             )
 
     def test_sigma_ratio_column(self):
-        rep = intermediate_disorder_run(
+        rep, _ = intermediate_disorder_run(
             ContinuumEndpoint(1.0, 0.0), 1, 1.0, [100, 10_000], 4, SeedRecord(13, 0),
             inner_paths=8,
         )
-        ratios = [lv.sigma_ratio for lv in rep.levels]
+        ratios = [lv["sigma_ratio"] for lv in rep["levels"]]
         assert ratios[0] < ratios[1] < 2.0
-        assert rep.levels[0].sigma_ratio_limit == 2.0
+        assert rep["levels"][0]["sigma_ratio_limit"] == 2.0
 
     def test_variance_matches_truncated_series(self):
         # quenched variance against the truncated squared-norm series, small
         # beta; at d = 1 the norms are ||psi_k||^2 = Gamma(1 + k/2) (Pitman 1999)
         beta = 0.4
         end = ContinuumEndpoint(1.0, 0.0)
-        rep = intermediate_disorder_run(
+        rep, _ = intermediate_disorder_run(
             end, 1, beta, [256], 1500, SeedRecord(15, 0), inner_paths=128
         )
-        lv = rep.levels[0]
         b = 2 * beta * beta
         predicted = sum(b**k * math.gamma(1 + k / 2) / math.factorial(k) for k in (1, 2, 3))
-        observed = lv.var_interior
-        spread = 6 * lv.var_interior / math.sqrt(1500)
+        observed = rep["levels"][0]["centered_var_interior_sites"]
+        spread = 6 * observed / math.sqrt(1500)
         # finite-N bias allowance on top of the Monte Carlo error
         assert abs(observed - predicted) <= spread + 0.25 * predicted
 
     def test_reflection_symmetry(self):
         # centered draws are distribution-invariant under x -> -x at x* = 0
         end = ContinuumEndpoint(1.0, 0.0)
-        rep_a = intermediate_disorder_run(
+        _, (draws_a,) = intermediate_disorder_run(
             end, 1, 0.6, [64], 800, SeedRecord(17, 0), inner_paths=32
         )
-        rep_b = intermediate_disorder_run(
+        _, (draws_b,) = intermediate_disorder_run(
             end, 1, 0.6, [64], 800, SeedRecord(18, 5), inner_paths=32
         )
-        stat = stats.ks_2samp(rep_a.levels[0].draws_interior, rep_b.levels[0].draws_interior)
+        stat = stats.ks_2samp(draws_a, draws_b)
         assert stat.pvalue > 0.001

@@ -27,6 +27,12 @@ def run(args):
     return main(args)
 
 
+def data_digests(out):
+    """sha256 of every file a run wrote but its manifest."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.name != "manifest.json"}
+
+
 class TestSample:
     def test_enumeration_listing(self, tmp_path):
         out = tmp_path / "enum"
@@ -160,10 +166,14 @@ class TestBadInputs:
               "--beta", "nan"]),
         ({}, ["sample", "--d", "2", "--n-star", "4", "--count", "-3", "--seed", "1"]),
         ({}, ["sample", "--d", "2", "--n-star", "4", "--count", "0", "--seed", "1"]),
+        ({}, ["sample", "--d", "2", "--n-star", "2", "--x-star", "6", "--enumerate-all"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", "--window", "0.5", "0.5"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", "--window", "0", "0.1"]),
     ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
             "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica",
             "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta",
-            "sample_negative_count", "sample_zero_count"])
+            "sample_negative_count", "sample_zero_count", "sample_empty_enumeration",
+            "overlap_empty_window", "overlap_window_without_lattice_step"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
 
@@ -325,6 +335,19 @@ class TestKernelsCommand:
         assert manifest["assertions"]["duplicate_query_is_zero"] is False
         assert manifest["assertions"]["sup_error_decreasing"] is True
 
+    def test_files_are_pinned(self, tmp_path):
+        # same bytes from the same config; the files hold floats from numpy's
+        # linear algebra and special functions, so the pin is that of one
+        # numpy build
+        out = tmp_path / "k"
+        assert run(["kernels", "--d", "2", "--N-list", "50", "100", "--out-dir", str(out)]) == 0
+        assert data_digests(out) == {
+            "kernel_convergence.csv":
+                "dc6ee513b7985cdcf4b331066d1199a741bbdcb2b5be82a3f35ec3ac67784e4c",
+            "kernel_convergence_summary.json":
+                "64d9650d820253f8cea3d0fb12725fd653b574357b6f97f6840eeea9037ae265",
+        }
+
 
 class TestPolymerCommand:
     def test_beta_zero_mean_one(self, tmp_path):
@@ -358,6 +381,19 @@ class TestPolymerCommand:
         payload = json.loads((out / "polymer_report.json").read_text())
         ratios = [lv["sigma_ratio"] for lv in payload["levels"]]
         assert ratios[0] < ratios[1] < 2.0
+
+    def test_files_are_pinned(self, tmp_path):
+        # replay contract: the same seed and config give the same bits, on
+        # one numpy build
+        out = tmp_path / "p"
+        assert run(["polymer", "--seed", "3", "--d", "2", "--N-list", "16", "64",
+                    "--replicas", "20", "--inner-paths", "16", "--out-dir", str(out)]) == 0
+        assert data_digests(out) == {
+            "polymer_report.json":
+                "d2bbcc4f2aec7c0716032ca7116405cfaa2465599e863d8d88e9b30dea1ae4a9",
+            "polymer_draws.csv":
+                "b5556c0a79247594c6456281df3be15bd91f4a6c9ad966b14fe90961dc496d69",
+        }
 
 
 class TestGrskCommand:
@@ -459,6 +495,19 @@ class TestOverlapCommand:
                     "--replicas", "100", "--k-max", "2", "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_files_are_pinned(self, tmp_path):
+        # replay contract: the same seed and config give the same bits, on
+        # one numpy build
+        out = tmp_path / "o"
+        assert run(["overlap", "--seed", "3", "--d", "2", "--N-list", "8", "16",
+                    "--replicas", "300", "--out-dir", str(out)]) == 0
+        assert data_digests(out) == {
+            "overlap_moments.csv":
+                "edcc2eab08f60a703102e594d90a12e268363911111fd4ed789d2f4e9e9a77b1",
+            "overlap_summary.json":
+                "4a6b73050a55accad0fa75d73ebe70ce3c7e40eaffb5c8bb3bb9a76ad665ebe5",
+        }
 
 
 SHA = "0123456789abcdef0123456789abcdef01234567"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from watermelon import grsk
 from watermelon.errors import BudgetExceeded, DomainError
 from watermelon.grsk import (
-    TauReport,
     forced_points,
     grsk_array,
     inverse_gamma_moments,
@@ -309,9 +308,8 @@ class TestInverseGamma:
 
     @pytest.mark.parametrize("call", [
         inverse_gamma_moments,
-        lambda theta: inverse_gamma_sample(theta, np.random.default_rng(0), size=3),
         lambda theta: inverse_gamma_sample(theta, SeedRecord(2, 0)),
-    ], ids=["moments", "sample_generator", "sample_seed_record"])
+    ], ids=["moments", "sample_seed_record"])
     def test_nan_theta_raises(self, call):
         with pytest.raises(DomainError):
             call(float("nan"))
@@ -340,15 +338,15 @@ class TestRescaledRun:
             )
 
     def test_run_report(self):
-        rep = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0), d=2)
-        assert isinstance(rep, TauReport)
-        assert [lv.N for lv in rep.levels] == [16, 25]
-        for lv in rep.levels:
-            assert lv.variance_ratio == pytest.approx(
-                math.sqrt(lv.N) / (lv.theta - 2)
+        rep, draws = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0), d=2)
+        assert [lv["N"] for lv in rep["levels"]] == [16, 25]
+        for lv in rep["levels"]:
+            assert lv["variance_ratio"] == pytest.approx(
+                math.sqrt(lv["N"]) / (lv["theta"] - 2)
             )
-            assert lv.std > 0
-        assert len(rep.ks_stats) == 1
+            assert lv["std"] > 0
+        assert [len(x) for x in draws] == [40, 40]
+        assert len(rep["ks_between_consecutive_levels"]) == 1
 
     def test_theta_guard(self):
         with pytest.raises(DomainError):
@@ -376,12 +374,12 @@ class TestRescaledRun:
         # one chunk per level by default here; a cap of one weight gives one
         # replica per chunk, 7 * 18^2 gives chunks of 7 (N = 16) and 3 (N = 25)
         # with a short last one
-        whole = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        whole, whole_draws = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
         monkeypatch.setattr(grsk, "_TAU_CHUNK_WEIGHTS", cap)
-        chunked = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
-        for a, b in zip(whole.levels, chunked.levels):
-            assert np.array_equal(a.draws, b.draws)
-        assert chunked.ks_stats == whole.ks_stats
+        chunked, chunked_draws = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        for a, b in zip(whole_draws, chunked_draws):
+            assert np.array_equal(a, b)
+        assert chunked == whole
 
     def test_pinned_levels(self):
         # replay contract of the scaling run: figures of the per-cell loop DP
@@ -394,13 +392,13 @@ class TestRescaledRun:
                  [3.792744104520739e-06, 3.551791304283443e-05, 0.00024293271221197094,
                   0.0037920348294782046, 0.027108793678582606]),
         }
-        rep = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
-        for lv in rep.levels:
-            mean, std, quantiles = pinned[lv.N]
-            assert lv.mean == pytest.approx(mean, rel=1e-9)
-            assert lv.std == pytest.approx(std, rel=1e-9)
-            assert list(lv.quantiles.values()) == pytest.approx(quantiles, rel=1e-9)
-        assert rep.ks_stats == [0.1]
+        rep, _ = rescaled_tau_run(1.0, [16, 25], 40, SeedRecord(10, 0))
+        for lv in rep["levels"]:
+            mean, std, quantiles = pinned[lv["N"]]
+            assert lv["mean"] == pytest.approx(mean, rel=1e-9)
+            assert lv["std"] == pytest.approx(std, rel=1e-9)
+            assert list(lv["quantiles"].values()) == pytest.approx(quantiles, rel=1e-9)
+        assert rep["ks_between_consecutive_levels"] == [0.1]
 
     def test_deterministic_weights_reduce_to_count(self):
         # constant weights: tau / c^{vertices} equals the tuple count

@@ -146,15 +146,14 @@ class TestReflectionSymmetry:
 
         end = ContinuumEndpoint(1.0, 0.0)
         args = dict(d=1, beta=0.6, N_list=[48], replicas=1000, inner_paths=32)
-        base = cp.intermediate_disorder_run(end, rng=SeedRecord(30, 0), **args)
+        _, (base,) = cp.intermediate_disorder_run(end, rng=SeedRecord(30, 0), **args)
         original = cp._site_values
 
         def reflected(from_words, prefixes, x):
             return original(from_words, prefixes, -x)
 
         monkeypatch.setattr(cp, "_site_values", reflected)
-        mirrored = cp.intermediate_disorder_run(end, rng=SeedRecord(30, 0), **args)
-        base, mirrored = base.levels[0].draws_interior, mirrored.levels[0].draws_interior
+        _, (mirrored,) = cp.intermediate_disorder_run(end, rng=SeedRecord(30, 0), **args)
         # a patch the SMC does not call would compare a sample with itself
         assert not np.array_equal(base, mirrored)
         res = stats.ks_2samp(base, mirrored)

@@ -341,15 +341,15 @@ class TestL2Bound:
             ContinuumEndpoint(1.0, 0.0), 2, 8, (0.25, 0.75), 1, SeedRecord(10, 0),
             replicas=2000,
         )
-        assert rep.lhs_cell_sum == pytest.approx(rep.rhs_exact, rel=1e-12)
-        assert rep.holds
+        assert rep["lhs_cell_sum"] == pytest.approx(rep["rhs_exact"], rel=1e-12)
+        assert rep["holds"]
 
     def test_k1_full_window_equality_d1(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 1, 6, (0.0, 1.0), 1, SeedRecord(11, 0),
             replicas=2000,
         )
-        assert rep.lhs_cell_sum == pytest.approx(rep.rhs_exact, rel=1e-12)
+        assert rep["lhs_cell_sum"] == pytest.approx(rep["rhs_exact"], rel=1e-12)
 
     def test_mc_moment_matches_exact_law(self):
         # sampling-path first moment against the exact squared-occupation sum
@@ -357,15 +357,15 @@ class TestL2Bound:
             ContinuumEndpoint(1.0, 0.0), 1, 10, (0.0, 1.0), 1, SeedRecord(25, 0),
             replicas=40_000,
         )
-        assert abs(rep.rhs_mc - rep.rhs_exact) <= 3 * rep.rhs_se
+        assert abs(rep["rhs_mc"] - rep["rhs_exact"]) <= 3 * rep["rhs_se"]
 
     def test_k2_inequality_with_slack(self):
         rep = overlap_l2_bound_check(
             ContinuumEndpoint(1.0, 0.0), 2, 12, (0.0, 1.0), 2, SeedRecord(12, 0),
             replicas=8000,
         )
-        assert rep.lhs_cell_sum < rep.rhs_exact
-        assert rep.holds
+        assert rep["lhs_cell_sum"] < rep["rhs_exact"]
+        assert rep["holds"]
 
     @pytest.mark.parametrize("window", [(2.0, 3.0), (-0.25, 0.5), (0.5, 1.5)])
     def test_window_outside_bridge_raises(self, window):
@@ -374,12 +374,19 @@ class TestL2Bound:
                 ContinuumEndpoint(1.0, 0.0), 2, 12, window, 2, SeedRecord(1, 0), replicas=200
             )
 
-    def test_degenerate_window(self):
-        rep = overlap_l2_bound_check(
-            ContinuumEndpoint(1.0, 0.0), 2, 8, (0.5, 0.5), 2, SeedRecord(13, 0),
-            replicas=500,
-        )
-        assert rep.lhs_cell_sum == 0.0 and rep.rhs_mc == 0.0
+    def test_degenerate_window(self, monkeypatch):
+        # a zero-width and a reversed window, and (0, 0.1), which holds no
+        # interior lattice step at N = 8: none has a bound to check
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the window")
+
+        monkeypatch.setattr(overlap, "walk_bridges_lockstep", no_sampling)
+        for window in ((0.5, 0.5), (0.75, 0.25), (0.0, 0.1)):
+            with pytest.raises(DomainError):
+                overlap_l2_bound_check(
+                    ContinuumEndpoint(1.0, 0.0), 2, 8, window, 2, SeedRecord(13, 0),
+                    replicas=500,
+                )
 
 
 class TestMomentDiagnostics:
@@ -509,28 +516,28 @@ class TestMomentDiagnostics:
             call(ContinuumEndpoint(1.0, 0.0))
 
     def test_zero_window(self):
-        rep = overlap_moment_diagnostics(
+        _, rows = overlap_moment_diagnostics(
             ContinuumEndpoint(1.0, 0.0), 2, [16], [0.0], 3, 500, SeedRecord(14, 0)
         )
-        assert all(r.moment_over_kfact == 0.0 for r in rep.rows)
+        assert all(moment == 0.0 for _, _, _, moment, _ in rows)
 
     def test_monotone_in_t(self):
-        rep = overlap_moment_diagnostics(
+        _, rows = overlap_moment_diagnostics(
             ContinuumEndpoint(1.0, 0.0), 2, [24], [0.2, 0.5, 1.0], 2, 3000, SeedRecord(15, 0)
         )
         by_k = {}
-        for r in rep.rows:
-            by_k.setdefault(r.k, []).append((r.t, r.moment_over_kfact))
+        for _, t, k, moment, _ in rows:
+            by_k.setdefault(k, []).append((t, moment))
         for k, series in by_k.items():
             vals = [v for _, v in sorted(series)]
             assert vals == sorted(vals)
 
     def test_bounded_and_decaying(self):
-        rep = overlap_moment_diagnostics(
+        summary, _ = overlap_moment_diagnostics(
             ContinuumEndpoint(1.0, 0.0), 2, [16, 32, 64], [0.1, 0.4, 1.0], 3, 4000,
             SeedRecord(16, 0),
         )
-        assert rep.bounded_in_n
-        assert rep.decays_to_zero
-        assert rep.tail_ratios
+        assert summary["bounded_in_N"]
+        assert summary["decays_to_zero_as_t_to_0"]
+        assert summary["tail_ratios"]
 

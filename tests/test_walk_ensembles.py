@@ -233,20 +233,28 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_whole_row_masks(self, d):
         # every spec with d * n_star <= 24, each endpoint up to one step
-        # past reach; one walker stops at n_star = 20 (185k rows), since
-        # n_star = 24 alone would hold 2.7M rows, 540 MB per array
+        # past reach (an empty bridge, which raises); one walker stops at
+        # n_star = 20 (185k rows), since n_star = 24 alone would hold 2.7M
+        # rows, 540 MB per array
         for n_star in range(1, min(24 // d, 20) + 1):
             for x_star in range(-n_star - 2, n_star + 3, 2):
                 spec = BridgeSpec(d, n_star, x_star)
+                want = self.whole_row_masks(spec)
+                if abs(x_star) > n_star:
+                    assert len(want) == 0, spec
+                    with pytest.raises(EmptyBridge):
+                        enumerate_trajectories(spec)
+                    continue
                 got = enumerate_trajectories(spec)
                 assert got.dtype == np.int64
-                assert np.array_equal(got, self.whole_row_masks(spec)), spec
+                assert np.array_equal(got, want), spec
 
     @pytest.mark.parametrize("x_star", [4, 40000])
     def test_unreachable_is_empty(self, x_star):
-        # 40000 lies beyond int16, the enumeration's working type for small specs
-        got = enumerate_trajectories(BridgeSpec(1, 2, x_star))
-        assert got.shape == (0, 3, 1) and got.dtype == np.int64
+        # the closed form |x*| > n* of walk_bridges_lockstep, checked before
+        # any level is built (40000 lies beyond int16, the working type)
+        with pytest.raises(EmptyBridge):
+            enumerate_trajectories(BridgeSpec(1, 2, x_star))
 
     def test_pinned_rows(self):
         # sha256 of the (3, 8, -2) array as the depth-first enumeration built it
