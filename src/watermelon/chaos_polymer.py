@@ -163,12 +163,10 @@ def partition_product_exact(spec: BridgeSpec, field):
     D = (n* - x*)/2; one exact :func:`grsk.path_sums` gives both matrices.
     Floats enter as the exact binary fractions they are: the mean is a
     Fraction when every field value is an int or a Fraction, else the exact
-    mean rounded once to a float.  An empty bridge (|x*| > n*) or a NaN or
-    infinite field value raises DomainError.
+    mean rounded once to a float.  A NaN or infinite field value raises
+    DomainError; the count is never 0, since every spec has a trajectory.
     """
     d, n_star, x_star = spec.d, spec.n_star, spec.x_star
-    if abs(x_star) > n_star:
-        raise DomainError(f"no non-intersecting trajectory for {spec}")
     values = {s: field.value(*s) for s in reachable_sites(spec)}
     exact = {s: _exact_value(s, v) for s, v in values.items()}
     # every walk visits n* - 1 interior sites, so the values times the lcm q

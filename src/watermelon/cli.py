@@ -318,8 +318,10 @@ def cmd_grsk(cfg: ExperimentConfig) -> Outcome:
 def cmd_overlap(cfg: ExperimentConfig) -> Outcome:
     end = kr.ContinuumEndpoint(cfg.t_star, cfg.z_star)
     # a bad window fails before any sampling (the moment diagnostics check
-    # their times first thing)
-    ov.check_window(cfg.window, end.t_star)
+    # their times first thing); the bound check runs at the smallest N
+    if not cfg.N_list:
+        raise WatermelonError("N_list is empty")
+    ov.lattice_window(end, cfg.d, min(cfg.N_list), cfg.window)
     summary, rows = ov.overlap_moment_diagnostics(
         end, cfg.d, cfg.N_list, cfg.t_grid, cfg.k_max, cfg.replicas, cfg.rng()
     )

@@ -272,14 +272,16 @@ def rescaled_tau_run(
     normalization divides by the exact mean to the power d(2N+d), by
     2^{d(2N+d)} N^{-d^2/2}, and by the product of factorials.  Returns the
     JSON report, one entry of its "levels" per N, and per N the array of
-    rescaled draws.  An empty N_list or fewer than two replicas raises
-    DomainError.
+    rescaled draws.  An empty N_list, an N below 1 or fewer than two
+    replicas raises DomainError.
     """
     if not N_list:
         raise DomainError("N_list is empty")
     if replicas < 2:  # no standard deviation from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
     for N in N_list:  # every level is checked before any is drawn
+        if N < 1:
+            raise DomainError(f"need N >= 1, got {N}")
         theta = math.sqrt(N) / beta
         if not theta > 2:  # NaN fails this too
             raise DomainError(f"theta = {theta} is not above 2 at N = {N}; variance undefined")

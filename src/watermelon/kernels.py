@@ -32,14 +32,15 @@ from .walk_ensembles import BridgeSpec, _binom, int_det, log_binom
 
 @dataclass(frozen=True)
 class ContinuumEndpoint:
-    """Terminal data (t_star, z_star) of the bridge ensemble."""
+    """Terminal data (t_star, z_star) of the bridge ensemble: a finite
+    t_star > 0 and a finite z_star, else DomainError."""
 
     t_star: float
     z_star: float = 0.0
 
     def __post_init__(self):
-        if self.t_star <= 0:
-            raise DomainError("t_star must be positive")
+        if not (0 < self.t_star < math.inf and math.isfinite(self.z_star)):  # NaN fails
+            raise DomainError(f"need a finite t_star > 0 and a finite z_star, got {self}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,11 @@ class LatticeRounding:
 
     @classmethod
     def of(cls, N: int, end: ContinuumEndpoint) -> "LatticeRounding":
+        """The rounding of `end` at scale N >= 1; N < 1 raises DomainError."""
         # Endpoint uses the nearest parity-matching lattice point; query
         # points use the parity floor of their tessellation cell.
+        if N < 1:
+            raise DomainError(f"need N >= 1, got {N}")
         n_star = lattice_steps(end.t_star, N)
         x_star = nearest_parity(math.sqrt(N) * end.z_star, n_star % 2)
         return cls(N=N, t_star=end.t_star, z_star=end.z_star, n_star=n_star, x_star=x_star)
@@ -149,11 +153,13 @@ def _kernel(end: ContinuumEndpoint, d: int, t, z, tp, zp) -> np.ndarray:
 
 
 def continuum_psi_k(end: ContinuumEndpoint, d: int, query: CorrelationQuery) -> float:
-    """k-point correlation density: determinant of the continuum kernel."""
+    """k-point correlation density: determinant of the continuum kernel; 0
+    for a duplicated point once every time is checked to lie in (0, t_star)."""
     pts = query.points
+    t = np.array([p.t for p in pts])
+    alpha_factor(end.t_star, t)
     if len(set(pts)) != len(pts):
         return 0.0
-    t = np.array([p.t for p in pts])
     z = np.array([p.z for p in pts])
     mat = _kernel(end, d, t[:, None], z[:, None], t[None, :], z[None, :])
     return float(np.linalg.det(mat))
@@ -170,8 +176,6 @@ def _f_weight(spec: BridgeSpec, j: int) -> Fraction:
     """
     d, n_star, x_star = spec.d, spec.n_star, spec.x_star
     central = _binom(n_star + 2 * d - 2, Fraction(n_star + x_star, 2) + d - 1)
-    if central == 0:
-        raise DomainError(f"degenerate endpoint {spec}")
     if j == 0:
         return Fraction(1, central)
     poch = Fraction(1)
@@ -364,13 +368,11 @@ def rescaled_psi_k(
     (sqrt(N)/2)^k times the float joint occupation probability of the
     rounded cells; piecewise constant on tessellation cells, zero when two
     query points round to the same cell.  A query time that rounds outside
-    the open window (0, n*) raises DomainError.
+    the open window (0, n*) raises DomainError, duplicated or not.
     """
     rounding = LatticeRounding.of(N, end)
     spec = rounding.bridge_spec(d)
     sites = [rounding.round_query_point(p) for p in query.points]
-    if len(set(sites)) != len(sites):
-        return 0.0
     prob = discrete_psi_prob(spec, sites, "float")
     return prob * (math.sqrt(N) / 2.0) ** len(sites)
 

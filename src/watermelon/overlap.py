@@ -150,13 +150,22 @@ def check_t_grid(t_grid: Sequence[float], t_star: float) -> None:
         raise DomainError(f"t_grid values {outside} outside [0, {t_star}]")
 
 
-def check_window(window: Sequence[float], t_star: float) -> None:
-    """Raise DomainError unless both window ends are numbers with
-    0 <= window[0] < window[1] <= t_star."""
-    if not (0 <= window[0] and window[1] <= t_star):
-        raise DomainError(f"window {tuple(window)} outside [0, {t_star}]")
+def lattice_window(
+    end: ContinuumEndpoint, d: int, N: int, window: Sequence[float]
+) -> tuple[BridgeSpec, int, int]:
+    """The spec at scale N and the interior lattice steps max(1, floor(Ns))
+    .. min(n_star-1, floor(Ns')) of the window (s, s'); DomainError unless
+    0 <= s < s' <= t_star and the window holds an interior lattice step."""
+    if not (0 <= window[0] and window[1] <= end.t_star):
+        raise DomainError(f"window {tuple(window)} outside [0, {end.t_star}]")
     if not window[0] < window[1]:
         raise DomainError(f"window {tuple(window)} is empty")
+    spec = LatticeRounding.of(N, end).bridge_spec(d)
+    n_lo = max(1, lattice_steps(window[0], N))
+    n_hi = min(lattice_steps(window[1], N), spec.n_star - 1)
+    if n_lo > n_hi:
+        raise DomainError(f"window {tuple(window)} holds no interior lattice step at N = {N}")
+    return spec, n_lo, n_hi
 
 
 def overlap_moment_diagnostics(
@@ -349,25 +358,18 @@ def overlap_l2_bound_check(
     LHS: exact sum over ordered interior lattice time tuples and positions of
     psi_k^2 times cell volumes (the piecewise-constant integral).  RHS:
     E[(O[window])^k] / (2^k k!), by Monte Carlo and exactly.  Both sides run over the
-    same interior lattice steps max(1, floor(Ns)) .. min(n_star-1, floor(Ns'))
-    (the pinned endpoint configs coincide deterministically and are excluded),
-    which makes k = 1 an exact equality and k >= 2 an inequality whose slack
-    is exactly the discarded equal-time diagonal.  Returns the JSON report.
-    A window reaching outside [0, t_star], an empty window (window[1] <=
-    window[0], or no interior lattice step) or fewer than two replicas raise
-    DomainError before any sampling.
+    same interior lattice steps of :func:`lattice_window` (the pinned
+    endpoint configs coincide deterministically and are excluded), which
+    makes k = 1 an exact equality and k >= 2 an inequality whose slack is
+    exactly the discarded equal-time diagonal.  Returns the JSON report.
+    A window that :func:`lattice_window` rejects or fewer than two replicas
+    raise DomainError before any sampling.
     """
     if replicas < 2:  # no standard error from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
     if not 1 <= k <= 2:
         raise DomainError(f"exact cell sums support 1 <= k <= 2, got {k}")
-    check_window(window, end.t_star)
-    rounding = LatticeRounding.of(N, end)
-    spec = rounding.bridge_spec(d)
-    n_lo = max(1, lattice_steps(window[0], N))
-    n_hi = min(lattice_steps(window[1], N), spec.n_star - 1)
-    if n_lo > n_hi:
-        raise DomainError(f"window {tuple(window)} holds no interior lattice step at N = {N}")
+    spec, n_lo, n_hi = lattice_window(end, d, N, window)
     law = ExactBridgeLaw(spec)
     # integral = sum psi_k^2 * vol^k with psi_k = (sqrt(N)/2)^k P and
     # vol = 2 N^{-3/2}, i.e. 2^{-k} N^{-k/2} times the sum of P^2

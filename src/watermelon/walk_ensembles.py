@@ -64,7 +64,11 @@ def delta_config(d: int, x: int) -> WeylConfig:
 
 @dataclass(frozen=True)
 class BridgeSpec:
-    """Endpoint data for d walkers bridged from delta(0) to delta(x_star)."""
+    """Endpoint data for d walkers bridged from delta(0) to delta(x_star).
+
+    Every spec has a trajectory: |x_star| > n_star, the one case without
+    (all walkers may take the same steps), raises EmptyBridge.
+    """
 
     d: int
     n_star: int
@@ -75,6 +79,8 @@ class BridgeSpec:
             raise DomainError("need d >= 1 and n_star >= 1")
         if (self.n_star + self.x_star) % 2 != 0:
             raise ParityError("n_star + x_star must be even")
+        if abs(self.x_star) > self.n_star:
+            raise EmptyBridge(f"no trajectory for {self}")
 
     @property
     def start(self) -> WeylConfig:
@@ -515,21 +521,12 @@ def walk_bridges_lockstep(
     Yields the int64 positions of shape (count, d) at times 0..n_star, a
     fresh array each time.  Each step draws from the exact one-step law of
     the bridge (:func:`one_step_bridge_law`) through :class:`BridgeStepper`.
-    Raises EmptyBridge on the call itself, not on the first ``next``, when
-    no trajectory connects the endpoints: since all walkers may take the
-    same steps, that happens exactly when |x*| > n_star.
     """
-    if abs(spec.x_star) > spec.n_star:
-        raise EmptyBridge(f"no trajectory for {spec}")
-    return _bridge_steps(BridgeStepper(spec), count, rng.generator())
-
-
-def _bridge_steps(
-    stepper: BridgeStepper, count: int, gen: np.random.Generator
-) -> Iterator[np.ndarray]:
-    paths = np.tile(np.array(stepper.spec.start.positions, dtype=np.int64), (count, 1))
+    stepper = BridgeStepper(spec)
+    gen = rng.generator()
+    paths = np.tile(np.array(spec.start.positions, dtype=np.int64), (count, 1))
     yield paths
-    for n in range(stepper.spec.n_star):
+    for n in range(spec.n_star):
         paths = stepper.step(paths, n, gen)
         yield paths
 
@@ -554,14 +551,12 @@ def enumerate_trajectories(spec: BridgeSpec, budget: int = 24) -> np.ndarray:
     walker i up), keeping moves with every neighbour gap >= 2 and every
     walker within reach of delta(x*).  Survivors are gathered parent-major,
     so the rows come out in lexicographic order of their per-step sign
-    indices.  An empty bridge (|x*| > n*) raises EmptyBridge.
+    indices; a spec always has a trajectory, so the array is never empty.
     """
     if spec.d * spec.n_star > budget:
         raise BudgetExceeded(
             f"d*n_star = {spec.d * spec.n_star} exceeds budget {budget}"
         )
-    if abs(spec.x_star) > spec.n_star:
-        raise EmptyBridge(f"no trajectory for {spec}")
     d, n_star = spec.d, spec.n_star
     # positions and the target stay within n_star + |x*| of 0 .. 2(d-1)
     small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
@@ -648,8 +643,6 @@ def radon_nikodym_ratio(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:
     den = km_weight(spec.n_star, spec.start, spec.end) * vandermonde(
         x.positions
     )
-    if den == 0:
-        raise EmptyBridge(f"no trajectory for {spec}")
     return Fraction(num, 1) / den
 
 

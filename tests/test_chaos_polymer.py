@@ -24,7 +24,7 @@ from watermelon.chaos_polymer import (
     smc_partition_estimates,
     zeta_variance_ratio,
 )
-from watermelon.errors import DomainError
+from watermelon.errors import DomainError, EmptyBridge
 from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
 from watermelon.rng import SeedRecord, hash_mix
 from watermelon.walk_ensembles import (
@@ -280,9 +280,12 @@ class TestEnergyAndPartition:
         assert want != 0 and partition_product_exact(spec, field) == want
 
     def test_empty_bridge_raises(self):
-        spec = BridgeSpec(1, 2, 4)
-        with pytest.raises(DomainError):
-            partition_product_exact(spec, TableField({}, default=Fraction(2)))
+        # no spec for an empty bridge; one step closer the single walk
+        # path visits its one interior site
+        with pytest.raises(EmptyBridge):
+            BridgeSpec(1, 2, 4)
+        field = TableField({}, default=Fraction(2))
+        assert partition_product_exact(BridgeSpec(1, 2, 2), field) == 2
 
 
 def _subset_chaos_sum(spec, field):

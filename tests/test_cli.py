@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from watermelon import acceptance, cli, grsk, kernels
+from watermelon import acceptance, cli, grsk, kernels, overlap
 from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
 from watermelon.rng import SeedRecord
@@ -169,13 +169,51 @@ class TestBadInputs:
         ({}, ["sample", "--d", "2", "--n-star", "2", "--x-star", "6", "--enumerate-all"]),
         ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", "--window", "0.5", "0.5"]),
         ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", "--window", "0", "0.1"]),
+        ({}, ["kernels", "--d", "2", "--z-star", "nan"]),
+        ({}, ["kernels", "--d", "2", "--z-star", "inf"]),
+        ({}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16", "--replicas", "4",
+              "--inner-paths", "4", "--z-star", "nan"]),
+        ({}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16", "--replicas", "4",
+              "--inner-paths", "4", "--z-star", "inf"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", "--t-star", "inf"]),
+        ({}, ["kernels", "--d", "2", "--N-list", "-4", "50"]),
+        ({}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "-4", "--replicas", "4",
+              "--inner-paths", "4"]),
+        ({}, ["grsk", "--seed", "3", "--d", "2", "--N-list", "-4", "--replicas", "4"]),
+        # one N only would fail the two-scale rule of the kernels study first
+        ({}, ["kernels", "--d", "2", "--z-star", "7.3", "--N-list", "50", "100"]),
+        ({}, ["polymer", "--seed", "3", "--d", "2", "--z-star", "7.3", "--N-list", "50",
+              "--replicas", "4", "--inner-paths", "4"]),
+        ({}, ["overlap", "--seed", "6", "--d", "2", "--z-star", "7.3", "--N-list", "50"]),
     ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
             "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica",
             "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta",
             "sample_negative_count", "sample_zero_count", "sample_empty_enumeration",
-            "overlap_empty_window", "overlap_window_without_lattice_step"])
+            "overlap_empty_window", "overlap_window_without_lattice_step", "kernels_nan_z_star",
+            "kernels_inf_z_star", "polymer_nan_z_star", "polymer_inf_z_star",
+            "overlap_inf_t_star", "kernels_negative_N", "polymer_negative_N", "grsk_negative_N",
+            "kernels_empty_bridge", "polymer_empty_bridge", "overlap_empty_bridge"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
+
+    @pytest.mark.parametrize("args", [
+        ["--window", "0", "0.1"],
+        ["--window", "0.5", "0.5"],
+        ["--z-star", "7.3", "--N-list", "50"],
+    ], ids=["window_without_lattice_step", "empty_window", "empty_bridge"])
+    def test_overlap_fails_before_sampling(self, tmp_path, capsys, monkeypatch, args):
+        calls = []
+        walk = overlap.walk_bridges_lockstep
+
+        def counting(*a):
+            calls.append(a)
+            return walk(*a)
+
+        monkeypatch.setattr(overlap, "walk_bridges_lockstep", counting)
+        self._run_with_config(
+            tmp_path, capsys, {}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", *args]
+        )
+        assert calls == []
 
     @pytest.mark.parametrize("args", [
         ["kernels", "--d", "1"],

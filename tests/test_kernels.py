@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from watermelon.errors import DomainError, ParityError
+from watermelon.errors import DomainError, EmptyBridge, ParityError
 from watermelon.kernels import (
     ContinuumEndpoint,
     CorrelationQuery,
@@ -51,6 +51,30 @@ class TestRounding:
     def test_lattice_rounding(self):
         lr = LatticeRounding.of(100, ContinuumEndpoint(1.0, 0.7))
         assert (lr.n_star + lr.x_star) % 2 == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: ContinuumEndpoint(1.0, math.nan),
+        lambda: ContinuumEndpoint(1.0, math.inf),
+        lambda: ContinuumEndpoint(math.inf, 0.0),
+        lambda: ContinuumEndpoint(math.nan, 0.0),
+        lambda: ContinuumEndpoint(0.0, 0.0),
+        lambda: LatticeRounding.of(-4, ContinuumEndpoint(1.0, 0.0)),
+        lambda: LatticeRounding.of(0, ContinuumEndpoint(1.0, 0.0)),
+    ], ids=["nan_z", "inf_z", "inf_t", "nan_t", "zero_t", "negative_N", "zero_N"])
+    def test_endpoint_domain(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_empty_bridge_has_no_spec(self):
+        # z* = 7.3 at N = 50 rounds to x* = 52 > n* = 50, a bridge with no
+        # trajectory, for which discrete_psi_prob once gave the site (25, 27)
+        # probability 1
+        rounding = LatticeRounding.of(50, ContinuumEndpoint(1.0, 7.3))
+        assert (rounding.n_star, rounding.x_star) == (50, 52)
+        with pytest.raises(EmptyBridge):
+            rounding.bridge_spec(2)
+        with pytest.raises(EmptyBridge):
+            BridgeSpec(2, 50, 52)
 
     def test_alpha_factor_domain(self):
         assert alpha_factor(1.0, 0.5) == pytest.approx(math.sqrt(2.0))
@@ -440,6 +464,17 @@ class TestRescaledPsi:
         pts = (SpaceTimePoint(t, 0.0), SpaceTimePoint(0.5, 0.3))[:k]
         with pytest.raises(DomainError):
             rescaled_psi_k(100, end, 2, CorrelationQuery(pts))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_duplicate_outside_open_window_raises(self, t):
+        # the times are checked before the duplicate rule, one point or two
+        end = ContinuumEndpoint(1.0, 0.0)
+        p = SpaceTimePoint(t, 0.0)
+        for pts in ((p,), (p, p)):
+            with pytest.raises(DomainError):
+                rescaled_psi_k(100, end, 2, CorrelationQuery(pts))
+            with pytest.raises(DomainError):
+                continuum_psi_k(end, 2, CorrelationQuery(pts))
 
     def test_single_walker_binomial_oracle(self):
         # (sqrt(N)/2) P(simple bridge at 0 at midstep)

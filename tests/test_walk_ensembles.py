@@ -207,13 +207,13 @@ class TestEnumeration:
             enumerate_trajectories(spec, budget=d * n_star - 1)
 
     @staticmethod
-    def whole_row_masks(spec):
+    def whole_row_masks(d, n_star, x_star):
         """The former enumeration: np.diff and np.all over whole candidate rows."""
-        d, n_star = spec.d, spec.n_star
-        small = np.int16 if 2 * (d + n_star) + abs(spec.x_star) < 2**15 else np.int64
+        start = delta_config(d, 0).positions
+        small = np.int16 if 2 * (d + n_star) + abs(x_star) < 2**15 else np.int64
         signs = _step_signs(d).astype(small)
-        target = np.array(spec.end.positions, dtype=small)
-        levels = [np.array([spec.start.positions], dtype=small)]
+        target = np.array(delta_config(d, x_star).positions, dtype=small)
+        levels = [np.array([start], dtype=small)]
         parents = []
         for n in range(n_star):
             cand = levels[-1][:, None, :] + signs
@@ -227,34 +227,34 @@ class TestEnumeration:
         for n in range(n_star, 0, -1):
             out[:, n] = levels[n][rows]
             rows = parents[n - 1][rows]
-        out[:, 0] = spec.start.positions
+        out[:, 0] = start
         return out
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_whole_row_masks(self, d):
         # every spec with d * n_star <= 24, each endpoint up to one step
-        # past reach (an empty bridge, which raises); one walker stops at
-        # n_star = 20 (185k rows), since n_star = 24 alone would hold 2.7M
-        # rows, 540 MB per array
+        # past reach (an empty bridge, whose spec raises); one walker stops
+        # at n_star = 20 (185k rows), since n_star = 24 alone would hold
+        # 2.7M rows, 540 MB per array
         for n_star in range(1, min(24 // d, 20) + 1):
             for x_star in range(-n_star - 2, n_star + 3, 2):
-                spec = BridgeSpec(d, n_star, x_star)
-                want = self.whole_row_masks(spec)
+                want = self.whole_row_masks(d, n_star, x_star)
                 if abs(x_star) > n_star:
-                    assert len(want) == 0, spec
+                    assert len(want) == 0, (d, n_star, x_star)
                     with pytest.raises(EmptyBridge):
-                        enumerate_trajectories(spec)
+                        BridgeSpec(d, n_star, x_star)
                     continue
+                spec = BridgeSpec(d, n_star, x_star)
                 got = enumerate_trajectories(spec)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), spec
 
     @pytest.mark.parametrize("x_star", [4, 40000])
     def test_unreachable_is_empty(self, x_star):
-        # the closed form |x*| > n* of walk_bridges_lockstep, checked before
-        # any level is built (40000 lies beyond int16, the working type)
+        # |x*| > n* has no spec, so no enumeration can start on it, even
+        # one whose x* lies beyond int16, the working type
         with pytest.raises(EmptyBridge):
-            enumerate_trajectories(BridgeSpec(1, 2, x_star))
+            BridgeSpec(1, 2, x_star)
 
     def test_pinned_rows(self):
         # sha256 of the (3, 8, -2) array as the depth-first enumeration built it
@@ -294,9 +294,8 @@ class TestChamberPathSums:
         assert Fraction(count, 2 ** (d * n_star)) == km_weight(n_star, spec.start, spec.end, "exact")
 
     def test_empty_bridge_raises(self):
-        spec = BridgeSpec(1, 2, 4)
         with pytest.raises(DomainError):
-            chamber_path_sums(spec.start, 2, spec.end)
+            chamber_path_sums(delta_config(1, 0), 2, delta_config(1, 4))
 
     def test_zero_steps_to_another_end_raises(self):
         with pytest.raises(DomainError, match="no non-intersecting path"):
@@ -454,31 +453,31 @@ class TestSamplers:
         assert abs(up - 200) < 3.5 * math.sqrt(400 * 0.25)
 
     def test_empty_bridge(self):
-        for spec in (BridgeSpec(1, 2, 4), BridgeSpec(3, 6, 8)):
+        # no spec, hence nothing to sample or walk, for an empty bridge; the
+        # spec of the same walkers one step closer samples
+        for d, n_star, x_star in ((1, 2, 4), (3, 6, 8)):
             with pytest.raises(EmptyBridge):
-                sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
-            with pytest.raises(EmptyBridge):
-                sample_bridges_lockstep(spec, 3, SeedRecord(0, 0))
-            # on the call itself, before any next(): a plain generator
-            # function would defer the raise to its first step
-            with pytest.raises(EmptyBridge):
-                walk_bridges_lockstep(spec, 3, SeedRecord(0, 0))
+                BridgeSpec(d, n_star, x_star)
+            spec = BridgeSpec(d, n_star, x_star - 2)
+            assert sample_bridges_lockstep(spec, 3, SeedRecord(0, 0)).shape == (3, n_star + 1, d)
+            assert len(list(walk_bridges_lockstep(spec, 3, SeedRecord(0, 0)))) == n_star + 1
 
     def test_emptiness_matches_km_weight(self):
-        # the closed form |x*| > n_star against the exact determinant
-        specs = [
-            BridgeSpec(d, n_star, x_star)
+        # the closed form |x*| > n_star of BridgeSpec against the exact
+        # determinant from delta(0) to delta(x*)
+        ends = [
+            (d, n_star, x_star)
             for d in range(1, 5)
             for n_star in range(1, 15)
             for x_star in range(-n_star - 6, n_star + 7, 2)
         ]
-        assert len(specs) == 812
-        for spec in specs:
-            if km_weight(spec.n_star, spec.start, spec.end, "exact") == 0:
+        assert len(ends) == 812
+        for d, n_star, x_star in ends:
+            if km_weight(n_star, delta_config(d, 0), delta_config(d, x_star), "exact") == 0:
                 with pytest.raises(EmptyBridge):
-                    sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
+                    BridgeSpec(d, n_star, x_star)
             else:
-                sample_bridges_lockstep(spec, 1, SeedRecord(0, 0))
+                sample_bridges_lockstep(BridgeSpec(d, n_star, x_star), 1, SeedRecord(0, 0))
 
     def test_deterministic_replay(self):
         spec = BridgeSpec(2, 6, 0)
