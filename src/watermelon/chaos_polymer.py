@@ -14,7 +14,6 @@ across N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -78,30 +77,6 @@ def _prefixes(words: int, key: np.ndarray, *coords: np.ndarray) -> list[np.ndarr
 def _site_values(from_words: Callable, prefixes: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Site values at positions x, each word's hash continued from its prefix."""
     return from_words(*(hash_mix(x, h=h) for h in prefixes))
-
-
-@dataclass(frozen=True)
-class DisorderField:
-    """Lazy iid field of mean-zero unit-variance site variables.
-
-    A site's value is a pure function of (seed, n, x) via stateless hashing,
-    so reads are order-independent and repeated reads agree by construction.
-    """
-
-    distribution: str = "rademacher"
-    seed: int = 0
-
-    def __post_init__(self):
-        _distribution(self.distribution)
-
-    def values(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
-        n = np.asarray(n, dtype=np.int64)
-        words, from_words, _ = _DISTRIBUTIONS[self.distribution]
-        seed = np.full(n.shape, self.seed, dtype=np.int64)
-        return _site_values(from_words, _prefixes(words, seed, n), x)
-
-    def value(self, n: int, x: int) -> float:
-        return float(self.values(np.array([n]), np.array([x]))[0])
 
 
 class TableField:
@@ -340,7 +315,8 @@ def intermediate_disorder_run(
     the asymptotic one (d * n_star sites).  Returns the JSON report, one
     entry of its "levels" per N, and per N the array of interior-centered
     draws.  An empty N_list, fewer than two replicas, fewer than one inner
-    path or a non-finite beta raises DomainError.
+    path or a non-finite beta raises DomainError, and an N whose bridge is
+    empty raises EmptyBridge, each before any level is sampled.
     """
     if not N_list:
         raise DomainError("N_list is empty")
@@ -351,10 +327,10 @@ def intermediate_disorder_run(
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
     lmgf = cumulant(distribution)
+    # every level's spec is built before any is sampled
+    specs = [LatticeRounding.of(N, end).bridge_spec(d) for N in N_list]
     levels, draws_interior = [], []
-    for li, N in enumerate(N_list):
-        rounding = LatticeRounding.of(N, end)
-        spec = rounding.bridge_spec(d)
+    for li, (N, spec) in enumerate(zip(N_list, specs)):
         beta_n = beta * N ** -0.25
         lam = lmgf(beta_n)
         stream = rng.child(1000 + li)

@@ -2,14 +2,15 @@
 
 Commands: sample | kernels | polymer | grsk | overlap | verify.  The table
 :data:`COMMANDS` names the config fields each command reads and :data:`FLAGS`
-each field's flag; the subparsers, the config-file keys a command accepts (a
-JSON config file supplies defaults; flags override them), the seed rule (a
-command that reads `seed` requires an explicit --seed: no silent entropy)
-and the manifest's config all come from it.  This is the only module that
-writes files: each command returns its files and assertions, and
-:func:`run_command` writes them, then a manifest with the config, seeds,
-versions, wall-clock, per-assertion outcomes and the list of files.  Exact
-paths reproduce bit-for-bit from the manifest.
+each field's flag; the subparsers, the config-file keys a command accepts
+and the values each key takes (a JSON config file supplies defaults; flags
+override them), the seed rule (a command that reads `seed` requires an
+explicit --seed: no silent entropy) and the manifest's config all come
+from it.  This is the only module that writes files: each command returns
+its files and assertions, and :func:`run_command` writes them, then a
+manifest with the config, seeds, versions, wall-clock, per-assertion
+outcomes and the list of files.  Exact paths reproduce bit-for-bit from
+the manifest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -108,6 +109,35 @@ FLAGS = {
 }
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _check_file_value(key: str, value) -> None:
+    """WatermelonError unless a config file's `value` for `key` is one its
+    flag could give: the flag's type (an int, or for a float flag an int or
+    a float; a bool is neither, and a flag without a type takes a string),
+    a list of the length its `nargs` asks for, one of its choices, a bool
+    for a switch, or None where the field's default is None."""
+    opts = FLAGS[key]
+    if value is None:
+        ok = _DEFAULTS[key] is None
+    elif opts.get("action") == "store_true":
+        ok = type(value) is bool
+    else:
+        nargs = opts.get("nargs")
+        items = [value] if nargs is None else value
+        kind = opts.get("type", str)
+        allowed = (int, float) if kind is float else (kind,)
+        ok = (
+            isinstance(items, list)
+            and (nargs is None or (len(items) >= 1 if nargs == "+" else len(items) == nargs))
+            and all(type(v) in allowed and v in opts.get("choices", [v]) for v in items)
+        )
+    if not ok:
+        flag = "--" + key.replace("_", "-")
+        raise WatermelonError(f"config value {value!r} for {key} is not a valid {flag}")
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     reads = {"command", "out_dir", *COMMANDS[args.command][2]}
     payload: dict = {}
@@ -115,10 +145,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         payload.update(json.loads(Path(args.config).read_text()))
     if payload.setdefault("command", args.command) != args.command:
         raise WatermelonError(f"config is for the {payload['command']} command")
-    payload.update((k, v) for k, v in vars(args).items() if k in reads and v is not None)
     unknown = sorted(set(payload) - reads)
     if unknown:
         raise WatermelonError(f"the {args.command} command reads no config keys {unknown}")
+    for key, value in payload.items():
+        if key != "command":
+            _check_file_value(key, value)
+    payload.update((k, v) for k, v in vars(args).items() if k in reads and v is not None)
     cfg = ExperimentConfig(**payload)
     if "seed" in reads and not cfg.enumerate_all and cfg.seed is None:
         raise WatermelonError(f"--seed is mandatory for the {cfg.command} command")

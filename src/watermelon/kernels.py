@@ -390,17 +390,20 @@ def kernel_convergence_study(
     sup-error fails to decrease monotonically from the smallest to the
     largest N.  Returns the JSON summary, its "sup_error" keyed by str(N),
     and the rows (N, pair_id, t, z, t', z', K_N, K, abs_err).  Fewer than
-    two distinct N raise DomainError.
+    two distinct N raise DomainError, and an N whose bridge is empty raises
+    EmptyBridge, each before any kernel table is built.
     """
     if len(set(N_list)) < 2:
         raise DomainError(f"the convergence study needs two or more N, got {list(N_list)}")
+    # every level's spec is built before any kernel table
+    roundings = [LatticeRounding.of(N, end) for N in N_list]
+    specs = [rounding.bridge_spec(d) for rounding in roundings]
     coords = np.array([(a.t, a.z, b.t, b.z) for a, b in grid]).T
     limits = _kernel(end, d, *coords).tolist()
     rows = []
     sup: dict[int, float] = {}
-    for N in N_list:
-        rounding = LatticeRounding.of(N, end)
-        table = DiscreteKernelTable(rounding.bridge_spec(d))
+    for N, rounding, spec in zip(N_list, roundings, specs):
+        table = DiscreteKernelTable(spec)
         worst = 0.0
         for pid, (a, b) in enumerate(grid):
             entry = table.entry(rounding.round_query_point(a), rounding.round_query_point(b))

@@ -22,7 +22,7 @@ from .kernels import ContinuumEndpoint, LatticeRounding, lattice_steps
 from .rng import SeedRecord
 from .walk_ensembles import (
     BridgeSpec,
-    _chamber_sweep,
+    chamber_sweep,
     km_weight,  # unused here; perfbench's tracer patches overlap.km_weight by name
     walk_bridges_lockstep,
 )
@@ -185,7 +185,8 @@ def overlap_moment_diagnostics(
     of successive moment terms is reported, not asserted.  Returns the JSON
     summary and the rows (N, t, k, moment / k!, se).  An empty N_list or
     t_grid, a time outside [0, t_star] or fewer than two replicas raises
-    DomainError.
+    DomainError, and an N whose bridge is empty raises EmptyBridge, each
+    before any sampling.
     """
     if replicas < 2:  # no standard error from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
@@ -196,11 +197,11 @@ def overlap_moment_diagnostics(
     if not N_list or not t_grid:
         raise DomainError("need a non-empty N_list and t_grid")
     check_t_grid(t_grid, end.t_star)
+    # every level's spec is built before any is sampled
+    specs = [LatticeRounding.of(N, end).bridge_spec(d) for N in N_list]
     rows = []
     table: dict[tuple[int, float, int], tuple[float, float]] = {}
-    for li, N in enumerate(N_list):
-        rounding = LatticeRounding.of(N, end)
-        spec = rounding.bridge_spec(d)
+    for li, (N, spec) in enumerate(zip(N_list, specs)):
         steps = {t: lattice_steps(t, N) for t in t_grid}  # <= n_star, as t <= t_star
         # interior times only: the pinned configs at steps 0 and n_star
         # coincide deterministically and carry no information
@@ -267,7 +268,7 @@ class ExactBridgeLaw:
 
     def __init__(self, spec: BridgeSpec):
         self.spec = spec
-        self.configs, self._fwd, self.succ = _chamber_sweep(spec.start, spec.n_star, spec.end)
+        self.configs, self._fwd, self.succ = chamber_sweep(spec.start, spec.n_star, spec.end)
         bwd = [[1]]
         for layer in reversed(self.succ):
             after = bwd[-1]
@@ -291,13 +292,6 @@ class ExactBridgeLaw:
                 for x1 in pos:
                     marg[x1] = marg.get(x1, 0) + w
         return Fraction(marg.get(x, 0), self.total)
-
-    def config_dist(self, n: int) -> dict[tuple[int, ...], Fraction]:
-        self._check_time(n)
-        return {
-            pos: Fraction(f * b, self.total)
-            for pos, f, b in zip(self.configs[n], self._fwd[n], self._bwd[n])
-        }
 
     def pair_site_table(self, n1: int, n2: int) -> dict[tuple[int, int], Fraction]:
         """All P(x1 occupied at n1, x2 occupied at n2): the pair sweep from n1,
@@ -406,19 +400,21 @@ def _squared_occupation_sums(
     Same-time: over each n in [n_lo, n_hi], the squared P(x_1, .., x_k occupied
     at n) over all k-tuples of sites (x1 == x2 included).  Cross-time, k = 2
     only: the squared P(x1 occupied at n1, x2 occupied at n2) over
-    n_lo <= n1 < n2 <= n_hi.
+    n_lo <= n1 < n2 <= n_hi.  Both sum squared integer path counts and
+    divide once by `total` squared.
     """
-    same = Fraction(0)
+    same = 0
     for n in range(n_lo, n_hi + 1):
-        joint: dict[tuple[int, ...], Fraction] = {}
-        for pos, p in law.config_dist(n).items():
+        joint: dict[tuple[int, ...], int] = {}
+        for pos, f, b in zip(law.configs[n], law._fwd[n], law._bwd[n]):
+            w = f * b
             for key in product(pos, repeat=k):
-                joint[key] = joint.get(key, 0) + p
-        same += sum(p * p for p in joint.values())
+                joint[key] = joint.get(key, 0) + w
+        same += sum(c * c for c in joint.values())
     # one pair sweep per n1 serves every n2 <= n_hi
     cross = 0
     if k == 2:
         for n1 in range(n_lo, n_hi + 1):
             for counts in law._pair_counts(n1, n_hi):
                 cross += sum(c * c for c in counts.values())
-    return same, Fraction(cross, law.total**2)
+    return Fraction(same, law.total**2), Fraction(cross, law.total**2)

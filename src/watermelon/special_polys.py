@@ -7,15 +7,14 @@ evaluator per arithmetic runs the series at any x from them, compensated
 floating-point summation (:func:`hahn_series`) or, for rational arguments,
 Horner's rule over integers (:func:`hahn_series_exact`, the oracle path
 that quantifies cancellation in the float path).  `hahn` and `hahn_exact`
-wrap them for one value.  The lattice families `_p_params` and
-`_p_tilde_params` have integer arguments; `_lattice_family` gives their
-x-free part per time, which the discrete kernel caches.
+wrap them for one value.  `_lattice_family` gives the integer parameters
+of the kernel's endpoint families P and P~ per time, which the discrete
+kernel caches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -51,25 +50,6 @@ def hermite_normalized(j: int, y):
     return hermite(j, y) / norm
 
 
-@dataclass(frozen=True)
-class HahnParams:
-    """Arguments of the terminating Hahn series Q_j(x; alpha, beta, M).
-
-    In lattice use x and M are integers with M >= j, so all j+1 terms of
-    the series are finite.
-    """
-
-    j: int
-    x: Real
-    alpha: Real
-    beta: Real
-    M: Real
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise DomainError("Hahn degree must be nonnegative")
-
-
 def hahn_ratios(j: int, alpha, beta, M, L: int = 1) -> list[tuple]:
     """The x-free factors (c_m, e_m), m = 1..j, of the Hahn term ratios.
 
@@ -81,8 +61,11 @@ def hahn_ratios(j: int, alpha, beta, M, L: int = 1) -> list[tuple]:
     denominator cancels, c_m = (m-1-j) ((j+m) L + alpha + beta) and
     e_m = (alpha + m L) ((m-1) L - M) m are integers and the x factor is
     (m-1) L - x.  Float arguments (L = 1) give the factors in the float
-    operation order of the ratio above.  One list serves every x.
+    operation order of the ratio above.  One list serves every x.  A
+    negative degree j raises DomainError.
     """
+    if j < 0:
+        raise DomainError("Hahn degree must be nonnegative")
     if isinstance(alpha, float):
         return [((m - 1 - j) * (j + alpha + beta + m), (alpha + m) * (m - 1 - M) * m)
                 for m in range(1, j + 1)]
@@ -138,29 +121,30 @@ def hahn_series_exact(ratios: list[tuple[int, int]], x: int, L: int = 1) -> tupl
     return top, bottom
 
 
-def hahn(params: HahnParams) -> float:
-    """Hahn polynomial Q_j(x, alpha, beta, M), floating point: :func:`hahn_series`."""
-    p = params
-    a, b, M = float(p.alpha), float(p.beta), float(p.M)
-    return hahn_series(hahn_ratios(p.j, a, b, M), float(p.x))
+def hahn(j: int, x: Real, alpha: Real, beta: Real, M: Real) -> float:
+    """Hahn polynomial Q_j(x; alpha, beta, M), floating point: :func:`hahn_series`.
+
+    In lattice use x and M are integers with M >= j, so all j+1 terms of
+    the series are finite.
+    """
+    return hahn_series(hahn_ratios(j, float(alpha), float(beta), float(M)), float(x))
 
 
-def hahn_exact(params: HahnParams) -> Fraction:
+def hahn_exact(j: int, x: Real, alpha: Real, beta: Real, M: Real) -> Fraction:
     """Exact rational evaluation of the same terminating sum, one Fraction.
 
     Requires rational arguments; used as the oracle for :func:`hahn`.  The
     arguments go over their common denominator L, then
     :func:`hahn_series_exact`.
     """
-    p = params
     vals = []
-    for v in (p.x, p.alpha, p.beta, p.M):
+    for v in (x, alpha, beta, M):
         if isinstance(v, float) and not v.is_integer():
             raise DomainError("exact path needs rational arguments")
         vals.append(v if type(v) is int else Fraction(v))
     L = math.lcm(*(v.denominator for v in vals))
     x, a, b, M = (v.numerator * (L // v.denominator) for v in vals)
-    return Fraction(*hahn_series_exact(hahn_ratios(p.j, a, b, M, L), x, L))
+    return Fraction(*hahn_series_exact(hahn_ratios(j, a, b, M, L), x, L))
 
 
 def _half(v: int) -> int:
@@ -182,16 +166,6 @@ def _lattice_family(tilde: bool, n: int, d: int, n_star: int, x_star: int):
         return (x_star - (n_star - n), -_half(n_star - x_star) - d,
                 -_half(n_star + x_star) - d, n_star - n + d - 1)
     return -n, -_half(n_star + x_star) - d, -_half(n_star - x_star) - d, n + d - 1
-
-
-def _p_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
-    lo, alpha, beta, M = _lattice_family(False, n, d, n_star, x_star)
-    return HahnParams(j=j, x=_half(x - lo), alpha=alpha, beta=beta, M=M)
-
-
-def _p_tilde_params(j: int, n: int, x: int, d: int, n_star: int, x_star: int) -> HahnParams:
-    lo, alpha, beta, M = _lattice_family(True, n, d, n_star, x_star)
-    return HahnParams(j=j, x=_half(x - lo), alpha=alpha, beta=beta, M=M)
 
 
 def rescaled_hahn_G(j: int, y: float, M: int, p: float, c: float, gamma: float) -> float:
@@ -226,5 +200,5 @@ def rescaled_hahn_G(j: int, y: float, M: int, p: float, c: float, gamma: float) 
         + j * (math.log(p / (1.0 - p)) + math.log(abs(ratio)))
     )
     prefactor = (-1.0) ** j * math.exp(0.5 * log_mag)
-    q = hahn(HahnParams(j=j, x=y_m, alpha=alpha_m, beta=beta_m, M=M))
+    q = hahn(j, y_m, alpha_m, beta_m, M)
     return prefactor * q

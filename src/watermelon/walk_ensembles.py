@@ -9,8 +9,8 @@ doubles, for the large positive-entry LGV matrices of `grsk`).  The float
 kernel determinants of `kernels` (`continuum_psi_k`, float
 `discrete_psi_prob` from three sites on) have O(1) gauged entries and call
 ``np.linalg.det`` directly.  Exact path counts over the chamber go through
-one sweep, :func:`chamber_path_sums`, whose moves come from one table per
-d; the successor lists it records carry the pair-site transfer of
+one sweep, :func:`chamber_sweep`, whose moves come from one table per d;
+the successor lists it records carry the pair-site transfer of
 `overlap.ExactBridgeLaw`.
 """
 
@@ -244,15 +244,21 @@ def _legal_moves(d: int, key: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _chamber_sweep(start: WeylConfig, steps: int, end: WeylConfig | None = None):
+def chamber_sweep(start: WeylConfig, steps: int, end: WeylConfig | None = None):
     """(configs, counts, succ): per time 0..steps the configurations, their
-    path counts from `start`, and (times before `steps`) for each
-    configuration the indices of its successors at the next time.
+    counts of non-intersecting paths from `start`, and (times before
+    `steps`) for each configuration the indices of its successors at the
+    next time.
 
-    The moves of a configuration come from the move table
-    :func:`_legal_moves`, keyed by which walkers may move up and down
-    without leaving reach of `end` and which neighbour pairs are tight.
-    Arguments and errors are those of :func:`chamber_path_sums`.
+    With `end`, only configurations that can still reach `end` in the
+    remaining steps are kept.  A negative `steps`, an `end` with another
+    walker count, and an `end` that no path reaches raise DomainError before
+    the sweep: a path exists exactly when each walker is within reach of its
+    end with matching parity (the walkers' lower envelopes
+    max(a_i - m, b_i - (steps - m)) never collide).  The moves of a
+    configuration come from the move table :func:`_legal_moves`, keyed by
+    which walkers may move up and down without leaving reach of `end` and
+    which neighbour pairs are tight.
     """
     if steps < 0:
         raise DomainError("need n >= 0")
@@ -299,23 +305,6 @@ def _chamber_sweep(start: WeylConfig, steps: int, end: WeylConfig | None = None)
         counts.append(nxt)
         succ.append(layer_succ)
     return configs, counts, succ
-
-
-def chamber_path_sums(
-    start: WeylConfig, steps: int, end: WeylConfig | None = None
-) -> list[dict[tuple[int, ...], int]]:
-    """Counts of non-intersecting paths from `start`, one dict per time 0..steps.
-
-    Entry n maps the positions of each configuration x to the number of
-    n-step chamber paths start -> x.  With `end`, only configurations that
-    can still reach `end` in the remaining steps are kept.  A negative
-    `steps`, an `end` with another walker count, and an `end` that no path
-    reaches raise DomainError before the sweep: a path exists exactly when
-    each walker is within reach of its end with matching parity (the
-    walkers' lower envelopes max(a_i - m, b_i - (steps - m)) never collide).
-    """
-    configs, counts, _ = _chamber_sweep(start, steps, end)
-    return [dict(zip(c, w)) for c, w in zip(configs, counts)]
 
 
 def one_step_bridge_law(spec: BridgeSpec, n: int, x: WeylConfig):

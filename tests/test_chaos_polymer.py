@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from watermelon import chaos_polymer
 from watermelon.chaos_polymer import (
     DISTRIBUTIONS,
-    DisorderField,
     TableField,
     chaos_expansion_exact,
     cumulant,
@@ -29,7 +28,6 @@ from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
 from watermelon.rng import SeedRecord, hash_mix
 from watermelon.walk_ensembles import (
     BridgeSpec,
-    chamber_path_sums,
     enumerate_trajectories,
     exact_det,
 )
@@ -88,26 +86,30 @@ class TestHashMix:
 
 
 class TestDisorderField:
+    """The SMC's field: each site's words hashed on from its
+    (key + j, replica, n) prefix."""
+
+    @staticmethod
+    def _read(dist, key, rep, n, x):
+        words, from_words, _ = chaos_polymer._DISTRIBUTIONS[dist]
+        prefixes = chaos_polymer._prefixes(words, np.array(key, dtype=np.int64), rep, n)
+        return chaos_polymer._site_values(from_words, prefixes, np.asarray(x))
+
     def test_repeated_reads_agree(self):
-        f = DisorderField("gaussian", 11)
-        assert f.value(3, -5) == f.value(3, -5)
+        assert self._read("gaussian", 11, 0, 3, -5) == self._read("gaussian", 11, 0, 3, -5)
 
     def test_order_independent(self):
-        f = DisorderField("rademacher", 4)
-        a = [f.value(n, x) for n, x in ((1, 1), (2, 0), (5, -3))]
-        b = [f.value(n, x) for n, x in ((5, -3), (1, 1), (2, 0))]
+        a = [float(self._read("rademacher", 4, 0, n, x)) for n, x in ((1, 1), (2, 0), (5, -3))]
+        b = [float(self._read("rademacher", 4, 0, n, x)) for n, x in ((5, -3), (1, 1), (2, 0))]
         assert a == [b[1], b[2], b[0]]
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS)
     def test_mean_zero_unit_variance(self, dist):
-        f = DisorderField(dist, 7)
         ns = np.repeat(np.arange(1, 401), 50)
         xs = np.tile(np.arange(-25, 25), 400)
         reps = np.arange(len(ns)) % 5
-        # the SMC's per-replica field must have the same law as DisorderField
-        words, from_words, _ = chaos_polymer._DISTRIBUTIONS[dist]
-        prefixes = chaos_polymer._prefixes(words, np.array(7), reps, ns)
-        for vals in (f.values(ns, xs), chaos_polymer._site_values(from_words, prefixes, xs)):
+        # one replica's environment, and the sites spread over five replicas
+        for vals in (self._read(dist, 7, 0, ns, xs), self._read(dist, 7, reps, ns, xs)):
             n = len(vals)
             assert abs(vals.mean()) < 4 / math.sqrt(n)
             assert abs(vals.var() - 1.0) < 5 * math.sqrt(max(vals.var() ** 2 * 2, 9) / n)
@@ -173,6 +175,13 @@ def _boltzmann(spec, field, beta):
     return TableField({s: math.exp(beta * field.value(*s)) for s in reachable_sites(spec)})
 
 
+def _hashed_field(spec, distribution, key):
+    """The flat hash's values of replica 0 at every reachable site."""
+    return TableField(
+        {s: float(_flat_field(distribution, key, 0, *s)) for s in reachable_sites(spec)}
+    )
+
+
 def _rational_field(spec, seed, values):
     """Seeded draws from `values` at every reachable site."""
     gen = SeedRecord(seed, spec.d).generator()
@@ -184,24 +193,28 @@ def _rational_field(spec, seed, values):
 
 def _chamber_sweep_average(spec, field):
     """Reference bridge average: the weighted transfer sum over the d-walker
-    chamber, one configuration per state, divided by the path count."""
+    chamber, one configuration per state, over the same sum with unit weights."""
     end = spec.end.positions
     signs = list(product((-1, 1), repeat=spec.d))
-    layer = {spec.start.positions: 1}
-    for n in range(1, spec.n_star + 1):
-        rem = spec.n_star - n
-        nxt = {}
-        for pos, w in layer.items():
-            for s in signs:
-                y = tuple(p + q for p, q in zip(pos, s))
-                if all(b - a >= 2 for a, b in zip(y, y[1:])) and all(
-                    abs(p - t) <= rem for p, t in zip(y, end)
-                ):
-                    nxt[y] = nxt.get(y, 0) + w
-        if n < spec.n_star:
-            nxt = {y: w * math.prod(field.value(n, x) for x in y) for y, w in nxt.items()}
-        layer = nxt
-    return Fraction(layer[end], chamber_path_sums(spec.start, spec.n_star, spec.end)[-1][end])
+
+    def transfer(weight):
+        layer = {spec.start.positions: 1}
+        for n in range(1, spec.n_star + 1):
+            rem = spec.n_star - n
+            nxt = {}
+            for pos, w in layer.items():
+                for s in signs:
+                    y = tuple(p + q for p, q in zip(pos, s))
+                    if all(b - a >= 2 for a, b in zip(y, y[1:])) and all(
+                        abs(p - t) <= rem for p, t in zip(y, end)
+                    ):
+                        nxt[y] = nxt.get(y, 0) + w
+            if n < spec.n_star:
+                nxt = {y: w * math.prod(weight(n, x) for x in y) for y, w in nxt.items()}
+            layer = nxt
+        return layer[end]
+
+    return Fraction(transfer(field.value), transfer(lambda n, x: 1))
 
 
 # every spec with d <= 4 and d * n_star <= 24 (the enumeration budget), save
@@ -212,7 +225,8 @@ _LGV_SIZES = [(d, n) for d in range(1, 5) for n in range(1, min(24 // d, 12) + 1
 class TestEnergyAndPartition:
     def test_partition_beta_zero(self):
         spec = BridgeSpec(2, 6, 0)
-        assert partition_product_exact(spec, _boltzmann(spec, DisorderField("gaussian", 0), 0.0)) == 1.0
+        field = _hashed_field(spec, "gaussian", 0)
+        assert partition_product_exact(spec, _boltzmann(spec, field, 0.0)) == 1.0
 
     def test_two_path_bridge(self):
         spec = BridgeSpec(1, 2, 0)
@@ -229,7 +243,7 @@ class TestEnergyAndPartition:
     def test_transfer_sums_match_enumeration(self, spec):
         # the path average, trajectory by trajectory, is the oracle
         trajs = enumerate_trajectories(spec)
-        gauss = DisorderField("gaussian", 12)
+        gauss = _hashed_field(spec, "gaussian", 12)
         gen = SeedRecord(44, spec.d).generator()
         frac = TableField(
             {s: Fraction(int(gen.integers(-3, 4)), int(gen.integers(1, 4)))
@@ -239,7 +253,7 @@ class TestEnergyAndPartition:
         # every interior visit of every trajectory, read in one batch
         interior = trajs[:, 1 : spec.n_star]
         times = np.broadcast_to(np.arange(1, spec.n_star)[None, :, None], interior.shape)
-        energy = gauss.values(times, interior).reshape(len(trajs), -1).sum(axis=1)
+        energy = _flat_field("gaussian", 12, 0, times, interior).reshape(len(trajs), -1).sum(axis=1)
         boltzmann = np.exp(0.6 * energy)
         product = []
         for t in trajs:

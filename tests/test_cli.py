@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from watermelon import acceptance, cli, grsk, kernels, overlap
+from watermelon import acceptance, chaos_polymer, cli, grsk, kernels, overlap
 from watermelon.cli import git_revision, main, resolve_workers
 from watermelon.errors import WatermelonError
 from watermelon.rng import SeedRecord
@@ -185,6 +185,18 @@ class TestBadInputs:
         ({}, ["polymer", "--seed", "3", "--d", "2", "--z-star", "7.3", "--N-list", "50",
               "--replicas", "4", "--inner-paths", "4"]),
         ({}, ["overlap", "--seed", "6", "--d", "2", "--z-star", "7.3", "--N-list", "50"]),
+        # a config-file value its flag could not give, even where a flag overrides it
+        ({"d": "two"}, ["sample", "--n-star", "4", "--seed", "1"]),
+        ({"d": True}, ["sample", "--n-star", "4", "--seed", "1"]),
+        ({"d": None}, ["sample", "--n-star", "4", "--seed", "1"]),
+        ({"enumerate_all": 1}, ["sample", "--d", "1", "--n-star", "2"]),
+        ({"out_dir": 5}, ["sample", "--d", "1", "--n-star", "2", "--enumerate-all"]),
+        ({"N_list": 64}, ["grsk", "--seed", "1", "--replicas", "4"]),
+        ({"beta": "0.5"}, ["grsk", "--seed", "1", "--N-list", "16", "--replicas", "4"]),
+        ({"distribution": ["gaussian"]}, ["polymer", "--seed", "3", "--d", "1", "--N-list", "16",
+                                          "--replicas", "4", "--inner-paths", "4"]),
+        ({"t_grid": 0.5}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8"]),
+        ({"window": [0.0]}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8"]),
     ], ids=["sample", "kernels", "polymer", "grsk", "overlap", "verify", "overlap_nan_window",
             "overlap_one_replica", "overlap_no_replicas", "polymer_one_replica",
             "polymer_no_inner_paths", "polymer_nan_beta", "grsk_one_replica", "grsk_nan_beta",
@@ -192,7 +204,11 @@ class TestBadInputs:
             "overlap_empty_window", "overlap_window_without_lattice_step", "kernels_nan_z_star",
             "kernels_inf_z_star", "polymer_nan_z_star", "polymer_inf_z_star",
             "overlap_inf_t_star", "kernels_negative_N", "polymer_negative_N", "grsk_negative_N",
-            "kernels_empty_bridge", "polymer_empty_bridge", "overlap_empty_bridge"])
+            "kernels_empty_bridge", "polymer_empty_bridge", "overlap_empty_bridge",
+            "config_string_for_int", "config_bool_for_int", "config_null_for_int",
+            "config_int_for_switch", "config_int_for_out_dir", "config_int_for_list",
+            "config_string_for_float", "config_list_for_choice", "config_float_for_list",
+            "config_short_window"])
     def test_failing_command_creates_no_out_dir(self, tmp_path, capsys, payload, args):
         self._run_with_config(tmp_path, capsys, payload, args)
 
@@ -212,6 +228,23 @@ class TestBadInputs:
         monkeypatch.setattr(overlap, "walk_bridges_lockstep", counting)
         self._run_with_config(
             tmp_path, capsys, {}, ["overlap", "--seed", "6", "--d", "2", "--N-list", "8", *args]
+        )
+        assert calls == []
+
+    def test_polymer_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # the bridge at N = 4 is empty (x* = 6 > n* = 4); N = 400 comes first
+        calls = []
+        smc = chaos_polymer.smc_partition_estimates
+
+        def counting(*a, **k):
+            calls.append(a)
+            return smc(*a, **k)
+
+        monkeypatch.setattr(chaos_polymer, "smc_partition_estimates", counting)
+        self._run_with_config(
+            tmp_path, capsys, {}, ["polymer", "--seed", "3", "--d", "1", "--z-star", "3",
+                                   "--N-list", "400", "4", "--replicas", "4",
+                                   "--inner-paths", "4"]
         )
         assert calls == []
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from watermelon import kernels
 from watermelon.errors import DomainError, EmptyBridge, ParityError
 from watermelon.kernels import (
     ContinuumEndpoint,
@@ -28,7 +29,7 @@ from watermelon.kernels import (
     round_point2,
 )
 from watermelon.chaos_polymer import reachable_sites
-from watermelon.special_polys import HahnParams, _p_params, _p_tilde_params, hahn_exact
+from watermelon.special_polys import hahn_exact
 from watermelon.walk_ensembles import BridgeSpec, _binom, enumerate_trajectories, log_binom
 
 
@@ -187,12 +188,12 @@ def _gauge_series_heat(spec, a, b):
     (n, x), (npr, xpr) = a, b
     f = [_f_weight(spec, j) for j in range(d)]
     fwd = [
-        hahn_exact(_p_params(j, npr, xpr, d, n_star, x_star))
+        hahn_exact(*_former_p_params(j, npr, xpr, d, n_star, x_star))
         * _binom(d + npr - 1, Fraction(npr + xpr, 2))
         for j in range(d)
     ]
     bwd = [
-        hahn_exact(_p_tilde_params(j, n, x, d, n_star, x_star))
+        hahn_exact(*_former_p_tilde_params(j, n, x, d, n_star, x_star))
         * _binom(n_star - n + d - 1, Fraction(n_star - n + x - x_star, 2))
         for j in range(d)
     ]
@@ -336,8 +337,8 @@ class TestDiscreteKernel:
 
 def _former_hahn(p):
     """The former float Hahn series: Kahan summation of the term ratios."""
-    j = p.j
-    x, a, b, M = float(p.x), float(p.alpha), float(p.beta), float(p.M)
+    j = p[0]
+    x, a, b, M = map(float, p[1:])
     term = total = 1.0
     comp = 0.0
     for m in range(1, j + 1):
@@ -354,7 +355,7 @@ def _former_hahn(p):
 
 def _former_hahn_exact(p):
     """The former exact Hahn series on integer arguments: Horner over ints."""
-    j, x, a, b, M = p.j, p.x, p.alpha, p.beta, p.M
+    j, x, a, b, M = p
     ratios = []
     for m in range(1, j + 1):
         num = (m - 1 - j) * (j + m + a + b) * (m - 1 - x)
@@ -368,13 +369,15 @@ def _former_hahn_exact(p):
 
 
 def _former_p_params(j, n, x, d, n_star, x_star):
-    return HahnParams(j, (n + x) // 2, -(n_star + x_star) // 2 - d, -(n_star - x_star) // 2 - d,
-                      n + d - 1)
+    """Hahn arguments (j, x, alpha, beta, M) of the forward family at (n, x)."""
+    return (j, (n + x) // 2, -(n_star + x_star) // 2 - d, -(n_star - x_star) // 2 - d,
+            n + d - 1)
 
 
 def _former_p_tilde_params(j, n, x, d, n_star, x_star):
-    return HahnParams(j, (n_star - n + x - x_star) // 2, -(n_star - x_star) // 2 - d,
-                      -(n_star + x_star) // 2 - d, n_star - n + d - 1)
+    """Hahn arguments (j, x, alpha, beta, M) of the reflected family at (n, x)."""
+    return (j, (n_star - n + x - x_star) // 2, -(n_star - x_star) // 2 - d,
+            -(n_star + x_star) // 2 - d, n_star - n + d - 1)
 
 
 def _former_exact_det(mat):
@@ -529,6 +532,22 @@ class TestConvergence:
         grid = convergence_grid(end, 0.1, 0.1, 2.0)
         summary, _ = kernel_convergence_study(end, 2, grid, [50, 100, 200, 400])
         assert summary["sup_error"]["400"] < summary["sup_error"]["50"]
+
+    def test_empty_level_fails_before_any_table(self, monkeypatch):
+        # the bridge at N = 4 is empty (x* = 6 > n* = 4); N = 400 comes first
+        calls = []
+        table = kernels.DiscreteKernelTable
+
+        def counting(*a, **k):
+            calls.append(a)
+            return table(*a, **k)
+
+        monkeypatch.setattr(kernels, "DiscreteKernelTable", counting)
+        end = ContinuumEndpoint(1.0, 3.0)
+        grid = convergence_grid(end, 0.2, 0.2, 1.0, nt=4, nz=3)
+        with pytest.raises(EmptyBridge):
+            kernel_convergence_study(end, 1, grid, [400, 4])
+        assert calls == []
 
     @pytest.mark.parametrize("N_list", [[], [50], [64, 64]])
     def test_needs_two_scales(self, N_list):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from watermelon.chaos_polymer import reachable_sites
-from watermelon.errors import DomainError, ParityError, SpecMismatch
+from watermelon.errors import DomainError, EmptyBridge, ParityError, SpecMismatch
 from watermelon import overlap
 from watermelon.kernels import ContinuumEndpoint
 from watermelon.overlap import (
@@ -28,7 +28,7 @@ from watermelon.rng import SeedRecord
 from watermelon.walk_ensembles import (
     BridgeSpec,
     WeylConfig,
-    chamber_path_sums,
+    chamber_sweep,
     enumerate_trajectories,
     free_step_law,
     km_weight,
@@ -153,13 +153,19 @@ class TestTanaka:
         assert tanaka_check(alpha, beta, a0, b0, n) == 0
 
 
+def _path_sums(start, steps, end=None):
+    """The counts of `chamber_sweep` as one {positions: count} dict per time."""
+    configs, counts, _ = chamber_sweep(start, steps, end)
+    return [dict(zip(c, w)) for c, w in zip(configs, counts)]
+
+
 class TestFreeStepLaw:
     @pytest.mark.parametrize("x0", [(0, 2), (-3, 1), (0, 2, 4), (0, 4, 10)])
     def test_free_law_is_h_transformed_count(self, x0):
         # iterating the one-step law against count(x0 -> y) V(y) / (V(x0) 2^{dn})
         x0 = WeylConfig(x0)
         d = x0.d
-        counts = chamber_path_sums(x0, 6)
+        counts = _path_sums(x0, 6)
         dist = {x0.positions: Fraction(1)}
         for n in range(1, 7):
             nxt = {}
@@ -187,7 +193,7 @@ class TestExactBridgeLaw:
         assert sum(law.pair_site_table(2, 5).values()) == 4
 
     def test_forward_and_backward_layers_hold_the_same_configurations(self):
-        # site_prob, config_dist and the pair sweep read _bwd[n] at every
+        # site_prob, the squared sums and the pair sweep read _bwd[n] at every
         # index of configs[n] without a guard; the forward counts equal the
         # sweep from the start, the mirrored backward counts the sweep run
         # from the endpoint back to the start
@@ -197,8 +203,8 @@ class TestExactBridgeLaw:
                 for x_star in range(-n_star, n_star + 1, 2):
                     spec = BridgeSpec(d, n_star, x_star)
                     law = ExactBridgeLaw(spec)
-                    fwd = chamber_path_sums(spec.start, spec.n_star, spec.end)
-                    bwd = chamber_path_sums(spec.end, spec.n_star, spec.start)[::-1]
+                    fwd = _path_sums(spec.start, spec.n_star, spec.end)
+                    bwd = _path_sums(spec.end, spec.n_star, spec.start)[::-1]
                     lists = (law.configs, law._fwd, law._bwd, fwd, bwd)
                     assert [len(v) for v in lists] == [n_star + 1] * 5
                     for n, (f, b) in enumerate(zip(fwd, bwd)):
@@ -277,8 +283,8 @@ class TestPairSweep:
     def test_successor_lists_match_the_former_transfer(self, d, n_star, x_star):
         spec = BridgeSpec(d, n_star, x_star)
         law = ExactBridgeLaw(spec)
-        fwd = chamber_path_sums(spec.start, n_star, spec.end)
-        bwd = chamber_path_sums(spec.end, n_star, spec.start)[::-1]
+        fwd = _path_sums(spec.start, n_star, spec.end)
+        bwd = _path_sums(spec.end, n_star, spec.start)[::-1]
         total = fwd[n_star][spec.end.positions]
         for n1 in range(n_star):
             former = _former_pair_counts(fwd, bwd, d, n1, n_star)
@@ -309,12 +315,25 @@ class TestPairSweep:
         assert _squared_occupation_sums(law, n_lo, n_hi, 2) == (same, cross)
 
     @pytest.mark.parametrize(
+        "n_lo,n_hi,same",
+        [
+            # the same windows at k = 1, which has no cross-time part,
+            # recorded from the former per-configuration Fraction sums
+            (1, 11, Fraction(1978789, 184041)),
+            (3, 9, Fraction(1105024, 184041)),
+        ],
+    )
+    def test_same_time_sums_pinned(self, n_lo, n_hi, same):
+        law = ExactBridgeLaw(BridgeSpec(2, 12, 0))
+        assert _squared_occupation_sums(law, n_lo, n_hi, 1) == (same, 0)
+
+    @pytest.mark.parametrize(
         "method,args",
         [
             ("site_prob", (-1, 0)),
             ("site_prob", (9, 0)),
-            ("config_dist", (-2,)),
-            ("config_dist", (9,)),
+            ("site_prob", (-2, 2)),
+            ("site_prob", (9, 1)),
             ("pair_site_table", (-3, 2)),
             ("pair_site_table", (7, 9)),
             ("pair_site_table", (4, 4)),
@@ -390,6 +409,22 @@ class TestL2Bound:
 
 
 class TestMomentDiagnostics:
+    def test_empty_level_fails_before_sampling(self, monkeypatch):
+        # the bridge at N = 4 is empty (x* = 6 > n* = 4); N = 400 comes first
+        calls = []
+        walk = overlap.walk_bridges_lockstep
+
+        def counting(*a):
+            calls.append(a)
+            return walk(*a)
+
+        monkeypatch.setattr(overlap, "walk_bridges_lockstep", counting)
+        with pytest.raises(EmptyBridge):
+            overlap_moment_diagnostics(
+                ContinuumEndpoint(1, 3), 1, [400, 4], [0.5], 1, 4, SeedRecord(3)
+            )
+        assert calls == []
+
     @pytest.mark.parametrize(
         "spec", [BridgeSpec(1, 9, 1), BridgeSpec(2, 10, 0), BridgeSpec(3, 10, 2)]
     )

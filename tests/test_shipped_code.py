@@ -18,11 +18,16 @@ their class.
 
 Code that only tests call is a second program to keep up, so it goes.  The
 few oracles that tests compare the program against stay, each listed in KEPT
-with the reason.
+with the reason.  Such an oracle computes its answer by another route than
+the code it checks: one that repackages that code's own helpers checks
+nothing, and its tests use their own references or the program itself.
+And every name a module imports is read there, unless the benchmark's
+tracer patches that attribute on that module.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,16 +35,15 @@ SRC = ROOT / "src" / "watermelon"
 BENCH = ROOT / "perfbench"
 
 KEPT = {
-    "overlap_time": "oracle of the streamed pair overlaps (test_streamed_overlaps_match_overlap_time)",
-    "one_step_bridge_law": "the exact one-step bridge law the stepper samples from",
+    "overlap_time": "direct coincidence count of two trajectories: the oracle of the streamed "
+                    "pair overlaps (test_streamed_overlaps_match_overlap_time)",
+    "one_step_bridge_law": "the one-step bridge law from Karlin-McGregor weights "
+                           "(bridge_transition), which the stepper's move tables sample from",
     "radon_nikodym": "closed product form of the bridge/free-walk density",
-    "radon_nikodym_ratio": "direct ratio of the two laws that radon_nikodym factorises",
+    "radon_nikodym_ratio": "the same density as a ratio of Karlin-McGregor weights, "
+                           "which the product form is tested against",
     "grsk_array": "gRSK array entries tau_j / tau_(j-1); the multi-layer Z_1..Z_d are to call it",
     "rotate_lambda": "45-degree rotation from grid to walk coordinates: the oracle of its inverse",
-    "_p_params": "one-value Hahn parameters the kernel's vectorised families are tested against",
-    "_p_tilde_params": "one-value reflected Hahn parameters, the same oracle",
-    "DisorderField": "one-value hashed field: the SMC's batch field is tested against its law",
-    "chamber_path_sums": "chamber path counts: the exact laws' sweep and the free walk's h-transform are tested against them",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -190,6 +194,37 @@ def _uncalled(kept=()):
 def test_every_definition_has_a_caller():
     missing = _uncalled(KEPT)
     assert not missing, f"defined in src/ but called only from tests: {missing}"
+
+
+def _unused_imports():
+    """Names each src/watermelon module imports but never reads, as
+    "module.name"."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    return unused
+
+
+def test_every_import_is_used(monkeypatch):
+    # an import the module never reads is dead, unless the benchmark's
+    # tracer patches that attribute on that module
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import spans
+
+    patched = {
+        f"{t.owner.__name__.rsplit('.', 1)[-1]}.{t.attr}"
+        for t in spans.TARGETS if isinstance(t.owner, type(sys))
+    }
+    assert sorted(set(_unused_imports()) - patched) == []
 
 
 def test_every_kept_oracle_is_defined_and_only_tested():

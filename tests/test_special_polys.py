@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from watermelon.errors import DomainError, ParityError, PoleError
 from watermelon.special_polys import (
-    HahnParams,
+    _lattice_family,
     hahn,
-    _p_params,
-    _p_tilde_params,
     hahn_exact,
+    hahn_ratios,
     hermite,
     hermite_normalized,
     rescaled_hahn_G,
@@ -76,28 +75,36 @@ class TestHermiteNormalized:
 
 class TestHahn:
     def test_degree_zero(self):
-        assert hahn(HahnParams(0, 4.2, 1.0, 2.0, 9)) == 1.0
+        assert hahn(0, 4.2, 1.0, 2.0, 9) == 1.0
 
     def test_degree_one_closed_form(self):
         # 1 - (alpha + beta + 2) x / ((alpha + 1) M)
-        p = HahnParams(1, 2, 3, 4, 10)
-        assert hahn(p) == pytest.approx(1 - (3 + 4 + 2) * 2 / ((3 + 1) * 10))
-        assert hahn_exact(p) == 1 - Fraction((3 + 4 + 2) * 2, (3 + 1) * 10)
+        p = (1, 2, 3, 4, 10)
+        assert hahn(*p) == pytest.approx(1 - (3 + 4 + 2) * 2 / ((3 + 1) * 10))
+        assert hahn_exact(*p) == 1 - Fraction((3 + 4 + 2) * 2, (3 + 1) * 10)
 
     def test_x_zero_terminates(self):
         for j in (1, 2, 5):
-            assert hahn(HahnParams(j, 0, 1.5, 2.5, 9)) == 1.0
+            assert hahn(j, 0, 1.5, 2.5, 9) == 1.0
 
     def test_pole_error(self):
         # alpha = -2 makes (alpha + 1)_m vanish at m = 1... m=1 term: alpha+1 = -1 no;
         # alpha = -1 vanishes immediately
         with pytest.raises(PoleError):
-            hahn(HahnParams(2, 5, -1.0, 2.0, 9))
+            hahn(2, 5, -1.0, 2.0, 9)
 
     def test_pole_from_small_M(self):
         # (-M)_m vanishes at m = M + 1 before the series ends
         with pytest.raises(PoleError):
-            hahn(HahnParams(3, 7, 1.0, 1.0, 2))
+            hahn(3, 7, 1.0, 1.0, 2)
+
+    def test_negative_degree_raises(self):
+        # the degree check sits in hahn_ratios, which the kernel shares
+        for evaluate in (hahn, hahn_exact):
+            with pytest.raises(DomainError, match="nonnegative"):
+                evaluate(-1, 2, 3, 4, 10)
+        with pytest.raises(DomainError, match="nonnegative"):
+            hahn_ratios(-1, 3, 4, 10)
 
     @staticmethod
     def _series_oracle(j, x, alpha, beta, m_par):
@@ -133,18 +140,18 @@ class TestHahn:
     )
     @settings(max_examples=300, deadline=None)
     def test_float_matches_exact(self, j, x, alpha, beta, m_par):
-        p = HahnParams(j, x, alpha, beta, m_par)
+        p = (j, x, alpha, beta, m_par)
         try:
-            expected, scale = self._series_oracle(j, x, alpha, beta, m_par)
+            expected, scale = self._series_oracle(*p)
         except PoleError:
             with pytest.raises(PoleError):
-                hahn(p)
+                hahn(*p)
             return
-        assert hahn_exact(p) == expected
+        assert hahn_exact(*p) == expected
         # float path: relative accuracy measured against the largest term,
         # since alternating sums may cancel exactly to zero
         tol = 1e-12 * float(max(abs(expected), scale, 1))
-        assert abs(hahn(p) - float(expected)) <= tol
+        assert abs(hahn(*p) - float(expected)) <= tol
 
     @pytest.mark.parametrize(
         "j,x,a,b,m_par",
@@ -154,13 +161,13 @@ class TestHahn:
         ref = float(
             mpmath.hyp3f2(-j, j + a + b + 1, -x, a + 1, -m_par, 1.0)
         )
-        assert hahn(HahnParams(j, x, a, b, m_par)) == pytest.approx(ref, rel=1e-10)
+        assert hahn(j, x, a, b, m_par) == pytest.approx(ref, rel=1e-10)
 
 
 def _term_by_term_exact(p):
     """The former exact route: the series in Fractions, term by term."""
-    j = p.j
-    x, a, b, M = Fraction(p.x), Fraction(p.alpha), Fraction(p.beta), Fraction(p.M)
+    j = p[0]
+    x, a, b, M = map(Fraction, p[1:])
     term = total = Fraction(1)
     for m in range(1, j + 1):
         num = (m - 1 - j) * (j + a + b + m) * (m - 1 - x)
@@ -189,78 +196,80 @@ class TestHahnExactHorner:
     )
     @settings(max_examples=400, deadline=None)
     def test_matches_term_by_term_series(self, j, x, alpha, beta, m_par):
-        p = HahnParams(j, x, alpha, beta, m_par)
+        p = (j, x, alpha, beta, m_par)
         try:
             want = _term_by_term_exact(p)
         except PoleError:
             with pytest.raises(PoleError):
-                hahn_exact(p)
+                hahn_exact(*p)
             return
-        got = hahn_exact(p)
+        got = hahn_exact(*p)
         assert type(got) is Fraction and got == want
 
     @pytest.mark.parametrize("p", [
-        HahnParams(2, Fraction(5, 3), -1, Fraction(1, 2), 9),  # pole at m = 1
-        HahnParams(3, Fraction(7, 2), Fraction(1, 3), 1, 2),  # pole at m = 3
-        HahnParams(4, Fraction(9, 4), -2, Fraction(2, 3), Fraction(7, 2)),  # pole at m = 2
+        (2, Fraction(5, 3), -1, Fraction(1, 2), 9),  # pole at m = 1
+        (3, Fraction(7, 2), Fraction(1, 3), 1, 2),  # pole at m = 3
+        (4, Fraction(9, 4), -2, Fraction(2, 3), Fraction(7, 2)),  # pole at m = 2
     ])
     def test_pole_cases(self, p):
         with pytest.raises(PoleError):
             _term_by_term_exact(p)
         with pytest.raises(PoleError):
-            hahn_exact(p)
+            hahn_exact(*p)
 
     @pytest.mark.parametrize("p", [
-        HahnParams(2, 0, -1, 5, 9),  # terminates at m = 1, before the alpha pole
-        HahnParams(3, 1, Fraction(1, 2), 2, 1),  # terminates at m = 2, before the M pole
-        HahnParams(3, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6)),
-        HahnParams(5, 3.0, Fraction(-1, 2), 2, 11.0),  # integral floats are exact
+        (2, 0, -1, 5, 9),  # terminates at m = 1, before the alpha pole
+        (3, 1, Fraction(1, 2), 2, 1),  # terminates at m = 2, before the M pole
+        (3, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6)),
+        (5, 3.0, Fraction(-1, 2), 2, 11.0),  # integral floats are exact
     ])
     def test_fixed_cases(self, p):
-        assert hahn_exact(p) == _term_by_term_exact(p)
+        assert hahn_exact(*p) == _term_by_term_exact(p)
 
     @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
     def test_non_rational_float_raises(self, bad):
         with pytest.raises(DomainError):
-            hahn_exact(HahnParams(2, bad, 1, 2, 9))
+            hahn_exact(2, bad, 1, 2, 9)
+
+
+def _family_at(tilde, j, n, x, d, n_star, x_star):
+    """Hahn arguments (j, k, alpha, beta, M) of the P family (P~ when
+    `tilde`) at (n, x): `_lattice_family` at time n, k = (x - lo) / 2."""
+    lo, alpha, beta, M = _lattice_family(tilde, n, d, n_star, x_star)
+    return j, (x - lo) // 2, alpha, beta, M
 
 
 class TestEndpointFamilies:
     def test_degree_zero_everywhere(self):
-        assert hahn_exact(_p_params(0, 2, 0, 2, 4, 0)) == 1.0
-        assert hahn_exact(_p_tilde_params(0, 2, 0, 2, 4, 0)) == 1.0
+        assert hahn_exact(*_family_at(False, 0, 2, 0, 2, 4, 0)) == 1.0
+        assert hahn_exact(*_family_at(True, 0, 2, 0, 2, 4, 0)) == 1.0
 
     def test_reflected_at_origin(self):
         # at (n, x) = (0, 0) the reflected family evaluates at (n*-x*)/2
         for j in (1, 2):
             direct = hahn_exact(
-                HahnParams(
-                    j,
-                    Fraction(6 - 2, 2),
-                    Fraction(-(6 - 2), 2) - 2,
-                    Fraction(-(6 + 2), 2) - 2,
-                    6 + 2 - 1,
-                )
+                j,
+                Fraction(6 - 2, 2),
+                Fraction(-(6 - 2), 2) - 2,
+                Fraction(-(6 + 2), 2) - 2,
+                6 + 2 - 1,
             )
-            assert hahn_exact(_p_tilde_params(j, 0, 0, 2, 6, 2)) == direct
+            assert hahn_exact(*_family_at(True, j, 0, 0, 2, 6, 2)) == direct
 
-    @pytest.mark.parametrize("builder", [_p_params, _p_tilde_params])
-    @pytest.mark.parametrize("args", [
-        (1, 2, 1, 2, 6, 0),  # n + x odd
-        (1, 2, 0, 2, 7, 0),  # n_star + x_star odd
-    ])
-    def test_odd_lattice_sum_raises(self, builder, args):
+    @pytest.mark.parametrize("tilde", [False, True], ids=["P", "P_tilde"])
+    def test_odd_lattice_sum_raises(self, tilde):
+        # n_star + x_star odd; an off-parity point (n, x) is the kernel's
+        # check (test_kernels.py, TestDiscreteKernel::test_parity_error)
         with pytest.raises(ParityError):
-            builder(*args)
+            _lattice_family(tilde, 2, 2, 7, 0)
 
-    @pytest.mark.parametrize("builder", [_p_params, _p_tilde_params])
-    def test_parameters_are_integers(self, builder):
-        p = builder(2, 3, 1, 3, 8, -2)
-        assert all(type(v) is int for v in (p.x, p.alpha, p.beta, p.M))
+    @pytest.mark.parametrize("tilde", [False, True], ids=["P", "P_tilde"])
+    def test_parameters_are_integers(self, tilde):
+        assert all(type(v) is int for v in _lattice_family(tilde, 3, 3, 8, -2))
 
     def test_degree_one_example(self):
         # d=2, n*=4, x*=0, (n,x)=(2,0): argument 1, top parameters -4, -4
-        val = hahn_exact(_p_params(1, 2, 0, 2, 4, 0))
+        val = hahn_exact(*_family_at(False, 1, 2, 0, 2, 4, 0))
         assert val == 1 - Fraction((-4 - 4 + 2) * 1, (-4 + 1) * 3)
 
 

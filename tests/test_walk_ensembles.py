@@ -25,7 +25,7 @@ from watermelon.walk_ensembles import (
     BridgeStepper,
     WeylConfig,
     bridge_transition,
-    chamber_path_sums,
+    chamber_sweep,
     conditional_drift,
     delta_config,
     check_trajectories,
@@ -281,13 +281,19 @@ class TestEnumeration:
         assert joint.dtype == np.int64 and np.array_equal(joint, want)
 
 
+def _path_sums(start, steps, end=None):
+    """The counts of `chamber_sweep` as one {positions: count} dict per time."""
+    configs, counts, _ = chamber_sweep(start, steps, end)
+    return [dict(zip(c, w)) for c, w in zip(configs, counts)]
+
+
 class TestChamberPathSums:
     @pytest.mark.parametrize(
         "d,n_star,x_star", [(1, 7, 3), (2, 6, 2), (2, 8, 0), (3, 8, -2), (3, 7, 1)]
     )
     def test_count_matches_enumeration_and_km(self, d, n_star, x_star):
         spec = BridgeSpec(d, n_star, x_star)
-        layers = chamber_path_sums(spec.start, n_star, spec.end)
+        layers = _path_sums(spec.start, n_star, spec.end)
         assert list(layers[-1]) == [spec.end.positions]
         count = layers[-1][spec.end.positions]
         assert type(count) is int and count == len(enumerate_trajectories(spec))
@@ -295,20 +301,20 @@ class TestChamberPathSums:
 
     def test_empty_bridge_raises(self):
         with pytest.raises(DomainError):
-            chamber_path_sums(delta_config(1, 0), 2, delta_config(1, 4))
+            _path_sums(delta_config(1, 0), 2, delta_config(1, 4))
 
     def test_zero_steps_to_another_end_raises(self):
         with pytest.raises(DomainError, match="no non-intersecting path"):
-            chamber_path_sums(delta_config(2, 0), 0, delta_config(2, 2))
-        assert chamber_path_sums(delta_config(2, 0), 0, delta_config(2, 0)) == [{(0, 2): 1}]
+            _path_sums(delta_config(2, 0), 0, delta_config(2, 2))
+        assert _path_sums(delta_config(2, 0), 0, delta_config(2, 0)) == [{(0, 2): 1}]
 
     def test_end_with_other_walker_count_raises(self):
         with pytest.raises(DomainError, match="configuration sizes differ"):
-            chamber_path_sums(delta_config(2, 0), 2, delta_config(3, 0))
+            _path_sums(delta_config(2, 0), 2, delta_config(3, 0))
 
     def test_negative_steps_raises(self):
         with pytest.raises(DomainError, match="need n >= 0"):
-            chamber_path_sums(delta_config(2, 0), -1)
+            _path_sums(delta_config(2, 0), -1)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_former_sweep(self, d):
@@ -319,19 +325,19 @@ class TestChamberPathSums:
         for start in starts:
             for steps in range(11):
                 want = _former_chamber_path_sums(start, steps)
-                assert chamber_path_sums(start, steps) == want
+                assert _path_sums(start, steps) == want
                 for x in range(-steps - 3, steps + 4):
                     end = WeylConfig(tuple(x + p - start.positions[0] for p in start.positions))
                     try:
                         want = _former_chamber_path_sums(start, steps, end)
                     except DomainError:
                         with pytest.raises(DomainError):
-                            chamber_path_sums(start, steps, end)
+                            _path_sums(start, steps, end)
                         raised += 1
                         continue
                     if steps == 0 and end != start:
                         continue  # the former sweep's 0-step answer ignored `end`
-                    assert chamber_path_sums(start, steps, end) == want
+                    assert _path_sums(start, steps, end) == want
                     compared += 1
         assert compared > 0 and raised > 0
 
