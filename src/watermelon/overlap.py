@@ -181,12 +181,13 @@ def overlap_moment_diagnostics(
 
     For each N, walks independent bridge pairs once and reads the overlap
     on every [0, t] window from one running count.  Asserts finite-sample
-    versions of uniform boundedness in N and decay as t -> 0; the tail ratio
-    of successive moment terms is reported, not asserted.  Returns the JSON
-    summary and the rows (N, t, k, moment / k!, se).  An empty N_list or
-    t_grid, a time outside [0, t_star] or fewer than two replicas raises
-    DomainError, and an N whose bridge is empty raises EmptyBridge, each
-    before any sampling.
+    versions of uniform boundedness in N and decay as t -> 0; a verdict
+    that compares nothing (fewer than three N, or one distinct t) is None.
+    The tail ratio of successive moment terms is reported, not asserted.
+    Returns the JSON summary and the rows (N, t, k, moment / k!, se).  An
+    empty N_list or t_grid, a repeated N, a time outside [0, t_star] or
+    fewer than two replicas raises DomainError, and an N whose bridge is
+    empty raises EmptyBridge, each before any sampling.
     """
     if replicas < 2:  # no standard error from one replica
         raise DomainError(f"need at least 2 replicas, got {replicas}")
@@ -196,11 +197,15 @@ def overlap_moment_diagnostics(
         raise DomainError("k_max above 6 is out of budget")
     if not N_list or not t_grid:
         raise DomainError("need a non-empty N_list and t_grid")
+    if len(set(N_list)) < len(N_list):
+        raise DomainError(f"N_list {list(N_list)} repeats a level")
     check_t_grid(t_grid, end.t_star)
     # every level's spec is built before any is sampled
     specs = [LatticeRounding.of(N, end).bridge_spec(d) for N in N_list]
+    ts = sorted(set(float(t) for t in t_grid))
+    # mean and se of moment / k! by (N as listed, t ascending, k - 1)
+    mean, se = np.empty((2, len(N_list), len(ts), k_max))
     rows = []
-    table: dict[tuple[int, float, int], tuple[float, float]] = {}
     for li, (N, spec) in enumerate(zip(N_list, specs)):
         steps = {t: lattice_steps(t, N) for t in t_grid}  # <= n_star, as t <= t_star
         # interior times only: the pinned configs at steps 0 and n_star
@@ -209,41 +214,31 @@ def overlap_moment_diagnostics(
             spec, replicas, (rng.child(2 * li), rng.child(2 * li + 1)), 1, steps.values()
         )
         for t in t_grid:
+            ti = ts.index(float(t))
             o_scaled = overlaps[steps[t]] / math.sqrt(N)
             for k in range(1, k_max + 1):
                 vals = o_scaled**k / math.factorial(k)
-                m, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
-                rows.append((N, float(t), k, m, se))
-                table[(N, float(t), k)] = (m, se)
-    ts = sorted(set(float(t) for t in t_grid))
-    bounded = True
+                m, err = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+                rows.append((N, float(t), k, m, err))
+                mean[li, ti, k - 1], se[li, ti, k - 1] = m, err
     # The moments approach their continuum limits from below, so uniform
-    # boundedness in N is rendered as saturation: consecutive increments
-    # along N_list must shrink (within error bars), ruling out divergence.
-    for t in ts:
-        for k in range(1, k_max + 1):
-            ms = [table[(N, t, k)][0] for N in N_list]
-            ses = [table[(N, t, k)][1] for N in N_list]
-            incs = [ms[i + 1] - ms[i] for i in range(len(ms) - 1)]
-            if len(incs) >= 2 and incs[0] > 0:
-                tol = 6 * max(ses)
-                if incs[-1] > 0.9 * incs[0] + tol:
-                    bounded = False
-    decays = True
-    for N in N_list:
-        for k in range(1, k_max + 1):
-            seq = [table[(N, t, k)][0] for t in ts]
-            if seq[0] > seq[-1] + 3 * table[(N, ts[0], k)][1] + 1e-12:
-                decays = False
-    tails = {}
-    for N in N_list:
-        for t in ts:
-            terms = [table[(N, t, k)][0] for k in range(1, k_max + 1)]
-            ratios = [
-                terms[i + 1] / terms[i] if terms[i] > 0 else float("nan")
-                for i in range(len(terms) - 1)
-            ]
-            tails[f"N={N},t={t}"] = ratios
+    # boundedness in N is rendered as saturation: where the first increment
+    # along N_list is positive, the last must be below 0.9 of it (within
+    # error bars), ruling out divergence.
+    inc = np.diff(mean, axis=0)
+    bounded = None if len(N_list) < 3 else not np.any(
+        (inc[0] > 0) & (inc[-1] > 0.9 * inc[0] + 6 * se.max(axis=0))
+    )
+    decays = None if len(ts) < 2 else not np.any(
+        mean[:, 0] > mean[:, -1] + 3 * se[:, 0] + 1e-12
+    )
+    # a zero term has no ratio: NaN
+    ratios = mean[..., 1:] / np.where(mean[..., :-1] > 0, mean[..., :-1], np.nan)
+    tails = {
+        f"N={N},t={t}": ratios[li, ti].tolist()
+        for li, N in enumerate(N_list)
+        for ti, t in enumerate(ts)
+    }
     summary = {"bounded_in_N": bounded, "decays_to_zero_as_t_to_0": decays, "tail_ratios": tails}
     return summary, rows
 

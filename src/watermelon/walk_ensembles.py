@@ -354,7 +354,8 @@ class BridgeStepper:
         self.signs = _step_signs(d)
         # log(y_j - y_i) at index gap0 + y_j - y_i, for every candidate gap of
         # two walkers inside the widest log-binomial table (step 0); -inf
-        # below the least gap, 2
+        # below the least gap, 2.  A wider gap, clipped to the last entry,
+        # belongs to a walker outside the table, whose weight is -inf anyway
         gap0 = 2 * (n_star + d)
         self._log_gap = np.full(2 * gap0 + 1, -np.inf)
         self._log_gap[gap0 + 2 :] = np.log(np.arange(2, gap0 + 1))
@@ -371,32 +372,21 @@ class BridgeStepper:
         """Log-binomial table of step n and the position of its column 0.
 
         Row 0 (row 1) holds log binom(m+d-1, k) of a walker that moves down
-        (up) from that position, -inf where the move cannot reach delta(x*);
-        every position outside the table is unreachable as well.
+        (up) from that position, -inf where the move cannot reach delta(x*).
+        The first and last columns are -inf guards, so a lookup clipped to
+        the table gives every position outside it weight -inf as well.
         """
-        lo, width = self._reach(n)
-        top = (width - 3) // 2
-        k = np.arange(top + 1)
-        logb = self.lg[top] - self.lg[k] - self.lg[top - k]
-        table = np.full((2, width), -np.inf)
-        table[0, 2::2] = logb
-        table[1, :-2:2] = logb
-        return lo, table
-
-    def _reach(self, n: int) -> tuple[int, int]:
-        """Position of column 0 of the table of step n, and its width."""
         spec = self.spec
         if not 0 <= n < spec.n_star:
             raise DomainError(f"step {n} outside 0..{spec.n_star - 1}")
         m = spec.n_star - n - 1
-        return spec.x_star - m - 1, 2 * (m + spec.d - 1) + 3
-
-    def _unreachable(self, stuck: np.ndarray, paths: np.ndarray, n: int):
-        bad = int(np.argmax(stuck))
-        raise UnreachableState(
-            f"bridge cannot reach {self.spec.end.positions} from "
-            f"{tuple(int(v) for v in paths[bad])} at time {n}"
-        )
+        top = m + spec.d - 1
+        k = np.arange(top + 1)
+        logb = self.lg[top] - self.lg[k] - self.lg[top - k]
+        table = np.full((2, 2 * top + 5), -np.inf)
+        table[0, 3:-1:2] = logb
+        table[1, 1:-3:2] = logb
+        return spec.x_star - m - 2, table
 
     def _move_log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
         """Log-weights of the 2^d moves of each row of `paths` at time n.
@@ -409,16 +399,14 @@ class BridgeStepper:
         d = self.spec.d
         lo, table = self._binomials(n)
         idx = paths.T - lo
-        if idx.min() < 0 or idx.max() >= table.shape[1]:
-            self._unreachable(((idx < 0) | (idx >= table.shape[1])).any(axis=0), paths, n)
         # summation order of the bit-identical contract: walker terms for
         # i = 0..d-1, then log gaps for i < j
         logw = 0.0
         for i in range(d):
-            term = table.take(idx[i], axis=1)
+            term = table.take(idx[i], axis=1, mode="clip")
             logw = logw + term.reshape((1,) * (d - 1 - i) + (2,) + (1,) * i + (-1,))
         for i, j, shift in self._gap_shift:
-            logw = logw + self._log_gap.take(paths[:, j] - paths[:, i] + shift)
+            logw = logw + self._log_gap.take(paths[:, j] - paths[:, i] + shift, mode="clip")
         return logw.reshape(1 << d, len(paths))
 
     def _batch_log_weights(self, paths: np.ndarray, n: int) -> np.ndarray:
@@ -433,20 +421,21 @@ class BridgeStepper:
         evaluated on the rows.  Each column is the same sums in the same
         order either way, so the two give the same bits.
         """
-        if len(paths) <= 4:  # a box has at least one cell
+        # fast path, not a rule: a box has at least one cell, so the test
+        # below would send these rows to the row route too, after the cost of
+        # building the box on every step of `watermelon sample` (one row)
+        if len(paths) <= 4:
             return self._move_log_weights(paths, n)
         d = self.spec.d
         # walkers as rows: numpy reduces and broadcasts slowly over the short
         # walker axis of a (P, d) array
         cols = paths.T.copy()
         lo, hi = cols.min(axis=1), cols.max(axis=1)
+        # the box of a row far outside would overflow an int64 product, not
+        # a product of Python ints
         widths = (((hi - lo) >> 1) + 1).tolist()
-        # a batch outside the table takes the row route, whose bounds check
-        # names the unreachable row; the box of a row far outside would
-        # overflow an int64 product, not a product of Python ints
-        first, width = self._reach(n)
         cells = math.prod(widths)
-        if not (4 * cells < len(paths) and lo.min() >= first and hi.max() < first + width):
+        if 4 * cells >= len(paths):
             return self._move_log_weights(paths, n)
         cols -= lo[:, None]
         if np.bitwise_or.reduce(cols, axis=None) & 1:  # a walker mixes parities
@@ -498,7 +487,11 @@ class BridgeStepper:
         if best.min() == -np.inf:
             stuck = logw[choice, np.arange(len(paths))] == -np.inf
             if stuck.any():
-                self._unreachable(stuck, paths, n)
+                row = paths[int(np.argmax(stuck))]
+                raise UnreachableState(
+                    f"bridge cannot reach {self.spec.end.positions} from "
+                    f"{tuple(int(v) for v in row)} at time {n}"
+                )
         return paths + self.signs.take(choice, axis=0)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated size and tolerance.
 
 One pass/fail line per criterion is printed as the suite runs.  Criterion 10
-is the long pole (several minutes of sequential Monte Carlo).
+is the long pole (about 9 s of sequential Monte Carlo on a 2-vCPU Xeon).
 """
 
 import time

@@ -577,8 +577,11 @@ class TestOverlapCommand:
             "overlap_moments.csv":
                 "edcc2eab08f60a703102e594d90a12e268363911111fd4ed789d2f4e9e9a77b1",
             "overlap_summary.json":
-                "4a6b73050a55accad0fa75d73ebe70ce3c7e40eaffb5c8bb3bb9a76ad665ebe5",
+                "9173e0fffa36eda3018720e47b2f86920108b288f0aa4a5d37b157a5d36abff4",
         }
+        # two N give no saturation verdict: null, and not judged
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["assertions"]["moments_bounded_in_N"] is None
 
 
 SHA = "0123456789abcdef0123456789abcdef01234567"

@@ -550,6 +550,59 @@ class TestMomentDiagnostics:
         with pytest.raises(DomainError):
             call(ContinuumEndpoint(1.0, 0.0))
 
+    def test_repeated_level_raises_before_sampling(self, no_walk):
+        # a repeated N used to alias the last of its levels in the verdicts
+        with pytest.raises(DomainError):
+            overlap_moment_diagnostics(
+                ContinuumEndpoint(1.0, 0.0), 2, [16, 32, 16], [0.5], 2, 100, SeedRecord(14, 0)
+            )
+
+    @pytest.mark.parametrize("N_list,t_grid,v,bounded,decays", [
+        # k = 1 increments 3 then 1, k = 2 increments 7.5 then 4.5: saturating
+        ([4, 16, 64], [1.0], {4: 1, 16: 4, 64: 5}, True, None),
+        # k = 1 increments 1 then 2: growing
+        ([4, 16, 64], [1.0], {4: 1, 16: 2, 64: 4}, False, None),
+        # a first increment that is not positive is not judged
+        ([4, 16, 64], [1.0], {4: 4, 16: 2, 64: 3}, True, None),
+        # increments 1 then 1 (k = 1), 1.5 then 7 (k = 2), within 6 se at N = 64
+        ([4, 16, 64], [1.0], {4: 1, 16: 2, 64: (0, 6)}, True, None),
+        ([4, 16], [0.5, 1.0], {(4, 0.5): 1, (4, 1.0): 2, (16, 0.5): 0, (16, 1.0): 3},
+         None, True),
+        # rising toward small t at N = 16 only
+        ([4, 16], [1.0, 0.5], {(4, 0.5): 1, (4, 1.0): 2, (16, 0.5): 3, (16, 1.0): 2},
+         None, False),
+        # rising toward small t at N = 4, within 3 se of the smallest t
+        ([4, 16], [0.5, 1.0], {(4, 0.5): (0, 6), (4, 1.0): 2, (16, 0.5): 1, (16, 1.0): 2},
+         None, True),
+    ], ids=["saturating", "growing", "falling_first", "growth_within_se", "decaying",
+            "rising_toward_small_t", "rise_within_se"])
+    @pytest.mark.filterwarnings("error")  # a zero moment's NaN ratio warns nothing
+    def test_verdicts_on_chosen_overlaps(self, monkeypatch, N_list, t_grid, v, bounded, decays):
+        # the 4 pairs at scale N (n_star = N at t* = 1) and time t overlap
+        # sqrt(N) * v for the chosen v of N or of (N, t), repeated over the
+        # replicas, so the moments / k! are means of small integers / k!,
+        # exact in binary
+        def chosen_v(N, t):
+            return np.resize(v.get(N, v.get((N, t))), 4)
+
+        def chosen(spec, replicas, rngs, n_lo, times):
+            N = spec.n_star
+            return {n: math.isqrt(N) * chosen_v(N, n / N) for n in times}
+
+        monkeypatch.setattr(overlap, "_pair_overlaps", chosen)
+        summary, _ = overlap_moment_diagnostics(
+            ContinuumEndpoint(1.0, 0.0), 2, N_list, t_grid, 2, 4, SeedRecord(0)
+        )
+        assert summary["bounded_in_N"] is bounded
+        assert summary["decays_to_zero_as_t_to_0"] is decays
+        for N in N_list:
+            for t in t_grid:
+                ratio, = summary["tail_ratios"][f"N={N},t={t}"]
+                vals = chosen_v(N, t)
+                m1, m2 = vals.mean(), (vals**2).mean() / 2
+                # NaN where the first moment is 0
+                assert (ratio == m2 / m1) if m1 else math.isnan(ratio)
+
     def test_zero_window(self):
         _, rows = overlap_moment_diagnostics(
             ContinuumEndpoint(1.0, 0.0), 2, [16], [0.0], 3, 500, SeedRecord(14, 0)

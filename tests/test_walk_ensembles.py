@@ -593,22 +593,28 @@ class TestBridgeStepper:
         assert not all(small_box) or count == 3000
 
     def test_unreachable_row_in_a_large_batch_raises(self):
-        # one bad row among 400 good ones raises as it does alone: a stuck
-        # row inside the table (table route), a row of the wrong parity and
-        # rows outside the table (both row route)
+        # one bad row among 400 good ones raises as it does alone, on either
+        # route: a stuck row inside the table and a row just outside it
+        # (cell route, on the 2 and 9 cells of their boxes), a row of the
+        # wrong parity and rows far outside (row route)
         spec = BridgeSpec(2, 6, 0)
         stepper = BridgeStepper(spec)
         gen = SeedRecord(1, 0).generator()
+        rows = stepper._move_log_weights
+        evaluated = []
+        stepper._move_log_weights = lambda paths, n: evaluated.append(len(paths)) or rows(paths, n)
         good = {1: [-1, 1], 4: [0, 2], 5: [1, 3]}
-        for n, bad in ((5, [3, 3]), (4, [1, 3]), (4, [4, 6]), (1, [-500, 500]),
-                       (1, [-(10**12), 10**12])):
+        for n, bad, sizes in ((5, [3, 3], [2]), (4, [1, 3], [400]), (4, [4, 6], [9]),
+                              (1, [-500, 500], [400]), (1, [-(10**12), 10**12], [400])):
             with pytest.raises(UnreachableState) as alone:
                 stepper.step(np.array([bad]), n, gen)
             paths = np.tile(good[n], (400, 1))
             paths[123] = bad
+            evaluated.clear()
             with pytest.raises(UnreachableState) as batch:
                 stepper.step(paths, n, gen)
             assert str(batch.value) == str(alone.value)
+            assert evaluated == sizes
 
     def test_step_outside_window_raises(self):
         spec = BridgeSpec(2, 6, 0)
