@@ -256,7 +256,12 @@ def smc_partition_estimates(
 
     Disorder values are a pure hash of (seed, replica, time, site), so a
     replica's field is consistent across particles and across reads.
+    `replicas`, `particles` or `block` below 1 raises DomainError before any
+    draw.
     """
+    for name, v in (("replicas", replicas), ("particles", particles), ("block", block)):
+        if v < 1:
+            raise DomainError(f"need {name} >= 1, got {v}")
     stepper = BridgeStepper(spec)
     gen = rng.generator()
     d, n_star = spec.d, spec.n_star

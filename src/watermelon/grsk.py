@@ -15,6 +15,7 @@ paper's vertex (i, j) is cell (i-1, j-1).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .rng import SeedRecord
-from .walk_ensembles import exact_det, signed_logdet
+from .walk_ensembles import int_det, signed_logdet
 
 
 _ENUMERATION_BUDGET = 14  # largest n + m that tau_enumerate walks through
@@ -108,11 +109,18 @@ def tau_lgv(w, d: int):
     weights go through :func:`log_tau_lgv`.
     """
     w = _check_weights(w)
-    starts, ends = _path_endpoints(d, *w.shape)
+    n, m = w.shape
+    starts, ends = _path_endpoints(d, n, m)
     if not all(isinstance(v, Rational) for v in w.flat):
         return math.exp(log_tau_lgv(np.log(w.astype(np.float64)), d))
-    sums = path_sums(w[None], starts, ends, 0, np.add, np.multiply)
-    return exact_det(sums[0].tolist())
+    # the weights times the lcm q of their denominators are ints; a path from
+    # start r to end s visits n + m - d + s - r cells, and the q^(s-r) factors
+    # are a diagonal conjugation, so the determinant scales by q^(d(n+m-d))
+    q = math.lcm(*(v.denominator for v in w.flat))
+    scaled = [v.numerator * (q // v.denominator) for v in w.flat]
+    scaled = np.array(scaled, dtype=object).reshape(1, n, m)
+    sums = path_sums(scaled, starts, ends, 0, np.add, np.multiply)
+    return Fraction(int_det(sums[0].tolist()), q ** (d * (n + m - d)))
 
 
 def lgv_mismatch(gen: np.random.Generator, trials: int, max_side: int) -> int | None:

@@ -175,18 +175,12 @@ def _f_weight(spec: BridgeSpec, j: int) -> Fraction:
     rising-factorial prefactor kicks in.
     """
     d, n_star, x_star = spec.d, spec.n_star, spec.x_star
-    central = _binom(n_star + 2 * d - 2, Fraction(n_star + x_star, 2) + d - 1)
+    central = _binom(n_star + 2 * d - 2, (n_star + x_star) // 2 + d - 1)
     if j == 0:
         return Fraction(1, central)
-    poch = Fraction(1)
-    for i in range(j - 1):
-        poch *= n_star + 2 * d - j + i
-    return (
-        Fraction(n_star + 2 * d - 2 * j - 1)
-        * poch
-        / math.factorial(j)
-        / central
-    )
+    # (n* + 2d - j)_{j-1} = perm(n* + 2d - 2, j - 1)
+    poch = math.perm(n_star + 2 * d - 2, j - 1)
+    return Fraction((n_star + 2 * d - 2 * j - 1) * poch, math.factorial(j) * central)
 
 
 class DiscreteKernelTable:

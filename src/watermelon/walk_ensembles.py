@@ -2,10 +2,10 @@
 
 The state space is the period-2 Weyl chamber: strictly increasing integer
 vectors whose coordinates all share one parity.  Two determinant helpers
-live here: :func:`exact_det` (the oracle, exact rationals, behind every
-exact law; its integer core :func:`int_det` also takes the integer kernel
-matrices of `kernels` directly) and :func:`signed_logdet` (row-scaled
-doubles, for the large positive-entry LGV matrices of `grsk`).  The float
+live here: :func:`int_det` (Bareiss over ints, behind every exact law: each
+builds an integer matrix, takes one determinant and divides once by its
+common denominator) and :func:`signed_logdet` (row-scaled doubles, for the
+large positive-entry LGV matrices of `grsk`).  The float
 kernel determinants of `kernels` (`continuum_psi_k`, float
 `discrete_psi_prob` from three sites on) have O(1) gauged entries and call
 ``np.linalg.det`` directly.  Exact path counts over the chamber go through
@@ -140,22 +140,6 @@ def int_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def exact_det(mat) -> Fraction:
-    """Exact determinant of a square matrix of ints or Fractions.
-
-    Each row is scaled to integers by the lcm of its denominators, the
-    integer matrix goes through :func:`int_det`, and the row scales are
-    divided back out.
-    """
-    a = []
-    scale = 1
-    for row in mat:
-        m = math.lcm(*(v.denominator for v in row))
-        a.append([v.numerator * (m // v.denominator) for v in row])
-        scale *= m
-    return Fraction(int_det(a), scale)
-
-
 def signed_logdet(logm: np.ndarray):
     """(sign, log|det|) of the matrix whose entries are exp(logm).
 
@@ -170,14 +154,9 @@ def signed_logdet(logm: np.ndarray):
     return sign, row_max.sum(axis=-1) + logdet
 
 
-def _binom(n: int, k) -> int:
-    """Binomial with the convention: zero unless k is an integer in [0, n]."""
-    if k != int(k):
-        return 0
-    k = int(k)
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
+def _binom(n: int, k: int) -> int:
+    """Binomial with the convention: zero unless k is in [0, n]."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def log_binom(n: int, k: int) -> float:
@@ -204,11 +183,9 @@ def km_weight(n: int, frm: WeylConfig, to: WeylConfig, mode: str = "exact") -> F
         return Fraction(int(frm.positions == to.positions))
     if (frm.positions[0] + to.positions[0] + n) % 2 != 0:
         return Fraction(0)
-    mat = [
-        [_binom(n, Fraction(n + xi - yj, 2)) for yj in to.positions]
-        for xi in frm.positions
-    ]
-    q = exact_det(mat) / 2 ** (n * frm.d)
+    # every n + xi - yj is even: all positions of a configuration share a parity
+    mat = [[_binom(n, (n + xi - yj) // 2) for yj in to.positions] for xi in frm.positions]
+    q = Fraction(int_det(mat), 2 ** (n * frm.d))
     if q < 0:
         raise DomainError(f"negative exact determinant {q}; invalid configurations")
     return q
@@ -503,7 +480,10 @@ def walk_bridges_lockstep(
     Yields the int64 positions of shape (count, d) at times 0..n_star, a
     fresh array each time.  Each step draws from the exact one-step law of
     the bridge (:func:`one_step_bridge_law`) through :class:`BridgeStepper`.
+    A count below 1 raises DomainError before any draw.
     """
+    if count < 1:
+        raise DomainError(f"need count >= 1, got {count}")
     stepper = BridgeStepper(spec)
     gen = rng.generator()
     paths = np.tile(np.array(spec.start.positions, dtype=np.int64), (count, 1))
@@ -519,8 +499,10 @@ def sample_bridges_lockstep(
     """Vectorized sampler: the trajectories of :func:`walk_bridges_lockstep`
     as one int64 array of shape (count, n_star + 1, d)."""
     walk = walk_bridges_lockstep(spec, count, rng)
+    start = next(walk)  # checks count before the array is made
     out = np.empty((count, spec.n_star + 1, spec.d), dtype=np.int64)
-    for n, paths in enumerate(walk):
+    out[:, 0] = start
+    for n, paths in enumerate(walk, start=1):
         out[:, n] = paths
     return out
 
@@ -580,14 +562,6 @@ def macmahon_count(N: int, d: int) -> int:
     return int(total)
 
 
-def rising(x, m: int):
-    """Rising factorial (x)_m = x (x+1) ... (x+m-1)."""
-    out = Fraction(1)
-    for i in range(m):
-        out *= x + i
-    return out
-
-
 def radon_nikodym(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:
     """Density of the bridge law against the free conditioned-walk law at (n, x).
 
@@ -602,19 +576,16 @@ def radon_nikodym(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:
         raise DomainError("configuration size mismatch")
     if (x.positions[0] + n) % 2 != 0:
         raise ParityError(f"config {x.positions} unreachable at time {n}")
-    out = Fraction(1)
-    for i in range(1, d + 1):
-        xi = x.positions[i - 1]
-        b1 = _binom(n_star - n + d - 1, Fraction(n_star - n + xi - x_star, 2))
-        b2 = _binom(n_star + d - 1, Fraction(n_star + x_star, 2) + i - 1)
-        out *= (
-            Fraction(2**n)
-            * Fraction(b1)
-            / Fraction(b2)
-            * rising(n_star + d - i + 1, i - 1)
-            / rising(n_star - n + d - i + 1, i - 1)
-        )
-    return out
+    # walker i's factor is 2^n C(n*-n+d-1, (n*-n+x_i-x*)/2) (n*+d-i)_i
+    # / [C(n*+d-1, (n*+x*)/2+i) (n*-n+d-i)_i], i = 0..d-1, with rising
+    # factorials (a)_i = perm(a+i-1, i); the halves are whole by parity
+    num = den = 1
+    for i, xi in enumerate(x.positions):
+        num *= 2**n * _binom(n_star - n + d - 1, (n_star - n + xi - x_star) // 2)
+        num *= math.perm(n_star + d - 1, i)
+        den *= _binom(n_star + d - 1, (n_star + x_star) // 2 + i)
+        den *= math.perm(n_star - n + d - 1, i)
+    return Fraction(num, den)
 
 
 def radon_nikodym_ratio(spec: BridgeSpec, n: int, x: WeylConfig) -> Fraction:

@@ -1,6 +1,5 @@
 """Partition functions, chaos expansions, and the disorder-scaling pipeline."""
 
-import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -24,13 +23,9 @@ from watermelon.chaos_polymer import (
     zeta_variance_ratio,
 )
 from watermelon.errors import DomainError, EmptyBridge
-from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable
+from watermelon.kernels import ContinuumEndpoint, DiscreteKernelTable, discrete_psi_prob
 from watermelon.rng import SeedRecord, hash_mix
-from watermelon.walk_ensembles import (
-    BridgeSpec,
-    enumerate_trajectories,
-    exact_det,
-)
+from watermelon.walk_ensembles import BridgeSpec, enumerate_trajectories
 
 
 _I64 = np.iinfo(np.int64)
@@ -304,8 +299,9 @@ class TestEnergyAndPartition:
 
 def _subset_chaos_sum(spec, field):
     """Reference chaos sum: an explicit recursion over the subsets of live
-    sites with at most d sites per time, one exact determinant each."""
-    entry = functools.cache(DiscreteKernelTable(spec, exact=True).entry)
+    sites with at most d sites per time, one exact determinant each (the
+    k-point probability of the subset; the empty one is 1)."""
+    table = DiscreteKernelTable(spec, exact=True)
     by_time = {}
     for s in reachable_sites(spec):
         if field.value(*s) != 1:
@@ -314,7 +310,7 @@ def _subset_chaos_sum(spec, field):
 
     def rec(ti, chosen, weight):
         if ti == len(levels):
-            return exact_det([[entry(a, b) for b in chosen] for a in chosen]) * weight
+            return discrete_psi_prob(spec, chosen, "exact", table) * weight
         total = Fraction(0)
         for size in range(min(spec.d, len(levels[ti])) + 1):
             for subset in combinations(levels[ti], size):
@@ -556,6 +552,20 @@ class TestSmcEstimator:
         assert (np.diff(cum, axis=1) == 0).sum() > 500
         want = (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
         assert np.array_equal(chaos_polymer._systematic_picks(cum, u), want)
+
+    @pytest.mark.parametrize(
+        "replicas, particles, block, name",
+        [(0, 8, 4, "replicas"), (-2, 8, 4, "replicas"), (4, 0, 4, "particles"),
+         (4, -1, 4, "particles"), (4, 8, 0, "block"), (4, 8, -3, "block")],
+    )
+    def test_sizes_below_one_raise_before_any_draw(self, replicas, particles, block, name):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("a draw was made")
+
+        with pytest.raises(DomainError, match=f"need {name} >= 1"):
+            smc_partition_estimates(BridgeSpec(2, 8, 0), 0.3, replicas, particles,
+                                    NoDraws(), block=block)
 
     def test_replay_is_pinned(self):
         # (seed, stream) replay contract; printed at 10 significant digits so

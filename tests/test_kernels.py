@@ -189,18 +189,18 @@ def _gauge_series_heat(spec, a, b):
     f = [_f_weight(spec, j) for j in range(d)]
     fwd = [
         hahn_exact(*_former_p_params(j, npr, xpr, d, n_star, x_star))
-        * _binom(d + npr - 1, Fraction(npr + xpr, 2))
+        * _binom(d + npr - 1, (npr + xpr) // 2)
         for j in range(d)
     ]
     bwd = [
         hahn_exact(*_former_p_tilde_params(j, n, x, d, n_star, x_star))
-        * _binom(n_star - n + d - 1, Fraction(n_star - n + x - x_star, 2))
+        * _binom(n_star - n + d - 1, (n_star - n + x - x_star) // 2)
         for j in range(d)
     ]
     gauge = Fraction(2) ** (n - npr)
     heat = Fraction(0)
     if n < npr:
-        heat = gauge * _binom(npr - n, Fraction(npr - n + xpr - x, 2))
+        heat = gauge * _binom(npr - n, (npr - n + xpr - x) // 2)
     series = sum((f[j] * fwd[j] * bwd[j] for j in range(d)), Fraction(0))
     return gauge * series - heat
 

@@ -31,8 +31,8 @@ from watermelon.walk_ensembles import (
     check_trajectories,
     drift_bound,
     enumerate_trajectories,
-    exact_det,
     free_step_law,
+    int_det,
     km_weight,
     macmahon_count,
     one_step_bridge_law,
@@ -450,6 +450,13 @@ class TestHarmonicity:
         assert sum(p for _, p in law) == 1
 
 
+class _NoDraws:
+    """A SeedRecord stand-in that fails the test if a generator is made."""
+
+    def generator(self):
+        raise AssertionError("a draw was made")
+
+
 class TestSamplers:
     def test_two_step_bridge_uniform(self):
         spec = BridgeSpec(1, 2, 0)
@@ -467,6 +474,14 @@ class TestSamplers:
             spec = BridgeSpec(d, n_star, x_star - 2)
             assert sample_bridges_lockstep(spec, 3, SeedRecord(0, 0)).shape == (3, n_star + 1, d)
             assert len(list(walk_bridges_lockstep(spec, 3, SeedRecord(0, 0)))) == n_star + 1
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_raises_before_any_draw(self, count):
+        spec = BridgeSpec(2, 6, 0)
+        with pytest.raises(DomainError, match="need count >= 1"):
+            next(walk_bridges_lockstep(spec, count, _NoDraws()))
+        with pytest.raises(DomainError, match="need count >= 1"):
+            sample_bridges_lockstep(spec, count, _NoDraws())
 
     def test_emptiness_matches_km_weight(self):
         # the closed form |x*| > n_star of BridgeSpec against the exact
@@ -664,46 +679,48 @@ def leibniz_det(mat):
     return total
 
 
-_entries = st.one_of(
-    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=7)
-)
-
-
 @st.composite
 def square_matrices(draw, min_size=0, max_size=5):
     n = draw(st.integers(min_size, max_size))
-    return [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    return [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
 
 
-class TestExactDet:
+def _int_det(mat):
+    """int_det on a copy (it overwrites its argument), checked to be an int."""
+    det = int_det([row[:] for row in mat])
+    assert type(det) is int
+    return det
+
+
+class TestIntDet:
     @given(square_matrices())
     @settings(max_examples=300, deadline=None)
     def test_matches_leibniz(self, mat):
-        det = exact_det(mat)
-        assert isinstance(det, Fraction)
-        assert det == leibniz_det(mat)
+        assert _int_det(mat) == leibniz_det(mat)
 
     @given(square_matrices(min_size=2), st.integers(-3, 3))
     @settings(max_examples=100, deadline=None)
     def test_singular(self, mat, c):
         mat[-1] = [c * v for v in mat[0]]
-        assert exact_det(mat) == 0
+        assert _int_det(mat) == 0
 
     @given(square_matrices(min_size=2))
     @settings(max_examples=100, deadline=None)
     def test_zero_leading_pivot(self, mat):
         mat[0][0] = 0
-        assert exact_det(mat) == leibniz_det(mat)
+        assert _int_det(mat) == leibniz_det(mat)
 
     def test_row_swap_sign(self):
-        assert exact_det([[0, 1], [1, 0]]) == -1
-        mat = [[0, Fraction(1, 2), 3], [0, 2, Fraction(-1, 3)], [5, 1, 1]]
-        assert exact_det(mat) == leibniz_det(mat)
+        assert _int_det([[0, 1], [1, 0]]) == -1
+        # two zero pivots in the first column: row 0 swaps with row 2
+        mat = [[0, 1, 3], [0, 2, -1], [5, 1, 1]]
+        assert _int_det(mat) == leibniz_det(mat) == -35
 
     def test_empty_and_int_matrices(self):
-        assert exact_det([]) == 1
-        assert exact_det([[7]]) == 7
-        assert exact_det([[2, 1], [1, 3]]) == 5
+        assert _int_det([]) == 1
+        assert _int_det([[7]]) == 7
+        assert _int_det([[-7]]) == -7
+        assert _int_det([[2, 1], [1, 3]]) == 5
 
 
 class TestSignedLogdet:
